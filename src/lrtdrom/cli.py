@@ -94,6 +94,8 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    if not args.eps >= 0:  # also rejects nan
+        raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     directory = Path(args.dir)
     meta = _load_meta(directory)
     tensor = load_tensor(directory / "snapshots.lrt")
@@ -141,7 +143,12 @@ def _find_tt(directory: Path, eps: float | None) -> Path:
 def _cmd_rom(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     meta = _load_meta(directory)
-    alpha = np.array([float(v) for v in args.alpha.split(",")])
+    try:
+        alpha = np.array([float(v) for v in args.alpha.split(",")])
+    except ValueError as exc:
+        raise ConfigError(
+            f"--alpha must be comma-separated numbers, got {args.alpha!r}"
+        ) from exc
     tt = load_tt(_find_tt(directory, args.eps))
     problem = _problem_from_meta(meta)
     mesh = build_mesh(problem, float(meta["h"]))
@@ -149,7 +156,10 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     grid = ParameterGrid(axes=tuple(np.asarray(a) for a in meta["axes"]))
     scheme = InterpolationScheme(grid=grid, p=int(meta["p"]))
     weights = weight_vectors(alpha, scheme)
-    basis = local_basis(tt, weights, args.ell, alpha=alpha)
+    try:
+        basis = local_basis(tt, weights, args.ell, alpha=alpha)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the reduced basis: {exc}") from exc
     mass = assemble_mass(mesh)
     op, load = assemble_operator(mesh, problem, alpha)
     traj = rom_solve(basis, mass, op, load, initial_state(problem, mesh), tg)

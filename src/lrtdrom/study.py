@@ -18,10 +18,12 @@ test set across machines.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import tempfile
 import time
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +49,14 @@ from .fem import (
 )
 from .interp import InterpolationScheme, weight_vectors
 from .rom import correlation_spectrum, local_basis, rom_solve, trajectory_error_sq
-from .tensors import ParameterGrid, generate_snapshots, uniform_grid
-from .tt import frobenius_tolerance, tt_svd
+from .tensors import (
+    ParameterGrid,
+    check_budget,
+    generate_snapshots,
+    resolve_memory_budget,
+    uniform_grid,
+)
+from .tt import first_svd_doubles, frobenius_tolerance, tt_svd
 
 CSV_HEADER = "sweep_var,value,eps,delta_max,ell,lambda_tail,E_max,E_mean,R1,wall_s"
 
@@ -431,10 +439,17 @@ class FomCache:
         return states
 
     def store(self, key: str, states: np.ndarray) -> None:
-        path = self.directory / f"{key}.npy"
-        tmp = path.with_suffix(".tmp.npy")
-        np.save(tmp, states)
-        os.replace(tmp, path)
+        """Write an entry atomically; concurrent writers of one key each use
+        their own temp file, and the last ``os.replace`` wins."""
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.save(f, states)
+            os.replace(tmp, self.directory / f"{key}.npy")
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
 
 def _solve_test_fom(
@@ -476,8 +491,13 @@ def run_study(
 ) -> StudyResult:
     """Execute a sweep and write results.csv, results.dat, summary.json.
 
-    Snapshots are rebuilt only when the training grid changes and the
-    compression only when (grid, eps) changes. Full-order test solves are
+    Snapshots are rebuilt only when the training grid changes, and the
+    previous grid's tensor is released first. Each grid gets one memo for
+    :func:`frobenius_tolerance` and :func:`tt_svd`, so the norms and the
+    SVD of the first unfolding are computed once per grid and reused for
+    every eps; the memo is dropped after the grid's last compression, or
+    with the grid's tensor at the latest. The rest of the compression
+    reruns when (grid, eps) changes. Full-order test solves are
     cached on disk under the output directory, so repeated studies with
     the same configuration are cheap and produce identical numeric
     columns (the wall-clock column aside).
@@ -514,20 +534,35 @@ def run_study(
     tt = None
     tt_key = None
     tensor = None
+    memo: dict | None = None
 
-    for value in config.sweep_values:
+    # The (grid counts, eps) pair that each sweep value compresses at.
+    keys = [
+        (
+            grid_counts_for_delta(problem.box, float(value))
+            if config.sweep_variable == "delta"
+            else config.grid_counts,
+            config.eps if config.sweep_variable != "eps" else float(value),
+        )
+        for value in config.sweep_values
+    ]
+
+    for i, value in enumerate(config.sweep_values):
         start = time.perf_counter()
-        eps = config.eps if config.sweep_variable != "eps" else float(value)
+        counts, eps = keys[i]
         ell_req = config.ell if config.sweep_variable != "ell" else int(value)
-        if config.sweep_variable == "delta":
-            counts = grid_counts_for_delta(problem.box, float(value))
-        else:
-            counts = config.grid_counts
         try:
             if grid_key != counts:
+                tensor = memo = tt = grid_key = tt_key = None
                 grid = uniform_grid(problem.box, counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, grid)
+                m, cols = mesh.n_nodes, tg.steps * grid.n_points
+                check_budget(
+                    m * cols + first_svd_doubles(m, cols),
+                    resolve_memory_budget(config.memory_budget_gb),
+                    "snapshot tensor and its first-unfolding SVD",
+                )
                 tensor = generate_snapshots(
                     problem,
                     mesh,
@@ -536,12 +571,14 @@ def run_study(
                     workers=n_workers,
                     memory_budget_gb=config.memory_budget_gb,
                 )
+                memo = {}
                 grid_key = counts
-                tt_key = None
             if tt_key != (counts, eps):
-                eps_tilde = frobenius_tolerance(eps, tensor, mass, tg.dt)
-                tt, _ = tt_svd(tensor, eps_tilde)
+                eps_tilde = frobenius_tolerance(eps, tensor, mass, tg.dt, memo=memo)
+                tt, _ = tt_svd(tensor, eps_tilde, memo=memo)
                 tt_key = (counts, eps)
+                if not any(c == counts and e != eps for c, e in keys[i + 1 :]):
+                    memo = None  # no later value compresses this grid again
             r1 = tt.ranks[0]
             ell_eff = min(ell_req, r1, tg.steps)
             scheme = InterpolationScheme(grid=grid, p=config.p)

@@ -97,8 +97,30 @@ class CompressionReport:
         return float(np.sqrt(sum(self.discarded_energy)))
 
 
+def _memoized(memo: dict | None, key: str, compute):
+    """``compute()``, or the value a caller-owned memo holds for ``key``."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _bind_memo(memo: dict | None, tensor: np.ndarray) -> None:
+    """Tie a memo to the first tensor it sees; another shape or dtype is an error."""
+    if memo is None:
+        return
+    owner = (tensor.shape, tensor.dtype.str)
+    if memo.setdefault("owner", owner) != owner:
+        raise ValueError(f"memo belongs to a tensor {memo['owner']}, got {owner}")
+
+
 def frobenius_tolerance(
-    eps: float, tensor: np.ndarray, mass: sp.spmatrix, dt: float
+    eps: float,
+    tensor: np.ndarray,
+    mass: sp.spmatrix,
+    dt: float,
+    memo: dict | None = None,
 ) -> float:
     """Convert a trajectory-norm tolerance into a relative Frobenius one.
 
@@ -109,16 +131,25 @@ def frobenius_tolerance(
         eps_tilde = eps * norm0 / (sqrt(|mass| * dt) * |tensor|_F)
 
     with norm0 the largest trajectory norm and |mass| the spectral norm.
+
+    None of the three norms depends on eps. A caller converting several
+    tolerances for one tensor passes the same ``memo`` dict each time: the
+    first call stores the norms in it and later calls read them, so every
+    result is bit-identical to a call without a memo. A memo serves one
+    tensor with one ``mass`` and ``dt`` (and may be shared with
+    :func:`tt_svd` on that tensor); the caller drops it with the tensor.
     """
     if eps < 0:
         raise ValueError("tolerance must be non-negative")
-    fro = frobenius_norm(tensor)
+    _bind_memo(memo, tensor)
+    fro = _memoized(memo, "fro", lambda: frobenius_norm(tensor))
     if fro == 0.0:
         raise DomainError("tolerance conversion undefined for a zero tensor")
     if eps == 0.0:
         return 0.0
-    norm0 = max_trajectory_norm(tensor, mass, dt)
-    return eps * norm0 / (np.sqrt(spectral_norm(mass) * dt) * fro)
+    norm0 = _memoized(memo, "norm0", lambda: max_trajectory_norm(tensor, mass, dt))
+    mass_norm = _memoized(memo, "mass_norm", lambda: spectral_norm(mass))
+    return eps * norm0 / (np.sqrt(mass_norm * dt) * fro)
 
 
 def _select_rank(s: np.ndarray, budget: float) -> tuple[int, float]:
@@ -138,7 +169,32 @@ def _select_rank(s: np.ndarray, budget: float) -> tuple[int, float]:
     return r, float(tails[r])
 
 
-def tt_svd(tensor: np.ndarray, eps_tilde: float) -> tuple[TTTensor, CompressionReport]:
+def _thin_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return sla.svd(w, full_matrices=False, lapack_driver="gesdd", check_finite=False)
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    # Memoized factors back the first core of every train built from them,
+    # so an in-place edit of one train must not reach the next.
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def first_svd_doubles(rows: int, cols: int) -> int:
+    """Float64 values that factoring a rows x cols first unfolding allocates.
+
+    gesdd's working copy of the unfolding, U (rows x k), V^T (k x cols)
+    and its 4k^2 + 7k workspace, with k = min(rows, cols). A memo keeps
+    the factors alive as long as the tensor.
+    """
+    k = min(rows, cols)
+    return rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
+
+
+def tt_svd(
+    tensor: np.ndarray, eps_tilde: float, memo: dict | None = None
+) -> tuple[TTTensor, CompressionReport]:
     """Tensor-train decomposition with relative Frobenius tolerance.
 
     Sequential truncated SVDs of the unfoldings, each allowed a discarded
@@ -146,21 +202,32 @@ def tt_svd(tensor: np.ndarray, eps_tilde: float) -> tuple[TTTensor, CompressionR
     |tensor - result|_F <= eps_tilde * |tensor|_F. All cores except the
     last are left-orthogonal. eps_tilde = 0 reproduces the tensor to
     roundoff with minimal exact ranks.
+
+    The first unfolding and its thin SVD do not depend on eps_tilde. A
+    caller compressing one tensor at several tolerances passes the same
+    ``memo`` dict each time: the first call stores |tensor|_F and the SVD
+    factors of the first unfolding in it, and later calls truncate those
+    factors instead of factoring again. Every later SVD still runs per
+    call, since its input depends on the kept rank. Results are
+    bit-identical to a call without a memo. A memo serves one tensor only
+    and holds factors as large as the tensor, so the caller drops it with
+    the tensor.
     """
     if eps_tilde < 0:
         raise ValueError("tolerance must be non-negative")
     tensor = np.asarray(tensor, dtype=np.float64)
+    _bind_memo(memo, tensor)
     d = tensor.ndim
     dims = tensor.shape
+    norm = _memoized(memo, "fro", lambda: frobenius_norm(tensor))
     if d == 1:
         core = tensor.reshape(1, dims[0], 1, order="F")
         return TTTensor(cores=(core,)), CompressionReport(
             eps_tilde=eps_tilde,
-            tensor_norm=frobenius_norm(tensor),
+            tensor_norm=norm,
             ranks=(),
             discarded_energy=(),
         )
-    norm = frobenius_norm(tensor)
     budget = eps_tilde * norm / np.sqrt(d - 1)
 
     cores: list[np.ndarray] = []
@@ -169,9 +236,10 @@ def tt_svd(tensor: np.ndarray, eps_tilde: float) -> tuple[TTTensor, CompressionR
     r_prev = 1
     for k in range(d - 1):
         w = w.reshape(r_prev * dims[k], -1, order="F")
-        u, s, vt = sla.svd(
-            w, full_matrices=False, lapack_driver="gesdd", check_finite=False
-        )
+        if k == 0 and memo is not None:
+            u, s, vt = _memoized(memo, "first_svd", lambda: _read_only(_thin_svd(w)))
+        else:
+            u, s, vt = _thin_svd(w)
         r, dropped = _select_rank(s, budget)
         cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
         discarded.append(dropped)

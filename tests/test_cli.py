@@ -78,6 +78,41 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def compressed(tmp_path_factory):
+    """Snapshots and one compressed tensor of CONFIG, ready for `rom`."""
+    work = tmp_path_factory.mktemp("compressed")
+    config = work / "study.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    assert main(["snapshots", "--config", str(config), "--out", str(work)]) == 0
+    assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
+    return work
+
+
+@pytest.mark.parametrize(
+    "alpha, ell, message",
+    [
+        ("0.2,x", "4", "--alpha must be comma-separated numbers"),
+        ("0.2,0.3", "999", "basis size 999"),
+    ],
+)
+def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message):
+    capsys.readouterr()
+    rc = main(["rom", "--alpha", alpha, "--ell", ell, "--dir", str(compressed)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_bad_compress_tolerance_reports_error(compressed, capsys, eps):
+    capsys.readouterr()
+    assert main(["compress", "--eps", eps, "--dir", str(compressed)]) == 1
+    assert "--eps must be a non-negative number" in capsys.readouterr().err
+    written = sorted(p.name for p in compressed.glob("tt_eps*"))
+    assert written == ["tt_eps0.001.json", "tt_eps0.001.lrtt"]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import lrtdrom.tt as tt_module
 from lrtdrom import (
     CSV_HEADER,
     ConfigError,
     FomCache,
     TestSetSpec,
     TimeGrid,
+    build_mesh,
     exclude_plateau,
     grid_counts_for_delta,
     heat_problem,
@@ -22,6 +25,7 @@ from lrtdrom import (
     run_study,
     slope_fit,
 )
+from lrtdrom.tensors import check_budget
 
 
 def base_config() -> dict:
@@ -316,6 +320,69 @@ class TestRunStudy:
         assert result.rows[0].e_max <= 1e-8
 
 
+def numeric_columns(result) -> list[str]:
+    """Each row's CSV line without the wall-clock column."""
+    return [row.csv_line().rsplit(",", 1)[0] for row in result.rows]
+
+
+class TestCompressionReuse:
+    EPS = [1e-1, 1e-2, 1e-3]
+
+    def eps_sweep(self) -> dict:
+        data = base_config()
+        data["sweep"]["values"] = list(self.EPS)
+        return data
+
+    def test_first_unfolding_factored_once_per_grid(self, tmp_path, monkeypatch):
+        shapes = []
+        svd = tt_module.sla.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(tt_module.sla, "svd", counting)
+        m = build_mesh(heat_problem(), 0.5).n_nodes
+        result = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "eps")
+        assert all(row.error is None for row in result.rows)
+        assert shapes.count((m, 10 * 9)) == 1
+
+        data = base_config()
+        del data["grid"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "delta", "values": [0.5, 0.25]}
+        shapes.clear()
+        result = run_study(parse_config(data), out_dir=tmp_path / "delta")
+        assert all(row.error is None for row in result.rows)
+        for delta in (0.5, 0.25):
+            points = math.prod(grid_counts_for_delta(heat_problem().box, delta))
+            assert shapes.count((m, 10 * points)) == 1
+
+    def test_eps_sweep_matches_single_value_studies(self, tmp_path):
+        sweep = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "sweep")
+        singles = []
+        for k, eps in enumerate(self.EPS):
+            data = base_config()
+            data["sweep"]["values"] = [eps]
+            singles += numeric_columns(
+                run_study(parse_config(data), out_dir=tmp_path / f"single{k}")
+            )
+        assert numeric_columns(sweep) == singles
+
+    def test_preflight_counts_the_svd_workspace(self, tmp_path, monkeypatch):
+        # A budget that holds the snapshot tensor but not the SVD factors
+        # and gesdd's copy of the first unfolding next to it.
+        monkeypatch.delenv("LRTDROM_MEM_BUDGET_GB", raising=False)
+        tensor_doubles = build_mesh(heat_problem(), 0.5).n_nodes * 10 * 9
+        budget_gb = 1.5 * 8 * tensor_doubles / 2**30
+        check_budget(tensor_doubles, budget_gb, "snapshot tensor")  # the old estimate fits
+        data = base_config()
+        data["memory_budget_gb"] = budget_gb
+        result = run_study(parse_config(data), out_dir=tmp_path)
+        for row in result.rows:
+            assert row.error is not None and "BudgetError" in row.error
+
+
 class TestFomCache:
     def test_store_and_lookup_bitwise(self, tmp_path, rng):
         cache = FomCache(tmp_path)
@@ -333,6 +400,37 @@ class TestFomCache:
         assert FomCache.key(problem, 0.25, tg, (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, TimeGrid(2.0, 8), (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, tg, (0.2, 0.30001)) != base
+
+    def test_concurrent_stores_of_one_key(self, tmp_path, rng, monkeypatch):
+        # Both writers finish their temp file before either renames it, the
+        # interleaving that made a shared temp name vanish under the second.
+        cache = FomCache(tmp_path)
+        states = rng.normal(size=(6, 4))
+        barrier = threading.Barrier(2, timeout=10)
+        save = np.save
+
+        def save_then_wait(*args, **kwargs):
+            save(*args, **kwargs)
+            barrier.wait()
+
+        monkeypatch.setattr(np, "save", save_then_wait)
+        errors = []
+
+        def store():
+            try:
+                cache.store("k", states)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        np.testing.assert_array_equal(cache.lookup("k"), states)
+        assert [p.name for p in tmp_path.iterdir()] == ["k.npy"]
 
     def test_corrupt_entry_is_ignored(self, tmp_path):
         cache = FomCache(tmp_path)

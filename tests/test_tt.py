@@ -192,6 +192,74 @@ class TestToleranceConversion:
             frobenius_tolerance(0.1, np.zeros((3, 4, 2)), sp.identity(3), 1.0)
 
 
+def structured_tensor(rng, dims):
+    """Rank-one tensor plus small noise: truncation bites at every tolerance."""
+    base = np.ones(())
+    for n in dims:
+        base = np.multiply.outer(base, rng.normal(size=n))
+    return np.asfortranarray(base + 0.05 * rng.normal(size=dims))
+
+
+def assert_same_train(a, b):
+    assert len(a.cores) == len(b.cores)
+    for x, y in zip(a.cores, b.cores):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestCompressionMemo:
+    EPS_TILDES = (1e-1, 0.0, 1e-3, 0.3, 1e-6)
+
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (6, 5, 4, 3)])
+    def test_tt_svd_memo_is_bit_identical(self, rng, dims):
+        t = structured_tensor(rng, dims)
+        memo = {}
+        for eps_tilde in self.EPS_TILDES:
+            fresh, fresh_report = tt_svd(t, eps_tilde)
+            reused, reused_report = tt_svd(t, eps_tilde, memo=memo)
+            assert_same_train(fresh, reused)
+            assert reused_report == fresh_report
+            with pytest.raises(ValueError, match="read-only"):
+                reused.cores[0][...] = 0.0
+        assert "first_svd" in memo
+
+    def test_tt_svd_memo_on_heat_tensor(self, heat_desk):
+        memo = {}
+        for eps_tilde in self.EPS_TILDES:
+            fresh, fresh_report = tt_svd(heat_desk.tensor, eps_tilde)
+            reused, reused_report = tt_svd(heat_desk.tensor, eps_tilde, memo=memo)
+            assert_same_train(fresh, reused)
+            assert reused_report == fresh_report
+
+    def test_frobenius_tolerance_memo_is_bit_identical(self, heat_desk):
+        args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+        memo = {}
+        for eps in (0.0, 1e-1, 1e-3, 0.0, 1e-5):
+            assert frobenius_tolerance(eps, *args, memo=memo) == frobenius_tolerance(eps, *args)
+        assert {"fro", "norm0", "mass_norm"} <= set(memo)
+
+    def test_shared_memo_matches_separate_calls(self, heat_desk):
+        # The study's pattern: one memo per tensor for both functions.
+        args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+        memo = {}
+        for eps in (1e-1, 1e-3, 1e-5):
+            eps_tilde = frobenius_tolerance(eps, *args, memo=memo)
+            assert eps_tilde == frobenius_tolerance(eps, *args)
+            fresh, fresh_report = tt_svd(heat_desk.tensor, eps_tilde)
+            reused, reused_report = tt_svd(heat_desk.tensor, eps_tilde, memo=memo)
+            assert_same_train(fresh, reused)
+            assert reused_report == fresh_report
+
+    def test_memo_serves_one_tensor(self, rng):
+        memo = {}
+        tt_svd(structured_tensor(rng, (4, 3, 2)), 0.1, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            tt_svd(structured_tensor(rng, (4, 3, 3)), 0.1, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            frobenius_tolerance(
+                0.1, np.ones((4, 3, 2), dtype=np.float32), sp.identity(4), 1.0, memo=memo
+            )
+
+
 class TestUniversalBasis:
     def test_orthonormal_columns(self, heat_desk):
         tt, _ = tt_svd(heat_desk.tensor, 1e-6)
