@@ -32,12 +32,14 @@ from .rom import local_basis, rom_solve
 from .study import exclude_plateau, load_config, run_study, slope_fit
 from .tensors import (
     ParameterGrid,
+    check_budget,
     generate_snapshots,
     load_tensor,
+    resolve_memory_budget,
     save_tensor,
     uniform_grid,
 )
-from .tt import frobenius_tolerance, load_tt, save_tt, tt_svd
+from .tt import first_svd_doubles, frobenius_tolerance, load_tt, save_tt, tt_svd
 
 
 def _problem_from_meta(meta: dict):
@@ -103,6 +105,12 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     mesh = build_mesh(problem, float(meta["h"]))
     tg = TimeGrid(final_time=float(meta["T"]), steps=int(meta["N"]))
     mass = assemble_mass(mesh)
+    m = tensor.shape[0]
+    check_budget(
+        tensor.size + first_svd_doubles(m, tensor.size // m),
+        resolve_memory_budget(None),
+        "snapshot tensor and its first-unfolding SVD",
+    )
     eps_tilde = frobenius_tolerance(args.eps, tensor, mass, tg.dt)
     tt, report = tt_svd(tensor, eps_tilde)
     tt_path = directory / f"tt_eps{args.eps:g}.lrtt"

@@ -401,6 +401,20 @@ class StudyResult:
     summary_path: Path
 
 
+# Part of every FOM-cache key: raise it when a change to the full-order
+# solver alters its output, so entries it wrote earlier stop matching.
+_FOM_SOLVER_VERSION = 1
+
+
+def _hex_floats(value):
+    """Numbers as exact float hex strings, recursing into lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return [_hex_floats(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value).hex()
+    return value
+
+
 class FomCache:
     """Content-addressed store of full-order trajectories under a directory."""
 
@@ -410,14 +424,11 @@ class FomCache:
 
     @staticmethod
     def key(problem: ProblemSpec, h: float, tg: TimeGrid, alpha: Sequence[float]) -> str:
+        """Digest of every :class:`ProblemSpec` field, the mesh size, the
+        time grid, the parameter value and the solver version."""
         payload = {
-            "kind": problem.kind,
-            "outer": [v.hex() for v in map(float, problem.outer)],
-            "holes": [[v.hex() for v in map(float, hole)] for hole in problem.holes],
-            "nu": float(problem.nu).hex(),
-            "robin_side": problem.robin_side,
-            "source_center": [v.hex() for v in map(float, problem.source_center)],
-            "source_width": float(problem.source_width).hex(),
+            "solver": _FOM_SOLVER_VERSION,
+            "problem": _hex_floats(dataclasses.asdict(problem)),
             "h": float(h).hex(),
             "T": float(tg.final_time).hex(),
             "N": tg.steps,

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from .errors import DomainError, FormatError
 from .interp import WeightVector
@@ -37,6 +38,14 @@ _MAX_ORDER = 64
 # carry no information; keeping them would inflate ranks of exactly
 # low-rank inputs.
 _ROUNDOFF_FLOOR = 64.0 * np.finfo(np.float64).eps
+
+# Randomized range finder for the first unfolding: Gaussian blocks of this
+# many columns from a fixed seed, so every run draws the same sketch. It
+# runs only when the smaller side holds at least this many blocks; below
+# that a dense SVD costs little.
+_SKETCH_BLOCK = 32
+_SKETCH_MIN_BLOCKS = 4
+_SKETCH_SEED = 20110217
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,10 @@ class CompressionReport:
     """What the decomposition kept and what it threw away.
 
     ``discarded_energy[k]`` is the sum of squared singular values dropped
-    at the k-th unfolding; the total reconstruction error is bounded by
-    ``error_bound``.
+    at the k-th unfolding; for the first unfolding it also holds the
+    measured energy |W - QB|_F^2 that a randomized factorization left out
+    (zero when it took the dense SVD). The total reconstruction error is
+    bounded by ``error_bound``.
     """
 
     eps_tilde: float
@@ -152,18 +163,23 @@ def frobenius_tolerance(
     return eps * norm0 / (np.sqrt(mass_norm * dt) * fro)
 
 
-def _select_rank(s: np.ndarray, budget: float) -> tuple[int, float]:
+def _select_rank(
+    s: np.ndarray, budget: float, residual: float = 0.0
+) -> tuple[int, float]:
     """Smallest kept rank whose discarded tail energy stays under budget^2.
 
-    Ties at exactly zero tail always qualify, so a zero budget keeps all
-    nonzero singular values. Trailing values at roundoff level relative to
+    ``residual`` is energy the factorization already left out; it counts
+    towards every tail. Ties at exactly zero tail always qualify, so a
+    zero budget keeps all nonzero singular values; when no rank meets the
+    budget, all are kept. Trailing values at roundoff level relative to
     s[0] are dropped regardless. Returns (rank, discarded energy).
     """
     q = s.size
     tails = np.zeros(q + 1)
     tails[:q] = np.cumsum((s**2)[::-1])[::-1]
+    tails += residual
     mask = (tails < budget**2) | (tails == 0.0)
-    r = int(np.argmax(mask))  # mask[q] is always True
+    r = int(np.argmax(mask)) if mask.any() else q
     significant = int(np.count_nonzero(s > _ROUNDOFF_FLOOR * s[0])) if q else 0
     r = max(1, min(r, max(significant, 1)))
     return r, float(tails[r])
@@ -173,20 +189,87 @@ def _thin_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sla.svd(w, full_matrices=False, lapack_driver="gesdd", check_finite=False)
 
 
-def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _orthonormal(y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of range(y), orthogonalized twice against ``q``."""
+    for _ in range(1 if q is None else 2):
+        if q is not None:
+            y = y - q @ (q.T @ y)
+        y = np.linalg.qr(y)[0]
+    return y
+
+
+def _range_sketch(
+    w: np.ndarray, target: float
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Blocked adaptive range finder: (Q, B, r2) with |W - QB|_F^2 = r2.
+
+    Each block draws Gaussian columns, takes one orthonormalized power
+    step on the residual and is orthogonalized against the earlier
+    blocks; the residual copy is then deflated in place, so r2 is
+    measured from W - QB itself. Stops once sqrt(r2) <= ``target``;
+    returns None when Q would pass half the smaller side first.
+    """
+    rows, cols = w.shape
+    limit = min(rows, cols) // 2
+    rng = np.random.default_rng(_SKETCH_SEED)
+    residual = np.array(w, dtype=np.float64, order="F")
+    q = np.empty((rows, limit), order="F")
+    b_blocks: list[np.ndarray] = []
+    k = 0
+    while k + _SKETCH_BLOCK <= limit:
+        y = _orthonormal(residual @ rng.standard_normal((cols, _SKETCH_BLOCK)))
+        y = residual @ _orthonormal(residual.T @ y)
+        q_new = _orthonormal(y, q[:, :k] if k else None)
+        b_new = blas.dgemm(1.0, q_new, residual, trans_a=True)
+        blas.dgemm(-1.0, q_new, b_new, beta=1.0, c=residual, overwrite_c=True)
+        q[:, k : k + _SKETCH_BLOCK] = q_new
+        b_blocks.append(b_new)
+        k += _SKETCH_BLOCK
+        r = float(np.linalg.norm(residual))
+        if r <= target:
+            return q[:, :k], np.vstack(b_blocks), r * r
+    return None
+
+
+def _first_unfolding_svd(
+    w: np.ndarray, norm: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Thin SVD of the first unfolding up to a measured residual.
+
+    Returns (U, s, V^T, r2) with W = U diag(s) V^T + E, E orthogonal to
+    U's columns and |E|_F^2 = r2; U is Fortran-ordered. A wide enough
+    unfolding goes through :func:`_range_sketch` down to the roundoff
+    floor of ``norm`` = |W|_F, then a dense SVD of the small B. A short
+    side or a sketch that does not converge takes the dense SVD of W with
+    r2 = 0.
+    """
+    if min(w.shape) >= _SKETCH_MIN_BLOCKS * _SKETCH_BLOCK:
+        sketch = _range_sketch(w, _ROUNDOFF_FLOOR * norm)
+        if sketch is not None:
+            q, b, r2 = sketch
+            ub, s, vt = _thin_svd(b)
+            return blas.dgemm(1.0, q, ub), s, vt, r2
+    return (*_thin_svd(w), 0.0)
+
+
+def _read_only(factors: tuple) -> tuple:
     # Memoized factors back the first core of every train built from them,
     # so an in-place edit of one train must not reach the next.
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    for a in factors:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return factors
 
 
 def first_svd_doubles(rows: int, cols: int) -> int:
     """Float64 values that factoring a rows x cols first unfolding allocates.
 
-    gesdd's working copy of the unfolding, U (rows x k), V^T (k x cols)
-    and its 4k^2 + 7k workspace, with k = min(rows, cols). A memo keeps
-    the factors alive as long as the tensor.
+    The dense fallback's peak: gesdd's working copy of the unfolding, U
+    (rows x k), V^T (k x cols) and its 4k^2 + 7k workspace, with
+    k = min(rows, cols). It also bounds the range finder, which holds a
+    residual copy of the unfolding, Q (rows x k/2 at most), B (k/2 x cols)
+    and one block, and releases the copy before any fallback or the SVD
+    of B. A memo keeps the factors alive as long as the tensor.
     """
     k = min(rows, cols)
     return rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
@@ -203,9 +286,16 @@ def tt_svd(
     last are left-orthogonal. eps_tilde = 0 reproduces the tensor to
     roundoff with minimal exact ranks.
 
-    The first unfolding and its thin SVD do not depend on eps_tilde. A
+    The first unfolding W is factored by :func:`_first_unfolding_svd`: a
+    seeded randomized range finder stopped at the roundoff floor, or a
+    dense SVD when W's smaller side is under 128 or its spectrum is flat.
+    The finder's measured residual |W - QB|_F^2 is part of
+    ``discarded_energy[0]``, so ``error_bound`` stays a certificate built
+    from measured quantities on both paths.
+
+    The first unfolding and its factorization do not depend on eps_tilde. A
     caller compressing one tensor at several tolerances passes the same
-    ``memo`` dict each time: the first call stores |tensor|_F and the SVD
+    ``memo`` dict each time: the first call stores |tensor|_F and the
     factors of the first unfolding in it, and later calls truncate those
     factors instead of factoring again. Every later SVD still runs per
     call, since its input depends on the kept rank. Results are
@@ -237,10 +327,14 @@ def tt_svd(
     for k in range(d - 1):
         w = w.reshape(r_prev * dims[k], -1, order="F")
         if k == 0 and memo is not None:
-            u, s, vt = _memoized(memo, "first_svd", lambda: _read_only(_thin_svd(w)))
+            u, s, vt, r2 = _memoized(
+                memo, "first_svd", lambda: _read_only(_first_unfolding_svd(w, norm))
+            )
+        elif k == 0:
+            u, s, vt, r2 = _first_unfolding_svd(w, norm)
         else:
-            u, s, vt = _thin_svd(w)
-        r, dropped = _select_rank(s, budget)
+            (u, s, vt), r2 = _thin_svd(w), 0.0
+        r, dropped = _select_rank(s, budget, r2)
         cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
         discarded.append(dropped)
         w = s[:r, None] * vt[:r]

@@ -113,6 +113,17 @@ def test_bad_compress_tolerance_reports_error(compressed, capsys, eps):
     assert written == ["tt_eps0.001.json", "tt_eps0.001.lrtt"]
 
 
+def test_compress_over_budget_reports_error(compressed, capsys, monkeypatch):
+    # 0.3 MiB holds the loaded 0.13 MiB tensor (M=186, 10 steps, 3x3 grid)
+    # but not the SVD workspace next to it (0.7 MiB in all).
+    monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "3e-4")
+    capsys.readouterr()
+    assert main(["compress", "--eps", "1e-2", "--dir", str(compressed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "first-unfolding SVD" in err
+    assert not (compressed / "tt_eps0.01.lrtt").exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -14,6 +15,7 @@ from lrtdrom import (
     CSV_HEADER,
     ConfigError,
     FomCache,
+    ProblemSpec,
     TestSetSpec,
     TimeGrid,
     build_mesh,
@@ -335,13 +337,13 @@ class TestCompressionReuse:
 
     def test_first_unfolding_factored_once_per_grid(self, tmp_path, monkeypatch):
         shapes = []
-        svd = tt_module.sla.svd
+        factor = tt_module._first_unfolding_svd
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def counting(w, *args, **kwargs):
+            shapes.append(np.shape(w))
+            return factor(w, *args, **kwargs)
 
-        monkeypatch.setattr(tt_module.sla, "svd", counting)
+        monkeypatch.setattr(tt_module, "_first_unfolding_svd", counting)
         m = build_mesh(heat_problem(), 0.5).n_nodes
         result = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "eps")
         assert all(row.error is None for row in result.rows)
@@ -400,6 +402,27 @@ class TestFomCache:
         assert FomCache.key(problem, 0.25, tg, (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, TimeGrid(2.0, 8), (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, tg, (0.2, 0.30001)) != base
+
+    def test_key_tracks_every_problem_field(self):
+        problem = heat_problem()
+        tg = TimeGrid(2.0, 4)
+        base = FomCache.key(problem, 0.5, tg, (0.2, 0.3))
+        changes = {
+            "kind": "advdiff",
+            "outer": (0.0, 0.0, 10.0, 4.5),
+            "holes": problem.holes[:2],
+            "box": ((0.01, 0.501), (0.0, 0.8)),
+            "final_time": 21.0,
+            "nu": 0.5,
+            "robin_side": "right",
+            "source_center": (0.25, 0.3),
+            "source_width": 0.06,
+            "initial_condition": "one",
+        }
+        assert set(changes) == {f.name for f in dataclasses.fields(ProblemSpec)}
+        for name, value in changes.items():
+            changed = dataclasses.replace(problem, **{name: value})
+            assert FomCache.key(changed, 0.5, tg, (0.2, 0.3)) != base, name
 
     def test_concurrent_stores_of_one_key(self, tmp_path, rng, monkeypatch):
         # Both writers finish their temp file before either renames it, the

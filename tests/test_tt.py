@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import lrtdrom.tt as tt_module
 from lrtdrom import (
     BudgetError,
     DomainError,
@@ -258,6 +259,82 @@ class TestCompressionMemo:
             frobenius_tolerance(
                 0.1, np.ones((4, 3, 2), dtype=np.float32), sp.identity(4), 1.0, memo=memo
             )
+
+
+def certificate_tensor(rng, kind):
+    """Test tensors for the first-unfolding kernel; every smaller side of
+    the first unfolding is wide enough for the randomized range finder."""
+    if kind == "zero":
+        return np.zeros((150, 10, 14), order="F")
+    if kind == "rank_one":
+        t = np.ones(())
+        for n in (150, 10, 14):
+            t = np.multiply.outer(t, rng.normal(size=n))
+        return np.asfortranarray(t)
+    dims = (160, 12, 15) if kind.endswith("3") else (140, 6, 5, 6)
+    if kind.startswith("flat"):
+        return np.asfortranarray(rng.normal(size=dims))
+    # Six rank-one terms 1.5 decades apart, plus noise under the roundoff
+    # floor: the spectrum has clear gaps and the range finder converges.
+    t = np.zeros(dims)
+    for i in range(6):
+        term = np.ones(())
+        for n in dims:
+            v = rng.normal(size=n)
+            term = np.multiply.outer(term, v / np.linalg.norm(v))
+        t += 10.0 ** (-1.5 * i) * term
+    return np.asfortranarray(t + 1e-17 * rng.normal(size=dims))
+
+
+class TestCertificate:
+    """The TT certificate holds on both first-unfolding paths: the
+    randomized range finder (with its measured residual) and the dense
+    SVD it falls back to."""
+
+    FINDER = ("low_rank_noise3", "low_rank_noise4", "rank_one", "zero")
+    FALLBACK = ("flat3", "flat4")
+
+    def test_residual_counts_toward_every_tail(self):
+        s = np.array([4.0, 2.0, 1.0])  # tails 21, 5, 1, 0
+        assert tt_module._select_rank(s, 1.5) == (2, 1.0)
+        assert tt_module._select_rank(s, 1.5, 0.5) == (2, 1.5)
+        assert tt_module._select_rank(s, 1.5, 2.0) == (3, 2.0)
+        # No rank meets the budget: keep them all, report the residual.
+        assert tt_module._select_rank(s, 1.5, 3.0) == (3, 3.0)
+        assert tt_module._select_rank(s, 0.0, 1e-30) == (3, 1e-30)
+
+    @pytest.mark.parametrize("kind", FINDER + FALLBACK)
+    def test_kernel_path(self, rng, kind):
+        t = certificate_tensor(rng, kind)
+        w = unfold_first_mode(t)
+        u, s, vt, r2 = tt_module._first_unfolding_svd(w, frobenius_norm(t))
+        assert (s.size < min(w.shape)) == (kind in self.FINDER)
+        assert u.flags.f_contiguous
+        assert r2 <= (tt_module._ROUNDOFF_FLOOR * frobenius_norm(t)) ** 2
+        if kind in self.FALLBACK:
+            assert r2 == 0.0
+
+    @pytest.mark.parametrize("eps_tilde", [0.0, 1e-6, 1e-3, 0.1])
+    @pytest.mark.parametrize("kind", FINDER + FALLBACK)
+    def test_certificate(self, rng, monkeypatch, kind, eps_tilde):
+        t = certificate_tensor(rng, kind)
+        norm = frobenius_norm(t)
+        tt, report = tt_svd(t, eps_tilde)
+        err = frobenius_norm(t - tt_to_full(tt))
+        assert err <= report.error_bound + 1e-12 * norm
+        r2 = tt_module._first_unfolding_svd(unfold_first_mode(t), norm)[3]
+        assert report.discarded_energy[0] >= r2
+        if eps_tilde > 0:
+            assert report.error_bound <= eps_tilde * norm
+        again, again_report = tt_svd(t, eps_tilde)
+        assert_same_train(tt, again)
+        assert again_report == report
+        assert tt.cores[0].flags.f_contiguous
+        universal_basis(tt)
+
+        monkeypatch.setattr(tt_module, "_SKETCH_MIN_BLOCKS", 10**9)  # dense only
+        dense, _ = tt_svd(t, eps_tilde)
+        assert tt.ranks == dense.ranks
 
 
 class TestUniversalBasis:
