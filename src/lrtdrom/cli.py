@@ -69,12 +69,7 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
     mesh = build_mesh(problem, config.h)
     grid = uniform_grid(problem.box, config.grid_counts)
     tensor = generate_snapshots(
-        problem,
-        mesh,
-        tg,
-        grid,
-        workers=config.workers,
-        memory_budget_gb=config.memory_budget_gb,
+        problem, mesh, tg, grid, memory_budget_gb=config.memory_budget_gb
     )
     save_tensor(out / "snapshots.lrt", tensor)
     meta = {
@@ -190,7 +185,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    result = run_study(config, out_dir=args.out, workers=args.workers)
+    result = run_study(config, out_dir=args.out)
     for row in result.rows:
         status = f"  [{row.error}]" if row.error else ""
         print(
@@ -207,8 +202,13 @@ _X_COLUMN = {"eps": "eps", "delta": "delta_max", "ell": "lambda_tail"}
 
 
 def _cmd_slopes(args: argparse.Namespace) -> int:
-    with open(args.csv, "r", encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
+    try:
+        with open(args.csv, "r", encoding="utf-8") as f:
+            lines = [line.strip() for line in f if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {args.csv}: {exc}") from exc
+    if not lines:
+        raise ConfigError(f"{args.csv} is empty")
     header = lines[0].split(",")
     x_col = _X_COLUMN[args.var]
     try:
@@ -218,7 +218,10 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
     xs, ys = [], []
     for line in lines[1:]:
         parts = line.split(",")
-        x, y = float(parts[xi]), float(parts[yi])
+        try:
+            x, y = float(parts[xi]), float(parts[yi])
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"malformed row in {args.csv}: {line!r}") from exc
         if np.isfinite(x) and np.isfinite(y):
             xs.append(x)
             ys.append(y)
@@ -261,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="run a sweep study from a config")
     p.add_argument("--config", required=True, help="study config (JSON)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="worker threads")
     p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("slopes", help="log-log slope fit over a results CSV")

@@ -137,23 +137,16 @@ def correlation_spectrum(
     return np.ascontiguousarray(vals)
 
 
-def tail_energy(
-    trajectories: Sequence[np.ndarray | FomTrajectory],
-    mass: sp.spmatrix,
-    ell: int,
-) -> float:
+def tail_energy(spectra: Sequence[np.ndarray], ell: int) -> float:
     """Worst discarded correlation energy when keeping ``ell`` modes.
 
-    The maximum over trajectories of the sum of correlation eigenvalues
-    past the first ``ell``. Zero when ``ell`` reaches the spectrum length.
+    The maximum over :func:`correlation_spectrum` results of the sum of
+    eigenvalues past the first ``ell``. Zero when ``ell`` reaches the
+    spectrum length.
     """
     if ell < 0:
         raise ValueError("mode count must be non-negative")
-    worst = 0.0
-    for traj in trajectories:
-        vals = correlation_spectrum(traj, mass)
-        worst = max(worst, float(vals[ell:].sum()))
-    return worst
+    return max((float(s[ell:].sum()) for s in spectra), default=0.0)
 
 
 def pod_basis(states: np.ndarray, mass: sp.spmatrix, ell: int) -> np.ndarray:

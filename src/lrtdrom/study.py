@@ -26,7 +26,6 @@ import os
 import tempfile
 import time
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -42,13 +41,19 @@ from .fem import (
     assemble_h1_gram,
     assemble_mass,
     assemble_operator,
-    backward_euler_solve,
     build_mesh,
     heat_problem,
     initial_state,
+    solve_fom,
 )
 from .interp import InterpolationScheme, weight_vectors
-from .rom import correlation_spectrum, local_basis, rom_solve, trajectory_error_sq
+from .rom import (
+    correlation_spectrum,
+    local_basis,
+    rom_solve,
+    tail_energy,
+    trajectory_error_sq,
+)
 from .tensors import (
     ParameterGrid,
     check_budget,
@@ -58,7 +63,25 @@ from .tensors import (
 )
 from .tt import first_svd_doubles, frobenius_tolerance, tt_svd
 
-CSV_HEADER = "sweep_var,value,eps,delta_max,ell,lambda_tail,E_max,E_mean,R1,wall_s"
+# (file column name, StudyRow attribute, text format) of every results
+# column, in file order. results.csv has them all; results.dat drops the
+# sweep variable and the wall clock; summary.json rows drop the sweep
+# variable and add the error string.
+ROW_COLUMNS = (
+    ("sweep_var", "sweep_var", "s"),
+    ("value", "value", ".17g"),
+    ("eps", "eps", ".17g"),
+    ("delta_max", "delta_max", ".17g"),
+    ("ell", "ell", "d"),
+    ("lambda_tail", "lambda_tail", ".17g"),
+    ("E_max", "e_max", ".17g"),
+    ("E_mean", "e_mean", ".17g"),
+    ("R1", "r1", "d"),
+    ("wall_s", "wall_s", ".3f"),
+)
+_DAT_COLUMNS = ROW_COLUMNS[1:-1]
+_SUMMARY_COLUMNS = ROW_COLUMNS[1:]
+CSV_HEADER = ",".join(name for name, _, _ in ROW_COLUMNS)
 
 _SWEEP_VARIABLES = ("eps", "delta", "ell")
 
@@ -75,8 +98,12 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_positive_float(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"{where} must be a number")
     value = float(value)
     if not value > 0:
@@ -150,6 +177,8 @@ def _parse_test_set(block: dict) -> TestSetSpec:
         points = _require(block, "points", where)
         if not isinstance(points, list) or not points:
             raise ConfigError("test_set.points must be a non-empty list")
+        if not all(isinstance(p, list) and all(map(_is_number, p)) for p in points):
+            raise ConfigError("test_set.points must be lists of numbers")
         return TestSetSpec(
             mode="explicit", points=tuple(tuple(float(v) for v in p) for p in points)
         )
@@ -172,7 +201,6 @@ class StudyConfig:
     sweep_values: tuple[float, ...]
     out_dir: str | None = None
     memory_budget_gb: float | None = None
-    workers: int = 1
     max_ell: int = 64
 
 
@@ -194,7 +222,6 @@ def parse_config(data: dict) -> StudyConfig:
             "sweep",
             "output",
             "memory_budget_gb",
-            "workers",
             "max_ell",
         },
         "config root",
@@ -317,10 +344,6 @@ def parse_config(data: dict) -> StudyConfig:
             data["memory_budget_gb"], "memory_budget_gb"
         )
 
-    workers = 1
-    if "workers" in data:
-        workers = _as_positive_int(data["workers"], "workers")
-
     return StudyConfig(
         problem=problem,
         h=h,
@@ -334,14 +357,17 @@ def parse_config(data: dict) -> StudyConfig:
         sweep_values=values,
         out_dir=out_dir,
         memory_budget_gb=memory_budget_gb,
-        workers=workers,
         max_ell=max_ell,
     )
 
 
 def load_config(path: str | os.PathLike) -> StudyConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(json.load(f))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(data)
 
 
 def grid_counts_for_delta(
@@ -374,21 +400,11 @@ class StudyRow:
     wall_s: float
     error: str | None = None
 
+    def formatted(self, columns=ROW_COLUMNS) -> list[str]:
+        return [format(getattr(self, attr), fmt) for _, attr, fmt in columns]
+
     def csv_line(self) -> str:
-        return ",".join(
-            [
-                self.sweep_var,
-                f"{self.value:.17g}",
-                f"{self.eps:.17g}",
-                f"{self.delta_max:.17g}",
-                str(self.ell),
-                f"{self.lambda_tail:.17g}",
-                f"{self.e_max:.17g}",
-                f"{self.e_mean:.17g}",
-                str(self.r1),
-                f"{self.wall_s:.3f}",
-            ]
-        )
+        return ",".join(self.formatted())
 
 
 @dataclass
@@ -476,13 +492,10 @@ def _solve_test_fom(
         hit = cache.lookup(key)
         if hit is not None and hit.shape == (mesh.n_nodes, tg.steps):
             return hit
-    op, load = assemble_operator(mesh, problem, alpha)
-    traj = backward_euler_solve(
-        mass, op, load, initial_state(problem, mesh), tg, alpha=alpha
-    )
+    states = solve_fom(problem, mesh, tg, alpha, mass=mass).states
     if cache is not None:
-        cache.store(key, traj.states)
-    return traj.states
+        cache.store(key, states)
+    return states
 
 
 def _check_disjoint(test_points: np.ndarray, grid: ParameterGrid) -> None:
@@ -498,7 +511,6 @@ def _check_disjoint(test_points: np.ndarray, grid: ParameterGrid) -> None:
 def run_study(
     config: StudyConfig,
     out_dir: str | os.PathLike | None = None,
-    workers: int | None = None,
 ) -> StudyResult:
     """Execute a sweep and write results.csv, results.dat, summary.json.
 
@@ -519,9 +531,7 @@ def run_study(
             raise ConfigError("no output directory given (config output.dir or --out)")
         out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_workers = workers if workers is not None else config.workers
-    if n_workers < 1:
-        raise ConfigError("worker count must be at least 1")
+    budget = resolve_memory_budget(config.memory_budget_gb)
 
     problem, tg = config.problem, config.tg
     mesh = build_mesh(problem, config.h)
@@ -532,11 +542,9 @@ def run_study(
     test_points = config.test_set.build(problem.box)
     n_test = test_points.shape[0]
 
-    def fom_at(i: int) -> np.ndarray:
-        return _solve_test_fom(problem, mesh, tg, test_points[i], mass, cache)
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        test_states = list(pool.map(fom_at, range(n_test)))
+    test_states = [
+        _solve_test_fom(problem, mesh, tg, alpha, mass, cache) for alpha in test_points
+    ]
     spectra = [correlation_spectrum(states, mass) for states in test_states]
 
     rows: list[StudyRow] = []
@@ -571,16 +579,11 @@ def run_study(
                 m, cols = mesh.n_nodes, tg.steps * grid.n_points
                 check_budget(
                     m * cols + first_svd_doubles(m, cols),
-                    resolve_memory_budget(config.memory_budget_gb),
+                    budget,
                     "snapshot tensor and its first-unfolding SVD",
                 )
                 tensor = generate_snapshots(
-                    problem,
-                    mesh,
-                    tg,
-                    grid,
-                    workers=n_workers,
-                    memory_budget_gb=config.memory_budget_gb,
+                    problem, mesh, tg, grid, memory_budget_gb=budget
                 )
                 memo = {}
                 grid_key = counts
@@ -594,23 +597,19 @@ def run_study(
             ell_eff = min(ell_req, r1, tg.steps)
             scheme = InterpolationScheme(grid=grid, p=config.p)
 
-            def rom_error(i: int) -> float:
-                alpha = test_points[i]
+            errors = []
+            for alpha, fom_states in zip(test_points, test_states):
                 weights = weight_vectors(alpha, scheme)
                 basis = local_basis(tt, weights, ell_eff, alpha=alpha)
                 op, load = assemble_operator(mesh, problem, alpha)
                 rom_traj = rom_solve(
                     basis, mass, op, load, initial_state(problem, mesh), tg
                 )
-                return trajectory_error_sq(
-                    test_states[i], rom_traj.lift(), gram, tg.dt
+                errors.append(
+                    trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
                 )
-
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                errors = list(pool.map(rom_error, range(n_test)))
             e_max = float(np.sqrt(max(errors)))
             e_mean = float(np.sqrt(np.mean(errors)))
-            lam = max(float(s[ell_eff:].sum()) for s in spectra)
             rows.append(
                 StudyRow(
                     sweep_var=config.sweep_variable,
@@ -618,7 +617,7 @@ def run_study(
                     eps=float(eps),
                     delta_max=max(grid.spacings),
                     ell=ell_eff,
-                    lambda_tail=lam,
+                    lambda_tail=tail_energy(spectra, ell_eff),
                     e_max=e_max,
                     e_mean=e_mean,
                     r1=int(r1),
@@ -652,13 +651,9 @@ def run_study(
 
     dat_path = out / "results.dat"
     with open(dat_path, "w", encoding="utf-8") as f:
-        f.write("# value eps delta_max ell lambda_tail E_max E_mean R1\n")
+        f.write(" ".join(["#", *(name for name, _, _ in _DAT_COLUMNS)]) + "\n")
         for row in rows:
-            f.write(
-                f"{row.value:.17g} {row.eps:.17g} {row.delta_max:.17g} "
-                f"{row.ell} {row.lambda_tail:.17g} {row.e_max:.17g} "
-                f"{row.e_mean:.17g} {row.r1}\n"
-            )
+            f.write(" ".join(row.formatted(_DAT_COLUMNS)) + "\n")
 
     summary_path = out / "summary.json"
     summary = {
@@ -666,18 +661,8 @@ def run_study(
         "n_test": n_test,
         "mesh_nodes": mesh.n_nodes,
         "rows": [
-            {
-                "value": row.value,
-                "eps": row.eps,
-                "delta_max": row.delta_max,
-                "ell": row.ell,
-                "lambda_tail": row.lambda_tail,
-                "E_max": row.e_max,
-                "E_mean": row.e_mean,
-                "R1": row.r1,
-                "wall_s": row.wall_s,
-                "error": row.error,
-            }
+            {name: getattr(row, attr) for name, attr, _ in _SUMMARY_COLUMNS}
+            | {"error": row.error}
             for row in rows
         ],
     }

@@ -10,7 +10,6 @@ first-mode unfolding is a zero-copy view.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -29,7 +28,11 @@ def resolve_memory_budget(configured: float | None = None) -> float:
     """Memory budget in GiB: LRTDROM_MEM_BUDGET_GB, else ``configured``, else 8."""
     env = os.environ.get("LRTDROM_MEM_BUDGET_GB")
     if env is not None:
-        budget = float(env)
+        try:
+            budget = float(env)
+        except ValueError:
+            msg = f"LRTDROM_MEM_BUDGET_GB is not a number: {env!r}"
+            raise BudgetError(msg) from None
     elif configured is not None:
         budget = float(configured)
     else:
@@ -122,14 +125,12 @@ def generate_snapshots(
     mesh: Mesh2D,
     tg: TimeGrid,
     grid: ParameterGrid,
-    workers: int = 1,
     memory_budget_gb: float | None = None,
 ) -> np.ndarray:
     """Solve the full-order model at every grid node and stack the results.
 
-    Returns the order-(D+2) snapshot tensor in Fortran layout. The fill is
-    bitwise deterministic for any worker count: each trajectory is computed
-    independently and written to a disjoint slice.
+    Returns the order-(D+2) snapshot tensor in Fortran layout, one
+    trajectory per grid node, filled in first-axis-fastest order.
     """
     if grid.n_params != problem.n_params:
         raise DomainError(
@@ -142,16 +143,9 @@ def generate_snapshots(
     mass = assemble_mass(mesh)
     tensor = np.empty((m, n, *grid.counts), order="F")
 
-    def fill(idx: tuple[int, ...]) -> None:
+    for idx in grid.indices():
         traj = solve_fom(problem, mesh, tg, grid.point(idx), mass=mass)
         tensor[(slice(None), slice(None), *idx)] = traj.states
-
-    if workers <= 1:
-        for idx in grid.indices():
-            fill(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, grid.indices()))
     if not np.isfinite(tensor).all():
         raise SolverError("snapshot generation produced non-finite values")
     return tensor

@@ -45,9 +45,6 @@ from lrtdrom import (
     weight_vectors,
 )
 
-WORKERS = 8
-
-
 def report(n: int, ok: bool, detail: str, wall: float, budget_s: float) -> None:
     status = "PASS" if ok and wall < budget_s else "FAIL"
     print(f"criterion {n}: {status} ({detail}; {wall:.1f}s of {budget_s:.0f}s budget)")
@@ -65,7 +62,6 @@ def heat_study_config(**overrides) -> dict:
         "interpolation": {"p": 2},
         "test_set": {"mode": "grid", "n": 8},
         "sweep": {},
-        "workers": WORKERS,
     }
     for key, value in overrides.items():
         if value is None:
@@ -107,7 +103,7 @@ def test_criterion_02_training_node_recovery():
     mesh = build_mesh(problem, 0.4)
     tg = TimeGrid(problem.final_time, 20)
     grid = uniform_grid(problem.box, (5, 5))
-    tensor = generate_snapshots(problem, mesh, tg, grid, workers=WORKERS)
+    tensor = generate_snapshots(problem, mesh, tg, grid)
     tt, _ = tt_svd(tensor, 0.0)
     scheme = InterpolationScheme(grid=grid, p=2)
     worst = 0.0
@@ -282,7 +278,7 @@ def test_criterion_08_universal_rank_grows_as_eps_shrinks():
     mesh = build_mesh(problem, 0.2)
     tg = TimeGrid(problem.final_time, 100)
     grid = uniform_grid(problem.box, (9, 9))
-    tensor = generate_snapshots(problem, mesh, tg, grid, workers=WORKERS)
+    tensor = generate_snapshots(problem, mesh, tg, grid)
     mass = assemble_mass(mesh)
     ranks = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
@@ -412,7 +408,6 @@ def test_criterion_10_advdiff_error_decreases_then_plateaus(tmp_path):
             "interpolation": {"p": 3},
             "test_set": {"mode": "random", "count": 50, "seed": 42},
             "sweep": {"variable": "eps", "values": [1e-1, 1e-3, 1e-5]},
-            "workers": WORKERS,
         }
     )
     result = run_study(config, out_dir=tmp_path)

@@ -78,6 +78,46 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, '{"problem": '], ids=["missing", "not-json"])
+def test_unreadable_config_reports_error(tmp_path, capsys, content):
+    path = tmp_path / "study.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc = main(["study", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}")
+
+
+def test_unparseable_memory_budget_reports_error(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "abc")
+    rc = main(["study", "--config", str(config_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LRTDROM_MEM_BUDGET_GB") and "'abc'" in err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        ("", "is empty"),
+        ("sweep_var,value,eps,E_max\neps,0.1,0.1\n", "malformed row"),
+    ],
+)
+def test_bad_slopes_csv_reports_error(tmp_path, capsys, content, message):
+    path = tmp_path / "results.csv"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc = main(["slopes", "--csv", str(path), "--var", "eps"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.fixture(scope="module")
 def compressed(tmp_path_factory):
     """Snapshots and one compressed tensor of CONFIG, ready for `rom`."""

@@ -282,14 +282,15 @@ class TestSpectralDiagnostics:
 
     def test_tail_energy_endpoints(self, heat_desk, test_trajectories):
         _, states = test_trajectories
+        spectra = [correlation_spectrum(s, heat_desk.mass) for s in states]
         n = heat_desk.tg.steps
-        full = tail_energy(states, heat_desk.mass, 0)
+        full = tail_energy(spectra, 0)
         oracle = max(
             sum(float(u @ (heat_desk.mass @ u)) for u in s.T) / n for s in states
         )
         assert full == pytest.approx(oracle, rel=1e-12)
-        assert tail_energy(states, heat_desk.mass, n) <= 1e-12
-        tails = [tail_energy(states, heat_desk.mass, ell) for ell in range(n + 1)]
+        assert tail_energy(spectra, n) <= 1e-12
+        tails = [tail_energy(spectra, ell) for ell in range(n + 1)]
         assert np.all(np.diff(tails) <= 1e-15 * tails[0])
 
     def test_tail_envelope_on_desk_instance(self, heat_desk, test_trajectories):
@@ -297,11 +298,12 @@ class TestSpectralDiagnostics:
         # desk problem; the interesting range decays from ~1e-3 through
         # ~1e-11 and reaches numerical zero around ell = 9.
         _, states = test_trajectories
-        tails = [tail_energy(states, heat_desk.mass, ell) for ell in range(2, 8)]
+        spectra = [correlation_spectrum(s, heat_desk.mass) for s in states]
+        tails = [tail_energy(spectra, ell) for ell in range(2, 8)]
         for tail in tails:
             assert 1e-13 <= tail <= 1e-2
         window = [
-            tail_energy(states, heat_desk.mass, ell) for ell in range(0, 13)
+            tail_energy(spectra, ell) for ell in range(0, 13)
         ]
         assert any(2e-10 <= v <= 5e-5 for v in window)
 
@@ -313,6 +315,7 @@ class TestSpectralDiagnostics:
         # multiple of Lambda_ell plus the compression and interpolation
         # contributions (eps^2 + delta^4 for quadratic stencils).
         alphas, states = test_trajectories
+        spectra = [correlation_spectrum(s, heat_desk.mass) for s in states]
         eps = 1e-6
         eps_tilde = frobenius_tolerance(
             eps, heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt
@@ -328,7 +331,7 @@ class TestSpectralDiagnostics:
                 s = np.linalg.svd(coeff, compute_uv=False)
                 worst = max(worst, float((s[ell:] ** 2).sum()))
             lhs = dt * h2 * worst
-            rhs = tail_energy(states, heat_desk.mass, ell) + eps**2 + delta**4
+            rhs = tail_energy(spectra, ell) + eps**2 + delta**4
             assert lhs <= 100.0 * rhs
 
 

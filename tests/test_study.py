@@ -58,7 +58,6 @@ class TestParseConfig:
         assert cfg.sweep_variable == "eps"
         assert cfg.sweep_values == (1e-1, 1e-3)
         assert cfg.out_dir is None
-        assert cfg.workers == 1
         assert cfg.max_ell == 64
 
     def test_explicit_time_horizon(self):
@@ -157,12 +156,25 @@ class TestParseConfig:
 
     def test_booleans_are_not_numbers(self):
         data = base_config()
-        data["workers"] = True
+        data["max_ell"] = True
         with pytest.raises(ConfigError, match="integer"):
             parse_config(data)
         data = base_config()
         data["mesh"]["h"] = True
         with pytest.raises(ConfigError, match="number"):
+            parse_config(data)
+
+    def test_workers_key_rejected(self):
+        data = base_config()
+        data["workers"] = 1
+        with pytest.raises(ConfigError, match="unknown keys.*'workers'"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("points", [[[0.1, "a"]], [1, 2], [[0.1, True]]])
+    def test_explicit_points_must_be_number_lists(self, points):
+        data = base_config()
+        data["test_set"] = {"mode": "explicit", "points": points}
+        with pytest.raises(ConfigError, match="lists of numbers"):
             parse_config(data)
 
     def test_test_set_modes(self):
@@ -271,6 +283,37 @@ class TestRunStudy:
         assert summary["n_test"] == 1
         assert len(summary["rows"]) == 2
         assert summary["rows"][0]["E_max"] == result.rows[0].e_max
+
+    def test_all_outputs_agree_with_rows(self, smoke):
+        result, _ = smoke
+        attrs = {
+            "value": "value",
+            "eps": "eps",
+            "delta_max": "delta_max",
+            "ell": "ell",
+            "lambda_tail": "lambda_tail",
+            "E_max": "e_max",
+            "E_mean": "e_mean",
+            "R1": "r1",
+        }
+        csv_lines = result.csv_path.read_text(encoding="utf-8").splitlines()
+        csv_header = csv_lines[0].split(",")
+        csv_rows = [dict(zip(csv_header, ln.split(","))) for ln in csv_lines[1:]]
+        dat_lines = result.dat_path.read_text(encoding="utf-8").splitlines()
+        dat_header = dat_lines[0].lstrip("# ").split()
+        dat_rows = [dict(zip(dat_header, ln.split())) for ln in dat_lines[1:]]
+        summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
+        assert set(attrs) <= set(csv_header) and set(attrs) == set(dat_header)
+        n = len(result.rows)
+        assert len(csv_rows) == len(dat_rows) == len(summary["rows"]) == n
+        for row, c, d, s in zip(result.rows, csv_rows, dat_rows, summary["rows"]):
+            assert c["sweep_var"] == row.sweep_var
+            assert s["error"] == row.error
+            assert abs(float(c["wall_s"]) - row.wall_s) <= 5e-4
+            assert s["wall_s"] == row.wall_s
+            for name, attr in attrs.items():
+                want = getattr(row, attr)
+                assert float(c[name]) == float(d[name]) == s[name] == want, name
 
     def test_warm_rerun_is_numerically_identical(self, smoke):
         result, out = smoke

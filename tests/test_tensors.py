@@ -98,16 +98,6 @@ class TestSnapshots:
         rerun = solve_fom(heat, mesh, tg, grid.point(idx))
         np.testing.assert_array_equal(tensor[:, :, idx[0], idx[1]], rerun.states)
 
-    def test_workers_bitwise_identical(self, heat_desk):
-        parallel = generate_snapshots(
-            heat_desk.problem,
-            heat_desk.mesh,
-            heat_desk.tg,
-            heat_desk.grid,
-            workers=8,
-        )
-        np.testing.assert_array_equal(parallel, heat_desk.tensor)
-
     def test_wrong_parameter_count_rejected(self, heat, heat_mesh):
         tg = TimeGrid(heat.final_time, 4)
         grid = uniform_grid([(0.0, 1.0)], [2])
