@@ -42,12 +42,23 @@ from .tensors import (
 from .tt import first_svd_doubles, frobenius_tolerance, load_tt, save_tt, tt_svd
 
 
+# The meta.json fields every command that reads one uses; `nu` is read
+# for advdiff only.
+_META_KEYS = ("kind", "h", "T", "N", "p", "axes")
+
+
 def _problem_from_meta(meta: dict):
-    if meta["kind"] == "heat":
+    kind = meta["kind"]
+    if kind == "heat":
         return heat_problem()
+    if kind != "advdiff":
+        raise ConfigError(f"meta.json names an unknown problem kind {kind!r}")
     problem = advdiff_problem()
-    if meta["nu"] != problem.nu:
-        problem = dataclasses.replace(problem, nu=float(meta["nu"]))
+    nu = meta.get("nu")
+    if not isinstance(nu, (int, float)) or isinstance(nu, bool) or not nu > 0:
+        raise ConfigError(f"meta.json needs a positive advdiff nu, got {nu!r}")
+    if nu != problem.nu:
+        problem = dataclasses.replace(problem, nu=float(nu))
     return problem
 
 
@@ -55,8 +66,17 @@ def _load_meta(directory: Path) -> dict:
     path = directory / "meta.json"
     if not path.exists():
         raise ConfigError(f"no meta.json in {directory}; run `lrtdrom snapshots` first")
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            meta = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ConfigError(f"{path} lacks {missing}; rerun `lrtdrom snapshots`")
+    return meta
 
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:

@@ -314,11 +314,15 @@ def _gradient_coefficients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
+def _triangle_entries(mesh: Mesh2D) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the 3x3 block of every triangle, row-major."""
+    tri = mesh.triangles
+    return np.repeat(tri, 3, axis=1).reshape(-1), np.tile(tri, (1, 3)).reshape(-1)
+
+
 def _scatter(mesh: Mesh2D, local: np.ndarray) -> sp.csr_matrix:
     """Scatter per-triangle 3x3 blocks into a CSR matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).reshape(-1)
-    cols = np.tile(tri, (1, 3)).reshape(-1)
+    rows, cols = _triangle_entries(mesh)
     mat = sp.coo_matrix(
         (local.reshape(-1), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
     )
@@ -357,15 +361,12 @@ def _selected_edges(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
     return mesh.boundary_edges[mask]
 
 
-def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
-    """Edge mass matrix over boundary edges carrying one of ``tags``.
-
-    Exact P1 edge rule: (length/6) * [[2,1],[1,2]] per edge.
-    """
+def _edge_mass_entries(
+    mesh: Mesh2D, tags: set[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the edge mass blocks over boundary edges
+    carrying one of ``tags``: (length/6) * [[2,1],[1,2]] per edge."""
     edges = _selected_edges(mesh, tags)
-    n = mesh.n_nodes
-    if edges.shape[0] == 0:
-        return sp.csr_matrix((n, n))
     length = np.linalg.norm(
         mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
     )
@@ -373,7 +374,17 @@ def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
     local = length[:, None, None] * base
     rows = np.repeat(edges, 2, axis=1).reshape(-1)
     cols = np.tile(edges, (1, 2)).reshape(-1)
-    return sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return rows, cols, local.reshape(-1)
+
+
+def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
+    """Edge mass matrix over boundary edges carrying one of ``tags``.
+
+    Exact P1 edge rule: (length/6) * [[2,1],[1,2]] per edge.
+    """
+    rows, cols, values = _edge_mass_entries(mesh, tags)
+    n = mesh.n_nodes
+    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
@@ -393,6 +404,28 @@ def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
     return g
 
 
+def _advection_modes(x: np.ndarray) -> np.ndarray:
+    """The six fields :func:`advection_field` combines, shape (6, ..., 2).
+
+    The first is the constant drift; the (i+1)-th is the field that
+    alpha_i multiplies, so the velocity is linear in (1, alpha).
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    s1, s2 = np.sin(np.pi * x1), np.sin(np.pi * x2)
+    zero = np.zeros_like(s1)
+    drift = np.full_like(s1, np.cos(np.pi / 4.0))
+    components = (
+        (drift, drift),
+        (zero, s1),
+        (-s2, zero),
+        (-np.cos(np.pi * x1) * s2, s1 * np.cos(np.pi * x2)),
+        (zero, 2.0 * np.sin(2.0 * np.pi * x1)),
+        (-2.0 * np.sin(2.0 * np.pi * x2), zero),
+    )
+    return np.stack([np.stack(pair, axis=-1) for pair in components])
+
+
 def advection_field(x: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
     """Velocity field of the advection-diffusion problem at points ``x``.
 
@@ -400,23 +433,12 @@ def advection_field(x: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
     stream function; divergence-free by construction. ``x`` has shape
     (..., 2); the result matches.
     """
-    a1, a2, a3, a4, a5 = (float(a) for a in alpha)
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    base = np.cos(np.pi / 4.0)
-    e1 = (
-        base
-        - a2 * np.sin(np.pi * x2)
-        - a3 * np.cos(np.pi * x1) * np.sin(np.pi * x2)
-        - 2.0 * a5 * np.sin(2.0 * np.pi * x2)
-    )
-    e2 = (
-        base
-        + a1 * np.sin(np.pi * x1)
-        + a3 * np.sin(np.pi * x1) * np.cos(np.pi * x2)
-        + 2.0 * a4 * np.sin(2.0 * np.pi * x1)
-    )
-    return np.stack([e1, e2], axis=-1)
+    coeffs = np.concatenate(([1.0], np.asarray(alpha, dtype=float).reshape(-1)))
+    if coeffs.size != 6:
+        raise ValueError(
+            f"the advection field takes 5 parameters, got {coeffs.size - 1}"
+        )
+    return np.tensordot(coeffs, _advection_modes(x), axes=1)
 
 
 def check_alpha(problem: ProblemSpec, alpha: Sequence[float]) -> np.ndarray:
@@ -445,19 +467,14 @@ def source_values(x: np.ndarray, problem: ProblemSpec) -> np.ndarray:
     return np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
 
 
-def _assemble_advection(
-    mesh: Mesh2D, problem: ProblemSpec, alpha: np.ndarray
-) -> sp.csr_matrix:
-    """Advection matrix with one-point (centroid) quadrature per triangle."""
-    p, area = _triangle_geometry(mesh)
+def _advection_blocks(p: np.ndarray, area: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Per-triangle advection blocks for velocities ``eta`` (T, 2) at the
+    centroids, one-point (centroid) quadrature."""
     b, c = _gradient_coefficients(p)
-    centroids = p.mean(axis=1)
-    eta = advection_field(centroids, alpha)
     # (eta . grad phi_j) is constant per triangle; phi_i(centroid) = 1/3.
     conv = (eta[:, 0:1] * b + eta[:, 1:2] * c) / (2.0 * area)[:, None]
     local = (area[:, None, None] / 3.0) * conv[:, None, :]
-    local = np.broadcast_to(local, (len(area), 3, 3))
-    return _scatter(mesh, np.ascontiguousarray(local))
+    return np.broadcast_to(local, (len(area), 3, 3))
 
 
 def assemble_load(mesh: Mesh2D, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -474,37 +491,138 @@ def assemble_load(mesh: Mesh2D, fn: Callable[[np.ndarray], np.ndarray]) -> np.nd
     return g
 
 
-def assemble_operator(
-    mesh: Mesh2D, problem: ProblemSpec, alpha: Sequence[float]
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Spatial operator A(alpha) and load vector g(alpha).
+def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_q weights[q] * terms[q], added term by term in order.
+
+    Each product is rounded before it is added (no fused multiply-add),
+    so a sum reproduces the same sum written out with sparse matrices.
+    """
+    total = weights[0] * terms[0]
+    for w, term in zip(weights[1:], terms[1:]):
+        total += w * term
+    return total
+
+
+@dataclass(frozen=True)
+class AffineOperator:
+    """The parameter-independent terms of one problem's operator and load
+    on one mesh.
+
+    A(alpha) = sum_q theta_q A_q and g(alpha) = sum_p phi_p g_p, with
+    coefficient vectors affine in alpha: theta = op_coeffs @ (1, alpha)
+    and phi = load_coeffs @ (1, alpha). Every A_q is stored as the data
+    array of one shared CSR pattern (``indptr``, ``indices``), so an
+    evaluation is a weighted sum of arrays. Built by
+    :func:`affine_operator`.
+    """
+
+    problem: ProblemSpec
+    mesh: Mesh2D
+    indptr: np.ndarray
+    indices: np.ndarray
+    op_terms: np.ndarray
+    op_coeffs: np.ndarray
+    load_terms: np.ndarray
+    load_coeffs: np.ndarray
+
+    def _affine(self, alpha: Sequence[float]) -> np.ndarray:
+        return np.concatenate(([1.0], check_alpha(self.problem, alpha)))
+
+    def theta(self, alpha: Sequence[float]) -> np.ndarray:
+        """Operator coefficients at ``alpha``; equal coefficients mean
+        equal operators."""
+        return self.op_coeffs @ self._affine(alpha)
+
+    def operator(self, theta: np.ndarray) -> sp.csr_matrix:
+        """The operator sum_q theta_q A_q."""
+        n = self.mesh.n_nodes
+        data = _weighted_sum(theta, self.op_terms)
+        return sp.csr_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=(n, n)
+        )
+
+    def load(self, alpha: Sequence[float]) -> np.ndarray:
+        """The load vector at ``alpha``."""
+        return _weighted_sum(self.load_coeffs @ self._affine(alpha), self.load_terms)
+
+    def __call__(self, alpha: Sequence[float]) -> tuple[sp.csr_matrix, np.ndarray]:
+        return self.operator(self.theta(alpha)), self.load(alpha)
+
+
+def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
+    """Assemble the affine terms of ``problem`` on ``mesh``, once.
 
     heat:    A = stiffness + alpha_1 * outer Robin edge mass
                  + 1/2 * hole edge mass;
              g = alpha_1 * outer Robin edge load
                  + 1/2 * alpha_2 * hole edge load.
-    advdiff: A = nu * stiffness + advection (centroid rule);
+    advdiff: A = nu * stiffness + C_0 + sum_i alpha_i * C_i, where C_i is
+             the centroid-rule advection matrix of the i-th field of
+             :func:`advection_field` (C_0 the drift);
              g = Gaussian source load (centroid rule).
     """
-    alpha = check_alpha(problem, alpha)
+    stiffness = assemble_stiffness(mesh)
+    n = mesh.n_nodes
+    # The stiffness matrix keeps an entry (explicit zeros too) for every
+    # pair of nodes that share a triangle, so every term fits its pattern.
+    keys = np.repeat(np.arange(n), np.diff(stiffness.indptr)) * n + stiffness.indices
+
+    def on_pattern(rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
+        entries = rows * n + cols
+        at = np.minimum(np.searchsorted(keys, entries), keys.size - 1)
+        if not np.array_equal(keys[at], entries):
+            raise AssemblyError("boundary edge is not an edge of any triangle")
+        return np.bincount(at, weights=values, minlength=keys.size)
+
     if problem.kind == "heat":
-        a1, a2 = alpha
-        hole_set = {BoundaryTag.hole(j) for j in range(len(problem.holes))}
-        op = assemble_stiffness(mesh)
-        op = op + a1 * boundary_mass(mesh, {BoundaryTag.OUTER_ROBIN})
-        op = op + 0.5 * boundary_mass(mesh, hole_set)
-        load = a1 * boundary_load(mesh, {BoundaryTag.OUTER_ROBIN})
-        load += 0.5 * a2 * boundary_load(mesh, hole_set)
-        return op.tocsr(), load
-    op = problem.nu * assemble_stiffness(mesh) + _assemble_advection(
-        mesh, problem, alpha
+        holes = {BoundaryTag.hole(j) for j in range(len(problem.holes))}
+        robin = {BoundaryTag.OUTER_ROBIN}
+        op_terms = [
+            stiffness.data,
+            on_pattern(*_edge_mass_entries(mesh, robin)),
+            on_pattern(*_edge_mass_entries(mesh, holes)),
+        ]
+        op_coeffs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.0]]
+        load_terms = [boundary_load(mesh, robin), boundary_load(mesh, holes)]
+        load_coeffs = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]
+    else:
+        p, area = _triangle_geometry(mesh)
+        rows, cols = _triangle_entries(mesh)
+        advection = [
+            on_pattern(rows, cols, _advection_blocks(p, area, eta).reshape(-1))
+            for eta in _advection_modes(p.mean(axis=1))
+        ]
+        op_terms = [stiffness.data, *advection]
+        op_coeffs = np.vstack([problem.nu * np.eye(1, 6), np.eye(6)])
+        load_terms = [assemble_load(mesh, lambda x: source_values(x, problem))]
+        load_coeffs = np.eye(1, 6)
+    return AffineOperator(
+        problem=problem,
+        mesh=mesh,
+        indptr=stiffness.indptr,
+        indices=stiffness.indices,
+        op_terms=np.array(op_terms),
+        op_coeffs=np.array(op_coeffs),
+        load_terms=np.array(load_terms),
+        load_coeffs=np.array(load_coeffs),
     )
-    return op.tocsr(), assemble_load(mesh, lambda x: source_values(x, problem))
+
+
+def assemble_operator(
+    mesh: Mesh2D, problem: ProblemSpec, alpha: Sequence[float]
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Spatial operator A(alpha) and load vector g(alpha): the terms of
+    :func:`affine_operator`, evaluated at ``alpha``."""
+    alpha = check_alpha(problem, alpha)
+    return affine_operator(mesh, problem)(alpha)
 
 
 @dataclass(frozen=True)
 class FomTrajectory:
-    """Columns u^1 .. u^N of nodal coefficients (the initial state excluded)."""
+    """Columns u^1 .. u^N of nodal coefficients (the initial state excluded).
+
+    A trajectory marched as a block of k columns has states (M, N, k).
+    """
 
     states: np.ndarray
     tg: TimeGrid
@@ -522,12 +640,17 @@ def backward_euler_solve(
     u0: np.ndarray,
     tg: TimeGrid,
     alpha: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> FomTrajectory:
     """March (M + dt A) u^n = M u^{n-1} + dt g(t_n) for n = 1..N.
 
-    The sparse factorization of (M + dt A) is computed once and reused.
-    ``load`` is a fixed vector for autonomous problems or a callable
-    t -> vector (the hook used by manufactured-solution tests).
+    ``u0`` is one state (M,) or a block of k states (M, k) that share the
+    operator; the sparse factorization of (M + dt A) is computed once and
+    every step solves for the whole block. ``load`` is a fixed (M,) vector
+    shared by every column, a fixed (M, k) block, or a callable t -> (M,)
+    vector (the hook used by manufactured-solution tests). The states go
+    to ``out`` when given, shape (M, N) or (M, N, k) (a view into a larger
+    array works), and to a new Fortran array otherwise.
     """
     dt = tg.dt
     system = (mass + dt * op).tocsc()
@@ -541,18 +664,25 @@ def backward_euler_solve(
             "time-step system numerically singular: pivot ratio "
             f"{pivots.min() / pivots.max():.3e}"
         )
+    m = mass.shape[0]
     u = np.asarray(u0, dtype=float)
-    if u.shape != (mass.shape[0],):
+    if u.ndim not in (1, 2) or u.shape[0] != m:
         raise SolverError("initial state has wrong dimension")
-    states = np.empty((u.size, tg.steps), order="F")
+    shape = (m, tg.steps, *u.shape[1:])
+    states = np.empty(shape, order="F") if out is None else out
+    if states.shape != shape:
+        raise SolverError(f"state array has shape {states.shape}, expected {shape}")
+    # Every step writes one (M, k) block, k = 1 for a single state.
+    u = u.reshape(m, -1)
+    columns = states if states.ndim == 3 else states[:, :, None]
     time_dependent = callable(load)
     if not time_dependent:
-        scaled = dt * np.asarray(load, dtype=float)
+        scaled = dt * np.asarray(load, dtype=float).reshape(m, -1)
     for n, t in enumerate(tg.times()):
         rhs = mass @ u
-        rhs += dt * load(t) if time_dependent else scaled
+        rhs += dt * np.reshape(load(t), (m, -1)) if time_dependent else scaled
         u = lu.solve(rhs)
-        states[:, n] = u
+        columns[:, n] = u
     return FomTrajectory(states=states, tg=tg, alpha=alpha)
 
 
@@ -565,6 +695,49 @@ def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
     return np.zeros(mesh.n_nodes)
 
 
+def solve_fom_batch(
+    terms: AffineOperator,
+    mass: sp.spmatrix,
+    tg: TimeGrid,
+    alphas: Sequence[Sequence[float]],
+    out: np.ndarray,
+) -> None:
+    """Full-order trajectories at every row of ``alphas``, into ``out[:, :, j]``.
+
+    ``out`` has shape (M, N, len(alphas)). Points with equal operator
+    coefficients form a group that shares one factorization and is
+    marched as one block of columns. A group whose columns are evenly
+    spaced (every group of a grid whose operator depends on a leading
+    subset of the axes, and every single point) is written straight into
+    ``out``; any other goes through a block of its own first.
+    """
+    m = terms.mesh.n_nodes
+    if out.shape != (m, tg.steps, len(alphas)):
+        raise ValueError(
+            f"output has shape {out.shape}, expected {(m, tg.steps, len(alphas))}"
+        )
+    thetas = [terms.theta(alpha) for alpha in alphas]
+    groups: dict[bytes, list[int]] = {}
+    for j, theta in enumerate(thetas):
+        groups.setdefault(theta.tobytes(), []).append(j)
+    u0 = initial_state(terms.problem, terms.mesh)
+    for cols in groups.values():
+        loads = np.column_stack([terms.load(alphas[j]) for j in cols])
+        step = cols[1] - cols[0] if len(cols) > 1 else 1
+        even = all(b - a == step for a, b in zip(cols, cols[1:]))
+        target = out[:, :, cols[0] : cols[-1] + 1 : step] if even else None
+        traj = backward_euler_solve(
+            mass,
+            terms.operator(thetas[cols[0]]),
+            loads,
+            np.broadcast_to(u0[:, None], loads.shape),
+            tg,
+            out=target,
+        )
+        if target is None:
+            out[:, :, cols] = traj.states
+
+
 def solve_fom(
     problem: ProblemSpec,
     mesh: Mesh2D,
@@ -572,9 +745,10 @@ def solve_fom(
     alpha: Sequence[float],
     mass: sp.spmatrix | None = None,
 ) -> FomTrajectory:
-    """Assemble and time-step the full-order model at one parameter value."""
+    """Assemble and time-step the full-order model at one parameter value
+    (a batch of one)."""
     if mass is None:
         mass = assemble_mass(mesh)
-    op, load = assemble_operator(mesh, problem, alpha)
-    u0 = initial_state(problem, mesh)
-    return backward_euler_solve(mass, op, load, u0, tg, alpha=np.asarray(alpha, float))
+    states = np.empty((mesh.n_nodes, tg.steps, 1), order="F")
+    solve_fom_batch(affine_operator(mesh, problem), mass, tg, [alpha], states)
+    return FomTrajectory(states=states[:, :, 0], tg=tg, alpha=np.asarray(alpha, float))

@@ -110,10 +110,15 @@ def rom_solve(
     if not time_dependent:
         load_r = dt * (s.T @ np.asarray(load, dtype=float))
     coeffs = np.empty((s.shape[1], tg.steps), order="F")
+    # LAPACK getrs bound once: the lu_solve wrapper costs more than the
+    # solve itself at these sizes, and computes the same thing.
+    (getrs,) = sla.get_lapack_funcs(("getrs",), (lu,))
     for n, t in enumerate(tg.times()):
         rhs = mass_r @ c
         rhs += dt * (s.T @ load(t)) if time_dependent else load_r
-        c = sla.lu_solve((lu, piv), rhs, check_finite=False)
+        c, info = getrs(lu, piv, rhs)
+        if info != 0:
+            raise SolverError(f"reduced time-step solve failed (getrs info {info})")
         coeffs[:, n] = c
     return RomTrajectory(coefficients=coeffs, basis=basis, tg=tg)
 

@@ -34,17 +34,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import (
-    Mesh2D,
+    AffineOperator,
     ProblemSpec,
     TimeGrid,
     advdiff_problem,
+    affine_operator,
     assemble_h1_gram,
     assemble_mass,
-    assemble_operator,
     build_mesh,
     heat_problem,
     initial_state,
-    solve_fom,
+    solve_fom_batch,
 )
 from .interp import InterpolationScheme, weight_vectors
 from .rom import (
@@ -419,7 +419,7 @@ class StudyResult:
 
 # Part of every FOM-cache key: raise it when a change to the full-order
 # solver alters its output, so entries it wrote earlier stop matching.
-_FOM_SOLVER_VERSION = 1
+_FOM_SOLVER_VERSION = 2
 
 
 def _hex_floats(value):
@@ -454,14 +454,18 @@ class FomCache:
         return hashlib.sha256(blob).hexdigest()
 
     def lookup(self, key: str) -> np.ndarray | None:
+        """The stored states, or None when the entry is missing or is not a
+        finite 2-D float64 array (the caller recomputes and overwrites it)."""
         path = self.directory / f"{key}.npy"
         if not path.exists():
             return None
         try:
             states = np.load(path)
         except Exception:
-            return None  # corrupt entry: recompute
-        if states.ndim != 2:
+            return None  # unreadable entry
+        if states.ndim != 2 or states.dtype != np.float64:
+            return None
+        if not np.isfinite(states).all():
             return None
         return states
 
@@ -479,22 +483,27 @@ class FomCache:
             raise
 
 
-def _solve_test_fom(
-    problem: ProblemSpec,
-    mesh: Mesh2D,
-    tg: TimeGrid,
-    alpha: np.ndarray,
+def _solve_test_foms(
+    terms: AffineOperator,
     mass,
-    cache: FomCache | None,
-) -> np.ndarray:
-    if cache is not None:
-        key = FomCache.key(problem, mesh.cell, tg, alpha)
-        hit = cache.lookup(key)
-        if hit is not None and hit.shape == (mesh.n_nodes, tg.steps):
-            return hit
-    states = solve_fom(problem, mesh, tg, alpha, mass=mass).states
-    if cache is not None:
-        cache.store(key, states)
+    tg: TimeGrid,
+    points: np.ndarray,
+    cache: FomCache,
+) -> list[np.ndarray]:
+    """Full-order trajectories at the test points: cache hits as stored,
+    every miss from one :func:`solve_fom_batch` call, then stored."""
+    m = terms.mesh.n_nodes
+    keys = [FomCache.key(terms.problem, terms.mesh.cell, tg, a) for a in points]
+    states = [cache.lookup(key) for key in keys]
+    misses = [
+        j for j, hit in enumerate(states) if hit is None or hit.shape != (m, tg.steps)
+    ]
+    if misses:
+        block = np.empty((m, tg.steps, len(misses)), order="F")
+        solve_fom_batch(terms, mass, tg, points[misses], block)
+        for c, j in enumerate(misses):
+            states[j] = block[:, :, c]
+            cache.store(keys[j], states[j])
     return states
 
 
@@ -520,10 +529,11 @@ def run_study(
     SVD of the first unfolding are computed once per grid and reused for
     every eps; the memo is dropped after the grid's last compression, or
     with the grid's tensor at the latest. The rest of the compression
-    reruns when (grid, eps) changes. Full-order test solves are
-    cached on disk under the output directory, so repeated studies with
-    the same configuration are cheap and produce identical numeric
-    columns (the wall-clock column aside).
+    reruns when (grid, eps) changes. The operator terms are assembled
+    once and serve the test solves and every reduced solve. Full-order
+    test solves are cached on disk under the output directory, so
+    repeated studies with the same configuration are cheap and produce
+    identical numeric columns (the wall-clock column aside).
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is None:
@@ -537,14 +547,15 @@ def run_study(
     mesh = build_mesh(problem, config.h)
     mass = assemble_mass(mesh)
     gram = assemble_h1_gram(mesh)
-    cache = FomCache(out / "fom_cache")
+    terms = affine_operator(mesh, problem)
+    u0 = initial_state(problem, mesh)
 
     test_points = config.test_set.build(problem.box)
     n_test = test_points.shape[0]
 
-    test_states = [
-        _solve_test_fom(problem, mesh, tg, alpha, mass, cache) for alpha in test_points
-    ]
+    test_states = _solve_test_foms(
+        terms, mass, tg, test_points, FomCache(out / "fom_cache")
+    )
     spectra = [correlation_spectrum(states, mass) for states in test_states]
 
     rows: list[StudyRow] = []
@@ -601,10 +612,8 @@ def run_study(
             for alpha, fom_states in zip(test_points, test_states):
                 weights = weight_vectors(alpha, scheme)
                 basis = local_basis(tt, weights, ell_eff, alpha=alpha)
-                op, load = assemble_operator(mesh, problem, alpha)
-                rom_traj = rom_solve(
-                    basis, mass, op, load, initial_state(problem, mesh), tg
-                )
+                op, load = terms(alpha)
+                rom_traj = rom_solve(basis, mass, op, load, u0, tg)
                 errors.append(
                     trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
                 )

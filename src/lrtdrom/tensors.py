@@ -18,7 +18,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 
 from .errors import BudgetError, DomainError, FormatError, SolverError
-from .fem import Mesh2D, ProblemSpec, TimeGrid, assemble_mass, solve_fom
+from .fem import (
+    Mesh2D,
+    ProblemSpec,
+    TimeGrid,
+    affine_operator,
+    assemble_mass,
+    solve_fom_batch,
+)
 
 TENSOR_MAGIC = b"LRT1"
 _MAX_ORDER = 64
@@ -130,7 +137,9 @@ def generate_snapshots(
     """Solve the full-order model at every grid node and stack the results.
 
     Returns the order-(D+2) snapshot tensor in Fortran layout, one
-    trajectory per grid node, filled in first-axis-fastest order.
+    trajectory per grid node, filled in first-axis-fastest order. The
+    operator terms are assembled once, and nodes that share an operator
+    are marched together (:func:`solve_fom_batch`).
     """
     if grid.n_params != problem.n_params:
         raise DomainError(
@@ -140,12 +149,14 @@ def generate_snapshots(
     m, n = mesh.n_nodes, tg.steps
     check_budget(m * n * grid.n_points, budget, "snapshot tensor")
 
-    mass = assemble_mass(mesh)
     tensor = np.empty((m, n, *grid.counts), order="F")
-
-    for idx in grid.indices():
-        traj = solve_fom(problem, mesh, tg, grid.point(idx), mass=mass)
-        tensor[(slice(None), slice(None), *idx)] = traj.states
+    solve_fom_batch(
+        affine_operator(mesh, problem),
+        assemble_mass(mesh),
+        tg,
+        grid.points(),
+        tensor.reshape(m, n, -1, order="F"),
+    )
     if not np.isfinite(tensor).all():
         raise SolverError("snapshot generation produced non-finite values")
     return tensor

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -67,6 +68,27 @@ def test_compress_without_snapshots_fails(tmp_path, capsys):
     rc = main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)])
     assert rc == 1
     assert "meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"kind": ', "cannot read"),
+        ('{"h": 0.5}', "lacks ['kind', 'T', 'N', 'p', 'axes']"),
+        (
+            '{"kind": "plate", "h": 0.5, "T": 1.0, "N": 10, "p": 2, "axes": []}',
+            "unknown problem kind 'plate'",
+        ),
+    ],
+    ids=["not-json", "no-kind", "unknown-kind"],
+)
+def test_malformed_meta_reports_error(compressed, tmp_path, capsys, content, message):
+    shutil.copy(compressed / "snapshots.lrt", tmp_path)
+    (tmp_path / "meta.json").write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_config_reports_error(tmp_path, capsys):

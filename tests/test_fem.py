@@ -22,6 +22,7 @@ from lrtdrom import (
     TimeGrid,
     advdiff_problem,
     advection_field,
+    affine_operator,
     assemble_h1_gram,
     assemble_load,
     assemble_mass,
@@ -32,10 +33,45 @@ from lrtdrom import (
     heat_problem,
     initial_state,
     solve_fom,
+    solve_fom_batch,
     source_values,
 )
 
 SQ2 = np.sqrt(2.0) / 2.0
+
+
+def centroid_rule_advdiff(mesh, problem, alpha):
+    """Advection-diffusion operator and load assembled directly at one alpha.
+
+    One-point (centroid) quadrature of the velocity field written out per
+    component, and of the Gaussian source: the per-alpha assembly that the
+    affine terms replace.
+    """
+    a1, a2, a3, a4, a5 = alpha
+    p = mesh.nodes[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    x1, x2 = x.mean(axis=1), y.mean(axis=1)
+    e1 = (SQ2 - a2 * np.sin(np.pi * x2) - a3 * np.cos(np.pi * x1) * np.sin(np.pi * x2)
+          - 2.0 * a5 * np.sin(2.0 * np.pi * x2))
+    e2 = (SQ2 + a1 * np.sin(np.pi * x1) + a3 * np.sin(np.pi * x1) * np.cos(np.pi * x2)
+          + 2.0 * a4 * np.sin(2.0 * np.pi * x1))
+    conv = (e1[:, None] * b + e2[:, None] * c) / (2.0 * area)[:, None]
+    local = (area[:, None, None] / 3.0) * conv[:, None, :]
+    local = np.broadcast_to(local, (len(area), 3, 3)).reshape(-1)
+    tri = mesh.triangles
+    n = mesh.n_nodes
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    advection = sp.coo_matrix((local, (rows, cols)), shape=(n, n)).tocsr()
+    op = problem.nu * assemble_stiffness(mesh) + advection
+    (sx, sy), w = problem.source_center, problem.source_width
+    f = np.exp(-((x1 - sx) ** 2 + (x2 - sy) ** 2) / (2 * w**2)) / (2 * np.pi * w**2)
+    load = np.zeros(n)
+    np.add.at(load, tri, np.broadcast_to((area * f / 3.0)[:, None], tri.shape))
+    return op, load
 
 
 def reference_triangle_mesh() -> Mesh2D:
@@ -218,6 +254,35 @@ class TestAssembly:
         ) + 0.5 * 0.7 * boundary_load(heat_mesh, holes)
         np.testing.assert_allclose(load, expected_load, rtol=0, atol=1e-15)
 
+    def test_advdiff_operator_matches_centroid_rule_oracle(self, advdiff, rng):
+        mesh = build_mesh(advdiff, 0.125)
+        alphas = [np.zeros(5), *rng.uniform(-0.1, 0.1, size=(4, 5)), np.full(5, 3.0)]
+        for alpha in alphas:
+            op, load = assemble_operator(mesh, advdiff, alpha)
+            ref_op, ref_load = centroid_rule_advdiff(mesh, advdiff, alpha)
+            assert abs(op - ref_op).max() <= 1e-14 * abs(ref_op).max()
+            assert np.abs(load - ref_load).max() <= 1e-14 * np.abs(ref_load).max()
+
+    def test_affine_coefficients_group_shared_operators(
+        self, heat, heat_mesh, advdiff, unit_mesh
+    ):
+        # alpha_2 enters the heat load only, so equal alpha_1 is one operator.
+        terms = affine_operator(heat_mesh, heat)
+        np.testing.assert_array_equal(terms.theta((0.2, 0.1)), terms.theta((0.2, 0.9)))
+        assert not np.array_equal(terms.theta((0.2, 0.1)), terms.theta((0.3, 0.1)))
+        op, load = terms((0.2, 0.9))
+        ref_op, ref_load = assemble_operator(heat_mesh, heat, (0.2, 0.9))
+        np.testing.assert_array_equal(op.toarray(), ref_op.toarray())
+        np.testing.assert_array_equal(load, ref_load)
+        adv = affine_operator(unit_mesh, advdiff)
+        a = np.full(5, 0.05)
+        for i in range(5):
+            b = a.copy()
+            b[i] = -0.05
+            assert not np.array_equal(adv.theta(a), adv.theta(b))
+        with pytest.raises(DomainError):
+            terms.theta((0.2,))
+
     def test_bad_alpha_vector_rejected(self, heat, heat_mesh):
         with pytest.raises(DomainError):
             assemble_operator(heat_mesh, heat, (0.1, 0.5, 0.0))
@@ -348,6 +413,18 @@ class TestTimeStepping:
         np.testing.assert_array_equal(
             initial_state(heat, heat_mesh), np.zeros(heat_mesh.nodes.shape[0])
         )
+
+    def test_batch_matches_single_solves(self, heat, heat_mesh):
+        # The alpha_1 = 0.1 group sits at uneven columns (0, 2, 3), so it is
+        # marched in a block of its own; the others write in place.
+        alphas = np.array([(0.1, 0.2), (0.3, 0.2), (0.1, 0.5), (0.1, 0.9), (0.4, 0.0)])
+        tg = TimeGrid(heat.final_time, 9)
+        out = np.full((heat_mesh.n_nodes, 9, len(alphas)), np.nan, order="F")
+        mass = assemble_mass(heat_mesh)
+        solve_fom_batch(affine_operator(heat_mesh, heat), mass, tg, alphas, out)
+        for j, alpha in enumerate(alphas):
+            ref = solve_fom(heat, heat_mesh, tg, alpha, mass=mass).states
+            assert np.abs(out[:, :, j] - ref).max() <= 1e-12 * np.abs(ref).max(), j
 
     def test_heat_steady_state_positive(self, heat, heat_mesh):
         op, load = assemble_operator(heat_mesh, heat, (0.5, 0.9))

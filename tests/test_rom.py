@@ -28,6 +28,21 @@ from lrtdrom import (
 )
 
 
+def lu_solve_march(basis, mass, op, load, u0, tg):
+    """Reduced implicit Euler march through scipy's lu_solve, step by step."""
+    s = basis.basis
+    mass_r = s.T @ (mass @ s)
+    factor = sla.lu_factor(mass_r + tg.dt * (s.T @ (op @ s)), check_finite=False)
+    c = sla.lu_solve(sla.lu_factor(mass_r, check_finite=False), s.T @ (mass @ u0))
+    coeffs = np.empty((s.shape[1], tg.steps), order="F")
+    for n, t in enumerate(tg.times()):
+        rhs = mass_r @ c
+        rhs += tg.dt * (s.T @ (load(t) if callable(load) else load))
+        c = sla.lu_solve(factor, rhs, check_finite=False)
+        coeffs[:, n] = c
+    return coeffs
+
+
 @pytest.fixture(scope="module")
 def tt_exact(heat_desk):
     tt, _ = tt_svd(heat_desk.tensor, 0.0)
@@ -186,6 +201,18 @@ class TestRomSolve:
         energy = [float(u @ (heat_desk.mass @ u)) for u in lifted.T]
         diffs = np.diff(np.array(energy))
         assert np.all(diffs <= 1e-12 * energy[0])
+
+    def test_matches_lu_solve_loop_oracle(self, heat_desk, tt_exact, scheme, rng):
+        alpha = np.array([0.35, 0.6])
+        op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
+        u0 = rng.uniform(0.0, 1.0, size=heat_desk.mesh.n_nodes)
+        for ell, g in ((1, load), (5, load), (9, lambda t: np.cos(t) * load)):
+            lb = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=ell)
+            rom = rom_solve(lb, heat_desk.mass, op, g, u0, heat_desk.tg)
+            np.testing.assert_array_equal(
+                rom.coefficients,
+                lu_solve_march(lb, heat_desk.mass, op, g, u0, heat_desk.tg),
+            )
 
     def test_coefficients_layout(self, heat_desk, tt_exact, scheme):
         alpha = np.array([0.2, 0.1])

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
+import lrtdrom.fem as fem_module
 import lrtdrom.tt as tt_module
 from lrtdrom import (
     CSV_HEADER,
@@ -26,8 +28,25 @@ from lrtdrom import (
     parse_config,
     run_study,
     slope_fit,
+    solve_fom,
 )
 from lrtdrom.tensors import check_budget
+
+
+def poisoned_entries(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Readable cache entries that must not be used: wrong rank, non-finite
+    values, or a dtype other than float64."""
+    ones = np.ones(shape)
+    with_inf = ones.copy()
+    with_inf[0, -1] = np.inf
+    return [
+        np.ones(shape[:1]),
+        np.full(shape, np.nan),
+        with_inf,
+        ones.astype(np.complex128),
+        ones.astype(np.float32),
+        ones.astype(np.int64),
+    ]
 
 
 def base_config() -> dict:
@@ -364,6 +383,31 @@ class TestRunStudy:
         assert result.rows[0].error is None
         assert result.rows[0].e_max <= 1e-8
 
+    def test_grid_test_set_is_solved_in_groups(self, tmp_path, monkeypatch):
+        # The 3x3 midpoint test set has three alpha_1 values, so its nine
+        # full-order solves run as three blocks of three, like the 3x3
+        # training grid; each trajectory matches a solve of its own.
+        data = base_config()
+        data["test_set"] = {"mode": "grid", "n": 3}
+        widths = []
+        march = fem_module.backward_euler_solve
+
+        def counted(mass, op, load, u0, tg, *args, **kwargs):
+            widths.append(np.shape(u0)[1:])
+            return march(mass, op, load, u0, tg, *args, **kwargs)
+
+        monkeypatch.setattr(fem_module, "backward_euler_solve", counted)
+        config = parse_config(data)
+        result = run_study(config, out_dir=tmp_path)
+        assert all(row.error is None for row in result.rows)
+        assert widths == [(3,)] * 6
+        mesh = build_mesh(config.problem, config.h)
+        for alpha in config.test_set.build(config.problem.box):
+            key = FomCache.key(config.problem, mesh.cell, config.tg, alpha)
+            cached = np.load(tmp_path / "fom_cache" / f"{key}.npy")
+            ref = solve_fom(config.problem, mesh, config.tg, alpha).states
+            assert np.abs(cached - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 def numeric_columns(result) -> list[str]:
     """Each row's CSV line without the wall-clock column."""
@@ -503,6 +547,26 @@ class TestFomCache:
         key = "deadbeef"
         (tmp_path / f"{key}.npy").write_bytes(b"not a numpy file")
         assert cache.lookup(key) is None
+        good = np.ones((6, 4))
+        for bad in poisoned_entries(good.shape):
+            np.save(tmp_path / f"{key}.npy", bad)
+            assert cache.lookup(key) is None, bad.dtype
+        np.save(tmp_path / f"{key}.npy", good)
+        np.testing.assert_array_equal(cache.lookup(key), good)
+
+    def test_study_over_poisoned_cache_matches_cold_run(self, smoke, tmp_path):
+        result, out = smoke
+        shutil.copytree(out / "fom_cache", tmp_path / "fom_cache")
+        entries = sorted((tmp_path / "fom_cache").glob("*.npy"))
+        assert len(entries) == 1
+        shape = np.load(entries[0]).shape
+        for bad in poisoned_entries(shape):
+            np.save(entries[0], bad)
+            again = run_study(parse_config(base_config()), out_dir=tmp_path)
+            for a, b in zip(result.rows, again.rows):
+                assert a.csv_line().rsplit(",", 1)[0] == b.csv_line().rsplit(",", 1)[0]
+            healed = np.load(entries[0])
+            assert healed.dtype == np.float64 and np.isfinite(healed).all()
 
 
 class TestSlopeFit:
