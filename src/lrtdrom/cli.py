@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, LrtdRomError
 from .fem import (
+    ProblemSpec,
     TimeGrid,
     advdiff_problem,
     assemble_mass,
@@ -62,7 +63,17 @@ def _problem_from_meta(meta: dict):
     return problem
 
 
-def _load_meta(directory: Path) -> dict:
+@dataclasses.dataclass(frozen=True)
+class _Stored:
+    """What a snapshot directory's meta.json describes."""
+
+    problem: ProblemSpec
+    h: float
+    tg: TimeGrid
+    scheme: InterpolationScheme
+
+
+def _load_meta(directory: Path) -> _Stored:
     path = directory / "meta.json"
     if not path.exists():
         raise ConfigError(f"no meta.json in {directory}; run `lrtdrom snapshots` first")
@@ -76,7 +87,29 @@ def _load_meta(directory: Path) -> dict:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ConfigError(f"{path} lacks {missing}; rerun `lrtdrom snapshots`")
-    return meta
+    problem = _problem_from_meta(meta)
+    try:
+        axes = tuple(np.asarray(a, dtype=float) for a in meta["axes"])
+        return _Stored(
+            problem=problem,
+            h=float(meta["h"]),
+            tg=TimeGrid(final_time=float(meta["T"]), steps=int(meta["N"])),
+            scheme=InterpolationScheme(grid=ParameterGrid(axes=axes), p=int(meta["p"])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} holds a bad value: {exc}") from exc
+
+
+def _load_snapshots(directory: Path) -> np.ndarray:
+    path = directory / "snapshots.lrt"
+    try:
+        return load_tensor(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"no snapshots.lrt in {directory}; run `lrtdrom snapshots` first"
+        ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:
@@ -114,19 +147,16 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if not args.eps >= 0:  # also rejects nan
         raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     directory = Path(args.dir)
-    meta = _load_meta(directory)
-    tensor = load_tensor(directory / "snapshots.lrt")
-    problem = _problem_from_meta(meta)
-    mesh = build_mesh(problem, float(meta["h"]))
-    tg = TimeGrid(final_time=float(meta["T"]), steps=int(meta["N"]))
-    mass = assemble_mass(mesh)
+    stored = _load_meta(directory)
+    tensor = _load_snapshots(directory)
+    mass = assemble_mass(build_mesh(stored.problem, stored.h))
     m = tensor.shape[0]
     check_budget(
         tensor.size + first_svd_doubles(m, tensor.size // m),
         resolve_memory_budget(None),
         "snapshot tensor and its first-unfolding SVD",
     )
-    eps_tilde = frobenius_tolerance(args.eps, tensor, mass, tg.dt)
+    eps_tilde = frobenius_tolerance(args.eps, tensor, mass, stored.tg.dt)
     tt, report = tt_svd(tensor, eps_tilde)
     tt_path = directory / f"tt_eps{args.eps:g}.lrtt"
     save_tt(tt_path, tt)
@@ -165,20 +195,21 @@ def _find_tt(directory: Path, eps: float | None) -> Path:
 
 def _cmd_rom(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
-    meta = _load_meta(directory)
+    stored = _load_meta(directory)
     try:
         alpha = np.array([float(v) for v in args.alpha.split(",")])
     except ValueError as exc:
         raise ConfigError(
             f"--alpha must be comma-separated numbers, got {args.alpha!r}"
         ) from exc
-    tt = load_tt(_find_tt(directory, args.eps))
-    problem = _problem_from_meta(meta)
-    mesh = build_mesh(problem, float(meta["h"]))
-    tg = TimeGrid(final_time=float(meta["T"]), steps=int(meta["N"]))
-    grid = ParameterGrid(axes=tuple(np.asarray(a) for a in meta["axes"]))
-    scheme = InterpolationScheme(grid=grid, p=int(meta["p"]))
-    weights = weight_vectors(alpha, scheme)
+    path = _find_tt(directory, args.eps)
+    try:
+        tt = load_tt(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    problem, tg = stored.problem, stored.tg
+    mesh = build_mesh(problem, stored.h)
+    weights = weight_vectors(alpha, stored.scheme)
     try:
         basis = local_basis(tt, weights, args.ell, alpha=alpha)
     except ValueError as exc:

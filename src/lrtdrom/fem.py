@@ -18,7 +18,7 @@ velocity field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -143,6 +143,9 @@ class Mesh2D:
 
     ``cell`` is the square cell size the construction snapped to; each cell
     contributes two congruent right triangles, so h = cell * sqrt(2).
+    The arrays are read-only: a mesh holds the affine operator terms of
+    the last problem assembled on it (see :func:`affine_operator`), and
+    they must not go stale.
     """
 
     nodes: np.ndarray
@@ -151,6 +154,13 @@ class Mesh2D:
     edge_tags: np.ndarray
     h: float
     cell: float
+    _terms: AffineOperator | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for a in (self.nodes, self.triangles, self.boundary_edges, self.edge_tags):
+            a.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -512,8 +522,8 @@ class AffineOperator:
     coefficient vectors affine in alpha: theta = op_coeffs @ (1, alpha)
     and phi = load_coeffs @ (1, alpha). Every A_q is stored as the data
     array of one shared CSR pattern (``indptr``, ``indices``), so an
-    evaluation is a weighted sum of arrays. Built by
-    :func:`affine_operator`.
+    evaluation is a weighted sum of arrays. The arrays are read-only.
+    Built by :func:`affine_operator`.
     """
 
     problem: ProblemSpec
@@ -524,6 +534,12 @@ class AffineOperator:
     op_coeffs: np.ndarray
     load_terms: np.ndarray
     load_coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        # The mesh holds the terms and every caller shares them.
+        for a in (self.indptr, self.indices, self.op_terms, self.op_coeffs,
+                  self.load_terms, self.load_coeffs):
+            a.flags.writeable = False
 
     def _affine(self, alpha: Sequence[float]) -> np.ndarray:
         return np.concatenate(([1.0], check_alpha(self.problem, alpha)))
@@ -550,7 +566,11 @@ class AffineOperator:
 
 
 def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
-    """Assemble the affine terms of ``problem`` on ``mesh``, once.
+    """The affine terms of ``problem`` on ``mesh``, assembled once.
+
+    The mesh holds the terms of the last problem they were assembled
+    for, so a repeated call with an equal problem returns them without
+    assembly; another problem replaces them.
 
     heat:    A = stiffness + alpha_1 * outer Robin edge mass
                  + 1/2 * hole edge mass;
@@ -561,6 +581,9 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
              :func:`advection_field` (C_0 the drift);
              g = Gaussian source load (centroid rule).
     """
+    held = mesh._terms
+    if held is not None and held.problem == problem:
+        return held
     stiffness = assemble_stiffness(mesh)
     n = mesh.n_nodes
     # The stiffness matrix keeps an entry (explicit zeros too) for every
@@ -596,7 +619,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
         op_coeffs = np.vstack([problem.nu * np.eye(1, 6), np.eye(6)])
         load_terms = [assemble_load(mesh, lambda x: source_values(x, problem))]
         load_coeffs = np.eye(1, 6)
-    return AffineOperator(
+    terms = AffineOperator(
         problem=problem,
         mesh=mesh,
         indptr=stiffness.indptr,
@@ -606,6 +629,8 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
         load_terms=np.array(load_terms),
         load_coeffs=np.array(load_coeffs),
     )
+    object.__setattr__(mesh, "_terms", terms)
+    return terms
 
 
 def assemble_operator(

@@ -68,10 +68,13 @@ def lagrange_weights(value: float, nodes: np.ndarray, p: int) -> WeightVector:
     if exact.size:
         values[exact[0]] = 1.0
         return WeightVector(values=values, support=(int(exact[0]),))
+    # ratio[k, j] = (value - x_j) / (x_k - x_j); the diagonal is exactly 1
+    # (value is no node here), so row products are the Lagrange weights.
     x = nodes[chosen]
-    for k in range(p):
-        others = np.delete(x, k)
-        values[chosen[k]] = np.prod((value - others) / (x[k] - others))
+    num = value - x
+    den = x[:, None] - x[None, :]
+    np.fill_diagonal(den, num)
+    values[chosen] = np.prod(num / den, axis=1)
     return WeightVector(values=values, support=tuple(int(i) for i in chosen))
 
 

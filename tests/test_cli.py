@@ -64,10 +64,21 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     assert "slope=" in printed and "r2=" in printed
 
 
-def test_compress_without_snapshots_fails(tmp_path, capsys):
+def test_compress_without_snapshots_fails(compressed, tmp_path, capsys):
+    capsys.readouterr()
     rc = main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)])
     assert rc == 1
     assert "meta.json" in capsys.readouterr().err
+    # A meta.json alone, as if the tensor had been deleted.
+    shutil.copy(compressed / "meta.json", tmp_path)
+    rc = main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no snapshots.lrt in {tmp_path}")
+    (tmp_path / "snapshots.lrt").mkdir()  # there, but not a readable file
+    rc = main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
 @pytest.mark.parametrize(
@@ -164,6 +175,42 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("rom", {"p": 9}, "stencil size 9 exceeds axis node count 3"),
+        ("rom", {"axes": [[0.5, 0.2, 0.0], [0.0, 0.45, 0.9]]}, "strictly increasing"),
+        ("rom", {"axes": 5}, "bad value"),
+        ("rom", {"N": 0}, "need at least one time step"),
+        ("compress", {"N": 0}, "need at least one time step"),
+    ],
+    ids=["rom-p-too-large", "rom-decreasing-axis", "rom-axes-not-a-list",
+         "rom-no-steps", "compress-no-steps"],
+)
+def test_bad_meta_values_report_error(
+    compressed, tmp_path, capsys, command, change, message
+):
+    for name in ("snapshots.lrt", "tt_eps0.001.lrtt"):
+        shutil.copy(compressed / name, tmp_path)
+    meta = json.loads((compressed / "meta.json").read_text(encoding="utf-8"))
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, **change}), encoding="utf-8")
+    args = {"rom": ["--alpha", "0.2,0.3", "--ell", "4"], "compress": ["--eps", "1e-2"]}
+    capsys.readouterr()
+    assert main([command, *args[command], "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.glob("rom_*")) and not (tmp_path / "tt_eps0.01.lrtt").exists()
+
+
+def test_unreadable_compressed_tensor_reports_error(compressed, tmp_path, capsys):
+    shutil.copy(compressed / "meta.json", tmp_path)
+    (tmp_path / "tt_eps0.001.lrtt").mkdir()  # there, but not a readable file
+    capsys.readouterr()
+    rc = main(["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan"])

@@ -7,11 +7,14 @@ hole cells removed) and pinned.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from lrtdrom import fem
 from lrtdrom import (
     BoundaryTag,
     DomainError,
@@ -300,6 +303,74 @@ class TestAssembly:
         peak = 1.0 / (2.0 * np.pi * advdiff.source_width**2)
         assert vals[0] == pytest.approx(peak, rel=1e-13)
         assert vals[1] / vals[0] == pytest.approx(np.exp(-0.5), rel=1e-13)
+
+
+class TestHeldTerms:
+    """A mesh keeps the affine terms of the last problem assembled on it."""
+
+    @pytest.fixture()
+    def stiffness_calls(self, monkeypatch):
+        calls = []
+
+        def counted(mesh):
+            calls.append(mesh)
+            return assemble_stiffness(mesh)
+
+        monkeypatch.setattr(fem, "assemble_stiffness", counted)
+        return calls
+
+    def test_repeated_operator_assembles_stiffness_once(
+        self, heat, heat_mesh, stiffness_calls
+    ):
+        mesh = dataclasses.replace(heat_mesh)
+        first = assemble_operator(mesh, heat, (0.2, 0.3))
+        second = assemble_operator(mesh, heat, (0.4, 0.6))
+        assert len(stiffness_calls) == 1
+        assert not np.array_equal(first[0].data, second[0].data)
+
+    @pytest.mark.parametrize("kind", ["heat", "advdiff"])
+    def test_held_terms_equal_fresh_build(
+        self, heat, heat_mesh, advdiff, unit_mesh, kind
+    ):
+        problem, mesh = (heat, heat_mesh) if kind == "heat" else (advdiff, unit_mesh)
+        alpha = np.linspace(0.05, 0.1, problem.n_params)
+        affine_operator(mesh, problem)
+        held = affine_operator(mesh, problem)
+        fresh = affine_operator(dataclasses.replace(mesh), problem)
+        assert fresh is not held
+        for name in ("indptr", "indices", "op_terms", "op_coeffs", "load_terms", "load_coeffs"):
+            np.testing.assert_array_equal(getattr(held, name), getattr(fresh, name))
+        op, load = assemble_operator(mesh, problem, alpha)
+        ref_op, ref_load = fresh(alpha)
+        np.testing.assert_array_equal(op.toarray(), ref_op.toarray())
+        np.testing.assert_array_equal(load, ref_load)
+
+    def test_other_problem_replaces_held_terms(
+        self, advdiff, unit_mesh, stiffness_calls
+    ):
+        mesh = dataclasses.replace(unit_mesh)
+        thick = dataclasses.replace(advdiff, nu=0.5)
+        alpha = np.zeros(5)
+        thin_op, _ = assemble_operator(mesh, advdiff, alpha)
+        thick_op, _ = assemble_operator(mesh, thick, alpha)
+        assert abs(thick_op - thin_op).max() > 0
+        assert mesh._terms.problem == thick
+        assemble_operator(mesh, advdiff, alpha)
+        assert len(stiffness_calls) == 3
+
+    def test_mesh_and_held_terms_are_read_only(self, heat, heat_mesh):
+        for mesh in (heat_mesh, reference_triangle_mesh()):
+            for name in ("nodes", "triangles", "boundary_edges", "edge_tags"):
+                assert not getattr(mesh, name).flags.writeable
+        with pytest.raises(ValueError):
+            heat_mesh.nodes[0, 0] = 1.0
+        terms = affine_operator(heat_mesh, heat)
+        with pytest.raises(ValueError):
+            terms.op_terms[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            terms.load_coeffs[0, 0] = 1.0
+        op, _ = terms((0.2, 0.3))
+        op.indices[0] = op.indices[0]  # each operator owns its pattern
 
 
 class TestAdvection:

@@ -178,3 +178,34 @@ def test_refinement_order_p2(rng):
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
         assert 1.8 <= order <= 2.2
+
+
+def loop_lagrange_weights(value, nodes, p):
+    """Per-node Lagrange weights: one product over the other stencil nodes
+    for each node, the plain loop the vectorised weights must reproduce."""
+    nodes = np.asarray(nodes, dtype=float)
+    dist = np.abs(nodes - value)
+    chosen = np.sort(np.argsort(dist, kind="stable")[:p])
+    values = np.zeros(nodes.size)
+    exact = np.flatnonzero(dist == 0.0)
+    if exact.size:
+        values[exact[0]] = 1.0
+        return values, (int(exact[0]),)
+    x = nodes[chosen]
+    for k in range(p):
+        others = np.delete(x, k)
+        values[chosen[k]] = np.prod((value - others) / (x[k] - others))
+    return values, tuple(int(i) for i in chosen)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_weights_bitwise_equal_to_loop_oracle(rng, p):
+    uniform = np.linspace(0.01, 0.501, 9)
+    uneven = np.sort(rng.uniform(-0.1, 0.1, size=9))
+    for nodes in (uniform, uneven):
+        between = rng.uniform(nodes[0], nodes[-1], size=500)
+        for value in (*nodes, *between, *(0.5 * (nodes[1:] + nodes[:-1]))):
+            w = lagrange_weights(float(value), nodes, p)
+            values, support = loop_lagrange_weights(float(value), nodes, p)
+            np.testing.assert_array_equal(w.values, values)
+            assert w.support == support
