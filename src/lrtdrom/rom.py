@@ -129,8 +129,9 @@ def correlation_spectrum(
     """Eigenvalues of the time-averaged correlation operator, descending.
 
     For states U of shape (M, N) this is the spectrum of U' mass U / N.
-    Values below 1e-14 times the largest are clipped to zero; the result
-    always has length N.
+    Values below max(1e-14, N * eps_mach) times the largest, the accuracy
+    of a symmetric eigensolver on the N x N Gram matrix, are round-off
+    and clipped to zero; the result always has length N.
     """
     u = states.states if isinstance(states, FomTrajectory) else np.asarray(states)
     n = u.shape[1]
@@ -138,7 +139,8 @@ def correlation_spectrum(
     vals = sla.eigh(gram, eigvals_only=True, check_finite=False)[::-1]
     vals = np.maximum(vals, 0.0)
     if vals.size and vals[0] > 0:
-        vals[vals < _RANK_CUTOFF * vals[0]] = 0.0
+        cutoff = max(_RANK_CUTOFF, n * np.finfo(np.float64).eps)
+        vals[vals < cutoff * vals[0]] = 0.0
     return np.ascontiguousarray(vals)
 
 

@@ -526,14 +526,15 @@ def run_study(
     Snapshots are rebuilt only when the training grid changes, and the
     previous grid's tensor is released first. Each grid gets one memo for
     :func:`frobenius_tolerance` and :func:`tt_svd`, so the norms and the
-    SVD of the first unfolding are computed once per grid and reused for
-    every eps; the memo is dropped after the grid's last compression, or
-    with the grid's tensor at the latest. The rest of the compression
-    reruns when (grid, eps) changes. The operator terms are assembled
-    once and serve the test solves and every reduced solve. Full-order
-    test solves are cached on disk under the output directory, so
-    repeated studies with the same configuration are cheap and produce
-    identical numeric columns (the wall-clock column aside).
+    factorization of the first unfolding (range finder blocks, extended
+    when a tighter eps needs more, or a dense SVD) are computed once per
+    grid and reused for every eps; the memo is dropped after the grid's
+    last compression, or with the grid's tensor at the latest. The rest
+    of the compression reruns when (grid, eps) changes. The operator
+    terms are assembled once and serve the test solves and every reduced
+    solve. Full-order test solves are cached on disk under the output
+    directory, so repeated studies with the same configuration are cheap
+    and produce identical numeric columns (the wall-clock column aside).
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is None:

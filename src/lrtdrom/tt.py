@@ -39,13 +39,22 @@ _MAX_ORDER = 64
 # low-rank inputs.
 _ROUNDOFF_FLOOR = 64.0 * np.finfo(np.float64).eps
 
-# Randomized range finder for the first unfolding: Gaussian blocks of this
-# many columns from a fixed seed, so every run draws the same sketch. It
-# runs only when the smaller side holds at least this many blocks; below
-# that a dense SVD costs little.
+# Randomized range finder for the first unfolding: block i holds this many
+# Gaussian columns drawn from the seed (_SKETCH_SEED, i), so every run
+# draws the same sketch and a memo can extend it block by block. It runs
+# only when the smaller side holds at least _SKETCH_MIN_BLOCKS blocks;
+# below that a dense SVD costs little.
 _SKETCH_BLOCK = 32
 _SKETCH_MIN_BLOCKS = 4
 _SKETCH_SEED = 20110217
+
+# The finder stops once its measured residual is at most this fraction of
+# the first unfolding's truncation budget (or the roundoff floor, if that
+# is larger), so it spends at most 1/256 of the budget's energy.
+_BUDGET_FRACTION = 1.0 / 16.0
+
+# Float64 values per column chunk over which |W - QB|_F is measured.
+_CHUNK_DOUBLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -93,9 +102,10 @@ class CompressionReport:
 
     ``discarded_energy[k]`` is the sum of squared singular values dropped
     at the k-th unfolding; for the first unfolding it also holds the
-    measured energy |W - QB|_F^2 that a randomized factorization left out
-    (zero when it took the dense SVD). The total reconstruction error is
-    bounded by ``error_bound``.
+    energy |W - QB|_F^2 that the randomized range finder left out,
+    measured directly (at most 1/256 of that unfolding's budget squared,
+    or the roundoff floor; zero when it took the dense SVD). The total
+    reconstruction error is bounded by ``error_bound``.
     """
 
     eps_tilde: float
@@ -198,58 +208,103 @@ def _orthonormal(y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
-def _range_sketch(
-    w: np.ndarray, target: float
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Blocked adaptive range finder: (Q, B, r2) with |W - QB|_F^2 = r2.
-
-    Each block draws Gaussian columns, takes one orthonormalized power
-    step on the residual and is orthogonalized against the earlier
-    blocks; the residual copy is then deflated in place, so r2 is
-    measured from W - QB itself. Stops once sqrt(r2) <= ``target``;
-    returns None when Q would pass half the smaller side first.
-    """
+def _residual_norm(w: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
+    """|W - QB|_F, measured one column chunk of W at a time."""
     rows, cols = w.shape
-    limit = min(rows, cols) // 2
-    rng = np.random.default_rng(_SKETCH_SEED)
-    residual = np.array(w, dtype=np.float64, order="F")
-    q = np.empty((rows, limit), order="F")
-    b_blocks: list[np.ndarray] = []
-    k = 0
-    while k + _SKETCH_BLOCK <= limit:
-        y = _orthonormal(residual @ rng.standard_normal((cols, _SKETCH_BLOCK)))
-        y = residual @ _orthonormal(residual.T @ y)
-        q_new = _orthonormal(y, q[:, :k] if k else None)
-        b_new = blas.dgemm(1.0, q_new, residual, trans_a=True)
-        blas.dgemm(-1.0, q_new, b_new, beta=1.0, c=residual, overwrite_c=True)
-        q[:, k : k + _SKETCH_BLOCK] = q_new
-        b_blocks.append(b_new)
-        k += _SKETCH_BLOCK
-        r = float(np.linalg.norm(residual))
-        if r <= target:
-            return q[:, :k], np.vstack(b_blocks), r * r
-    return None
+    step = max(1, _CHUNK_DOUBLES // rows)
+    energy = 0.0
+    for j in range(0, cols, step):
+        # dgemm subtracts from a copy of the chunk, so W is not touched.
+        chunk = blas.dgemm(-1.0, q, b[:, j : j + step], beta=1.0, c=w[:, j : j + step])
+        energy += float(np.linalg.norm(chunk)) ** 2
+        del chunk  # one chunk alive at a time
+    return float(np.sqrt(energy))
+
+
+class _RangeFinder:
+    """Blocked adaptive range finder for one first unfolding W.
+
+    After n blocks, Q (orthonormal, rows x 32n) and B = Q^T W approximate
+    W, and ``residuals[n - 1]`` is |W - QB|_F measured directly. Each block
+    draws Gaussian columns, takes one orthonormalized power step on the
+    residual and is orthogonalized against the earlier blocks; residual
+    products are taken as W x - Q(B x) and W^T y - B^T(Q^T y), so W - QB
+    is never formed. A memo keeps the finder, so that a tighter target
+    extends its blocks and a looser one reuses a prefix of them.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.max_blocks = min(shape) // 2 // _SKETCH_BLOCK
+        self.least = 0.0  # least residual that released blocks reached
+        self._drop_blocks(shape)
+
+    def _drop_blocks(self, shape: tuple[int, int]) -> None:
+        self.q = np.empty((shape[0], 0), order="F")
+        self.b = np.empty((0, shape[1]), order="F")
+        self.residuals: list[float] = []
+
+    def blocks_for(self, w: np.ndarray, target: float) -> int | None:
+        """Fewest blocks whose measured residual is at most ``target``.
+
+        Adds blocks as needed. Returns None, and releases the blocks,
+        when Q would pass half the smaller side first; the least residual
+        they reached is kept, so a later target under it fails at once
+        and a looser one draws the same blocks again.
+        """
+        if target < self.least:
+            return None
+        for n, r in enumerate(self.residuals, 1):
+            if r <= target:
+                return n
+        while len(self.residuals) < self.max_blocks:
+            self._add_block(w)
+            if self.residuals[-1] <= target:
+                return len(self.residuals)
+        self.least = min(self.residuals)
+        self._drop_blocks(w.shape)
+        return None
+
+    def _apply(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return w @ x - self.q @ (self.b @ x)
+
+    def _add_block(self, w: np.ndarray) -> None:
+        rng = np.random.default_rng((_SKETCH_SEED, len(self.residuals)))
+        omega = rng.standard_normal((w.shape[1], _SKETCH_BLOCK))
+        y = _orthonormal(self._apply(w, omega))
+        z = _orthonormal(w.T @ y - self.b.T @ (self.q.T @ y))
+        q_new = _orthonormal(self._apply(w, z), self.q if self.q.shape[1] else None)
+        self.q = np.concatenate([self.q, q_new], axis=1)
+        self.b = np.concatenate([self.b, blas.dgemm(1.0, q_new, w, trans_a=True)])
+        self.residuals.append(_residual_norm(w, self.q, self.b))
 
 
 def _first_unfolding_svd(
-    w: np.ndarray, norm: float
+    w: np.ndarray, norm: float, budget: float = 0.0, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Thin SVD of the first unfolding up to a measured residual.
 
     Returns (U, s, V^T, r2) with W = U diag(s) V^T + E, E orthogonal to
     U's columns and |E|_F^2 = r2; U is Fortran-ordered. A wide enough
-    unfolding goes through :func:`_range_sketch` down to the roundoff
-    floor of ``norm`` = |W|_F, then a dense SVD of the small B. A short
-    side or a sketch that does not converge takes the dense SVD of W with
-    r2 = 0.
+    unfolding goes through :class:`_RangeFinder` until sqrt(r2) <= target
+    = max(``budget`` / 16, roundoff floor of ``norm`` = |W|_F), then a
+    dense SVD of the small B. A short side or a finder that does not
+    converge takes the dense SVD of W with r2 = 0.
+
+    With a ``memo`` the finder's blocks and the dense factors are kept in
+    it; the result depends on W and the target alone, memo or not.
     """
+    target = max(_BUDGET_FRACTION * budget, _ROUNDOFF_FLOOR * norm)
     if min(w.shape) >= _SKETCH_MIN_BLOCKS * _SKETCH_BLOCK:
-        sketch = _range_sketch(w, _ROUNDOFF_FLOOR * norm)
-        if sketch is not None:
-            q, b, r2 = sketch
-            ub, s, vt = _thin_svd(b)
-            return blas.dgemm(1.0, q, ub), s, vt, r2
-    return (*_thin_svd(w), 0.0)
+        finder = _memoized(memo, "finder", lambda: _RangeFinder(w.shape))
+        n = finder.blocks_for(w, target)
+        if n is not None:
+            k = n * _SKETCH_BLOCK
+            ub, s, vt = _thin_svd(finder.b[:k])
+            r2 = finder.residuals[n - 1] ** 2
+            return blas.dgemm(1.0, finder.q[:, :k], ub), s, vt, r2
+    if memo is None:
+        return (*_thin_svd(w), 0.0)
+    return _memoized(memo, "first_svd", lambda: _read_only((*_thin_svd(w), 0.0)))
 
 
 def _read_only(factors: tuple) -> tuple:
@@ -266,10 +321,11 @@ def first_svd_doubles(rows: int, cols: int) -> int:
 
     The dense fallback's peak: gesdd's working copy of the unfolding, U
     (rows x k), V^T (k x cols) and its 4k^2 + 7k workspace, with
-    k = min(rows, cols). It also bounds the range finder, which holds a
-    residual copy of the unfolding, Q (rows x k/2 at most), B (k/2 x cols)
-    and one block, and releases the copy before any fallback or the SVD
-    of B. A memo keeps the factors alive as long as the tensor.
+    k = min(rows, cols). It also bounds the range finder, which copies no
+    part of the unfolding beyond one column chunk: it holds Q (rows x k/2
+    at most), B (k/2 x cols), a block of 32 columns on each side and the
+    chunk, and releases Q and B before any fallback. A memo keeps the
+    finder's blocks or the dense factors alive as long as the tensor.
     """
     k = min(rows, cols)
     return rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
@@ -287,21 +343,23 @@ def tt_svd(
     roundoff with minimal exact ranks.
 
     The first unfolding W is factored by :func:`_first_unfolding_svd`: a
-    seeded randomized range finder stopped at the roundoff floor, or a
+    seeded randomized range finder that never copies W and stops once its
+    measured residual |W - QB|_F is at most 1/16 of this unfolding's
+    budget (or the roundoff floor, if larger, as at eps_tilde = 0), or a
     dense SVD when W's smaller side is under 128 or its spectrum is flat.
-    The finder's measured residual |W - QB|_F^2 is part of
-    ``discarded_energy[0]``, so ``error_bound`` stays a certificate built
-    from measured quantities on both paths.
+    The finder's residual |W - QB|_F^2 is part of ``discarded_energy[0]``,
+    so ``error_bound`` stays a certificate built from measured quantities
+    on both paths.
 
-    The first unfolding and its factorization do not depend on eps_tilde. A
-    caller compressing one tensor at several tolerances passes the same
+    A caller compressing one tensor at several tolerances passes the same
     ``memo`` dict each time: the first call stores |tensor|_F and the
-    factors of the first unfolding in it, and later calls truncate those
-    factors instead of factoring again. Every later SVD still runs per
-    call, since its input depends on the kept rank. Results are
-    bit-identical to a call without a memo. A memo serves one tensor only
-    and holds factors as large as the tensor, so the caller drops it with
-    the tensor.
+    finder's blocks (or the dense factors) of the first unfolding in it,
+    and a later call reuses them, adding blocks when its tighter budget
+    needs more. Every later SVD still runs per call, since its input
+    depends on the kept rank. Results depend on the tensor and eps_tilde
+    alone and are bit-identical to a call without a memo, in any order of
+    tolerances. A memo serves one tensor only and may hold factors as
+    large as the tensor, so the caller drops it with the tensor.
     """
     if eps_tilde < 0:
         raise ValueError("tolerance must be non-negative")
@@ -326,12 +384,8 @@ def tt_svd(
     r_prev = 1
     for k in range(d - 1):
         w = w.reshape(r_prev * dims[k], -1, order="F")
-        if k == 0 and memo is not None:
-            u, s, vt, r2 = _memoized(
-                memo, "first_svd", lambda: _read_only(_first_unfolding_svd(w, norm))
-            )
-        elif k == 0:
-            u, s, vt, r2 = _first_unfolding_svd(w, norm)
+        if k == 0:
+            u, s, vt, r2 = _first_unfolding_svd(w, norm, budget, memo)
         else:
             (u, s, vt), r2 = _thin_svd(w), 0.0
         r, dropped = _select_rank(s, budget, r2)

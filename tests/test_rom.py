@@ -297,6 +297,23 @@ class TestSpectralDiagnostics:
         assert lam[0] > 0
         assert np.all(lam[1:] <= 1e-13 * lam[0])
 
+    def test_cutoff_scales_with_step_count(self, rng):
+        # eigh on the N x N Gram matrix is accurate to about N * eps_mach
+        # times the largest eigenvalue; values under that are round-off.
+        m, n = 80, 60
+        lam = np.zeros(n)
+        lam[:3] = (1.0, 0.5, 1.2e-14)  # 1.2e-14 < 60 * eps_mach = 1.33e-14
+        q = np.linalg.qr(rng.normal(size=(m, n)))[0]
+        u = q * np.sqrt(n * lam)
+        got = correlation_spectrum(u, sp.identity(m, format="csr"))
+        np.testing.assert_allclose(got[:2], lam[:2], rtol=1e-12)
+        assert np.all(got[2:] == 0.0)
+        # With few steps the fixed 1e-14 floor still applies.
+        lam = np.array([1.0, 2e-14, 0.0, 0.0])
+        u = np.linalg.qr(rng.normal(size=(m, 4)))[0] * np.sqrt(4 * lam)
+        got = correlation_spectrum(u, sp.identity(m, format="csr"))
+        assert got[1] == pytest.approx(2e-14, rel=1e-2)
+
     def test_matches_cholesky_weighted_svd(self, rng):
         m, n = 20, 6
         raw = rng.normal(size=(m, m))

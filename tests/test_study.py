@@ -423,29 +423,49 @@ class TestCompressionReuse:
         return data
 
     def test_first_unfolding_factored_once_per_grid(self, tmp_path, monkeypatch):
-        shapes = []
-        factor = tt_module._first_unfolding_svd
+        # Work on a whole first unfolding W is its dense SVD or one range
+        # finder block; with the grid's memo each piece runs at most once.
+        work = []
+        thin_svd, add_block = tt_module._thin_svd, tt_module._RangeFinder._add_block
 
-        def counting(w, *args, **kwargs):
-            shapes.append(np.shape(w))
-            return factor(w, *args, **kwargs)
+        def counting_svd(w):
+            work.append((np.shape(w), "dense"))
+            return thin_svd(w)
 
-        monkeypatch.setattr(tt_module, "_first_unfolding_svd", counting)
+        def counting_block(finder, w):
+            work.append((np.shape(w), len(finder.residuals)))
+            add_block(finder, w)
+
+        monkeypatch.setattr(tt_module, "_thin_svd", counting_svd)
+        monkeypatch.setattr(tt_module._RangeFinder, "_add_block", counting_block)
         m = build_mesh(heat_problem(), 0.5).n_nodes
+
+        def work_on_unfolding(points):
+            done = [what for shape, what in work if shape == (m, 10 * points)]
+            assert done and len(set(done)) == len(done)
+            return done
+
         result = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "eps")
         assert all(row.error is None for row in result.rows)
-        assert shapes.count((m, 10 * 9)) == 1
+        assert work_on_unfolding(9) == ["dense"]  # 90 columns: under 128
+
+        data = self.eps_sweep()
+        data["grid"]["K"] = [5, 3]
+        work.clear()
+        result = run_study(parse_config(data), out_dir=tmp_path / "finder")
+        assert all(row.error is None for row in result.rows)
+        assert "dense" not in work_on_unfolding(15)
 
         data = base_config()
         del data["grid"]
         data["compression"] = {"eps": [1e-3]}
         data["sweep"] = {"variable": "delta", "values": [0.5, 0.25]}
-        shapes.clear()
+        work.clear()
         result = run_study(parse_config(data), out_dir=tmp_path / "delta")
         assert all(row.error is None for row in result.rows)
         for delta in (0.5, 0.25):
-            points = math.prod(grid_counts_for_delta(heat_problem().box, delta))
-            assert shapes.count((m, 10 * points)) == 1
+            counts = grid_counts_for_delta(heat_problem().box, delta)
+            work_on_unfolding(math.prod(counts))
 
     def test_eps_sweep_matches_single_value_studies(self, tmp_path):
         sweep = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "sweep")

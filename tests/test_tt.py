@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -178,11 +180,12 @@ class TestToleranceConversion:
         eps = 1e-3
         got = frobenius_tolerance(eps, heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
         norm0 = max_trajectory_norm(heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
-        dense_norm = float(np.max(np.abs(sla.eigvalsh(heat_desk.mass.toarray()))))
+        # |mass| is bounded by the largest absolute row sum of the symmetric mass.
+        row_sum = float(abs(heat_desk.mass).sum(axis=1).max())
         expected = (
             eps
             * norm0
-            / (np.sqrt(dense_norm * heat_desk.tg.dt) * frobenius_norm(heat_desk.tensor))
+            / (np.sqrt(row_sum * heat_desk.tg.dt) * frobenius_norm(heat_desk.tensor))
         )
         assert got == pytest.approx(expected, rel=1e-5)
 
@@ -335,6 +338,111 @@ class TestCertificate:
         monkeypatch.setattr(tt_module, "_SKETCH_MIN_BLOCKS", 10**9)  # dense only
         dense, _ = tt_svd(t, eps_tilde)
         assert tt.ranks == dense.ranks
+
+
+def graded_tensor(rng):
+    """Finder-path tensor whose singular values fall one decade per ten:
+    the finder needs 1, 2 or 3 blocks as the budget tightens and falls
+    back to the dense SVD under about 1e-10 of |W|_F."""
+    dims = (200, 15, 20)
+    k = 200
+    u = np.linalg.qr(rng.normal(size=(200, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(300, k)))[0]
+    s = 10.0 ** (-np.arange(k) / 10.0)
+    return np.asfortranarray(((u * s) @ v.T).reshape(dims, order="F"))
+
+
+class TestBudgetTarget:
+    """The range finder stops at a fraction of the first unfolding's
+    budget; a memo extends or reuses its blocks without changing results."""
+
+    # Kept columns on the first unfolding, fresh call per eps_tilde: one,
+    # two and three blocks, then the dense fallback (all 200).
+    COLUMNS = {1e-1: 32, 1e-3: 64, 1e-6: 96, 1e-9: 200, 0.0: 200}
+
+    def first_svd(self, t, eps_tilde):
+        """First-unfolding factors as tt_svd asks for them, and the target."""
+        norm = frobenius_norm(t)
+        budget = eps_tilde * norm / np.sqrt(t.ndim - 1)
+        target = max(budget / 16, tt_module._ROUNDOFF_FLOOR * norm)
+        w = unfold_first_mode(t)
+        return tt_module._first_unfolding_svd(w, norm, budget), target
+
+    def test_block_count_follows_budget(self, rng):
+        t = graded_tensor(rng)
+        for eps_tilde, columns in self.COLUMNS.items():
+            (_, s, _, _), _ = self.first_svd(t, eps_tilde)
+            assert s.size == columns
+
+    def test_measured_residual_meets_target(self, rng):
+        t = graded_tensor(rng)
+        w = unfold_first_mode(t)
+        norm = frobenius_norm(t)
+        for eps_tilde in self.COLUMNS:
+            (u, s, vt, r2), target = self.first_svd(t, eps_tilde)
+            assert r2 <= target**2
+            # r2 is |W - QB|_F^2 for the finder, and U spans Q.
+            direct = np.linalg.norm(w - u @ (u.T @ w))
+            assert abs(np.sqrt(r2) - direct) <= 1e-13 * norm
+            if s.size == min(w.shape):
+                assert r2 == 0.0
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            (1e-1, 1e-3, 1e-6, 0.0),  # each call needs more blocks than held
+            (1e-6, 1e-3, 1e-1),  # each call needs fewer
+            (0.0, 1e-1, 1e-9, 1e-3, 1e-6),  # fallback first: blocks drawn again
+            (1e-3, 1e-9, 1e-6, 1e-1, 0.0, 1e-3),
+        ],
+    )
+    def test_memo_in_any_eps_order(self, rng, order):
+        t = graded_tensor(rng)
+        memo = {}
+        for eps_tilde in order:
+            fresh, fresh_report = tt_svd(t, eps_tilde)
+            reused, reused_report = tt_svd(t, eps_tilde, memo=memo)
+            assert_same_train(fresh, reused)
+            assert reused_report == fresh_report
+            assert fresh.ranks[0] <= self.COLUMNS[eps_tilde]
+
+    def test_memo_holds_blocks_not_copies(self, rng, monkeypatch):
+        t = graded_tensor(rng)
+        memo = {}
+        tt_svd(t, 1e-1, memo=memo)
+        finder = memo["finder"]
+        assert finder.q.shape == (200, 32) and finder.b.shape == (32, 300)
+        tt_svd(t, 1e-6, memo=memo)
+        assert finder.q.shape == (200, 96) and len(finder.residuals) == 3
+        assert "first_svd" not in memo
+        tt_svd(t, 0.0, memo=memo)  # the finder misses: its blocks are released
+        assert finder.q.shape == (200, 0) and "first_svd" in memo
+        # Another target it cannot meet goes to the dense factors at once.
+        monkeypatch.setattr(tt_module._RangeFinder, "_add_block", None)
+        tt_svd(t, 1e-9, memo=memo)
+
+    def test_peak_allocation_under_half_the_tensor(self, rng):
+        # A 10 MiB rank-two tensor on the finder path: the factorization
+        # copies no part of the unfolding beyond one column chunk.
+        dims = (512, 64, 40)
+        t = np.zeros(dims, order="F")
+        for _ in range(2):
+            term = np.ones(())
+            for n in dims:
+                term = np.multiply.outer(term, rng.normal(size=n))
+            t += term
+        w = unfold_first_mode(t)
+        assert w.nbytes >= 8 * 2**20
+        for eps_tilde in (1e-3, 0.0):
+            (_, s, _, _), _ = self.first_svd(t, eps_tilde)
+            assert s.size == 32  # one finder block, no dense fallback
+            tracemalloc.start()
+            try:
+                tt_svd(t, eps_tilde)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < t.nbytes / 2
 
 
 class TestUniversalBasis:
