@@ -557,9 +557,13 @@ class AffineOperator:
             (data, self.indices.copy(), self.indptr.copy()), shape=(n, n)
         )
 
+    def phi(self, alpha: Sequence[float]) -> np.ndarray:
+        """Load coefficients at ``alpha``."""
+        return self.load_coeffs @ self._affine(alpha)
+
     def load(self, alpha: Sequence[float]) -> np.ndarray:
         """The load vector at ``alpha``."""
-        return _weighted_sum(self.load_coeffs @ self._affine(alpha), self.load_terms)
+        return _weighted_sum(self.phi(alpha), self.load_terms)
 
     def __call__(self, alpha: Sequence[float]) -> tuple[sp.csr_matrix, np.ndarray]:
         return self.operator(self.theta(alpha)), self.load(alpha)
@@ -730,11 +734,18 @@ def solve_fom_batch(
     """Full-order trajectories at every row of ``alphas``, into ``out[:, :, j]``.
 
     ``out`` has shape (M, N, len(alphas)). Points with equal operator
-    coefficients form a group that shares one factorization and is
-    marched as one block of columns. A group whose columns are evenly
-    spaced (every group of a grid whose operator depends on a leading
-    subset of the axes, and every single point) is written straight into
-    ``out``; any other goes through a block of its own first.
+    coefficients form a group that shares one factorization. A group of
+    one marches its own load straight into ``out``. A larger group
+    marches the P load terms g_p of ``terms`` instead, as one (M, N, P)
+    block from a zero start, and writes each point's trajectory as the
+    combination sum_p phi_p(alpha) U_p. The march is linear in the load,
+    so this is exact (up to round-off) because every supported problem
+    starts from a zero :func:`initial_state`. On a heat grid, where
+    alpha_2 enters only the load, each alpha_1 node costs a 2-column
+    march however many alpha_2 nodes share it.
+
+    Every trajectory is checked as it is written; a non-finite value
+    raises :class:`SolverError`.
     """
     m = terms.mesh.n_nodes
     if out.shape != (m, tg.steps, len(alphas)):
@@ -747,20 +758,34 @@ def solve_fom_batch(
         groups.setdefault(theta.tobytes(), []).append(j)
     u0 = initial_state(terms.problem, terms.mesh)
     for cols in groups.values():
-        loads = np.column_stack([terms.load(alphas[j]) for j in cols])
-        step = cols[1] - cols[0] if len(cols) > 1 else 1
-        even = all(b - a == step for a, b in zip(cols, cols[1:]))
-        target = out[:, :, cols[0] : cols[-1] + 1 : step] if even else None
-        traj = backward_euler_solve(
-            mass,
-            terms.operator(thetas[cols[0]]),
-            loads,
-            np.broadcast_to(u0[:, None], loads.shape),
-            tg,
-            out=target,
+        op = terms.operator(thetas[cols[0]])
+        if len(cols) == 1:
+            j = cols[0]
+            load = terms.load(alphas[j])[:, None]
+            backward_euler_solve(
+                mass, op, load, u0[:, None], tg, out=out[:, :, j : j + 1]
+            )
+            _check_finite(out[:, :, j], alphas[j])
+            continue
+        loads = terms.load_terms.T  # (M, P)
+        modes = backward_euler_solve(
+            mass, op, loads, np.zeros(loads.shape), tg
+        ).states
+        for j in cols:
+            phi = terms.phi(alphas[j])
+            col = out[:, :, j]
+            np.multiply(modes[:, :, 0], phi[0], out=col)
+            for p in range(1, phi.size):
+                col += phi[p] * modes[:, :, p]
+            _check_finite(col, alphas[j])
+
+
+def _check_finite(states: np.ndarray, alpha: Sequence[float]) -> None:
+    if not np.isfinite(states).all():
+        raise SolverError(
+            f"full-order solve at alpha = {np.asarray(alpha).tolist()} "
+            "produced non-finite values"
         )
-        if target is None:
-            out[:, :, cols] = traj.states
 
 
 def solve_fom(

@@ -419,7 +419,7 @@ class StudyResult:
 
 # Part of every FOM-cache key: raise it when a change to the full-order
 # solver alters its output, so entries it wrote earlier stop matching.
-_FOM_SOLVER_VERSION = 2
+_FOM_SOLVER_VERSION = 3
 
 
 def _hex_floats(value):

@@ -486,8 +486,8 @@ class TestTimeStepping:
         )
 
     def test_batch_matches_single_solves(self, heat, heat_mesh):
-        # The alpha_1 = 0.1 group sits at uneven columns (0, 2, 3), so it is
-        # marched in a block of its own; the others write in place.
+        # The alpha_1 = 0.1 group (columns 0, 2, 3) is a superposition of
+        # the two marched load terms; the other points are groups of one.
         alphas = np.array([(0.1, 0.2), (0.3, 0.2), (0.1, 0.5), (0.1, 0.9), (0.4, 0.0)])
         tg = TimeGrid(heat.final_time, 9)
         out = np.full((heat_mesh.n_nodes, 9, len(alphas)), np.nan, order="F")
@@ -496,6 +496,19 @@ class TestTimeStepping:
         for j, alpha in enumerate(alphas):
             ref = solve_fom(heat, heat_mesh, tg, alpha, mass=mass).states
             assert np.abs(out[:, :, j] - ref).max() <= 1e-12 * np.abs(ref).max(), j
+
+    @pytest.mark.parametrize("alphas", [[(0.1, 0.2)], [(0.1, 0.2), (0.1, 0.5)]])
+    def test_batch_rejects_non_finite_trajectory(self, heat, heat_mesh, alphas):
+        # A group of one marches its own load, a larger group the load
+        # terms; either way a non-finite trajectory raises.
+        terms = affine_operator(heat_mesh, heat)
+        loads = terms.load_terms.copy()
+        loads[1, np.argmax(loads[1])] = np.inf
+        bad = dataclasses.replace(terms, load_terms=loads)
+        tg = TimeGrid(heat.final_time, 3)
+        out = np.empty((heat_mesh.n_nodes, 3, len(alphas)), order="F")
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_fom_batch(bad, assemble_mass(heat_mesh), tg, alphas, out)
 
     def test_heat_steady_state_positive(self, heat, heat_mesh):
         op, load = assemble_operator(heat_mesh, heat, (0.5, 0.9))

@@ -383,12 +383,10 @@ class TestRunStudy:
         assert result.rows[0].error is None
         assert result.rows[0].e_max <= 1e-8
 
-    def test_grid_test_set_is_solved_in_groups(self, tmp_path, monkeypatch):
-        # The 3x3 midpoint test set has three alpha_1 values, so its nine
-        # full-order solves run as three blocks of three, like the 3x3
-        # training grid; each trajectory matches a solve of its own.
-        data = base_config()
-        data["test_set"] = {"mode": "grid", "n": 3}
+    @staticmethod
+    def solved_widths(data, tmp_path, monkeypatch) -> list[tuple[int, ...]]:
+        """Block widths of every march in a study of ``data``, after checking
+        each cached test trajectory against a solve of its own."""
         widths = []
         march = fem_module.backward_euler_solve
 
@@ -399,14 +397,64 @@ class TestRunStudy:
         monkeypatch.setattr(fem_module, "backward_euler_solve", counted)
         config = parse_config(data)
         result = run_study(config, out_dir=tmp_path)
+        monkeypatch.undo()
         assert all(row.error is None for row in result.rows)
-        assert widths == [(3,)] * 6
         mesh = build_mesh(config.problem, config.h)
         for alpha in config.test_set.build(config.problem.box):
             key = FomCache.key(config.problem, mesh.cell, config.tg, alpha)
             cached = np.load(tmp_path / "fom_cache" / f"{key}.npy")
             ref = solve_fom(config.problem, mesh, config.tg, alpha).states
             assert np.abs(cached - ref).max() <= 1e-12 * np.abs(ref).max()
+        return widths
+
+    def test_grid_test_set_is_solved_in_groups(self, tmp_path, monkeypatch):
+        # The 3x3 midpoint test set has three alpha_1 values, so its nine
+        # full-order solves cost three marches of the two load terms, like
+        # the 3x3 training grid.
+        data = base_config()
+        data["test_set"] = {"mode": "grid", "n": 3}
+        assert self.solved_widths(data, tmp_path, monkeypatch) == [(2,)] * 6
+
+    def test_advdiff_grid_points_march_one_column_each(self, tmp_path, monkeypatch):
+        # Every advdiff point has an operator of its own, so each of the
+        # 2^5 test and 2^5 training points marches its own load.
+        data = {
+            "problem": {"kind": "advdiff"},
+            "mesh": {"h": 0.25},
+            "time": {"N": 8},
+            "grid": {"K": [2] * 5},
+            "rom": {"ell": [4]},
+            "interpolation": {"p": 1},
+            "test_set": {"mode": "grid", "n": 2},
+            "sweep": {"variable": "eps", "values": [1e-1]},
+        }
+        assert self.solved_widths(data, tmp_path, monkeypatch) == [(1,)] * 64
+
+    def test_non_finite_snapshot_march_yields_error_row(self, tmp_path, monkeypatch):
+        # The first march of the training grid returns a NaN: that sweep
+        # value records a SolverError row, and the next one rebuilds the
+        # snapshots and matches a clean run.
+        clean = run_study(parse_config(base_config()), out_dir=tmp_path / "clean")
+        march = fem_module.backward_euler_solve
+        poisoned = []
+
+        def poison_first_grid_march(mass, op, load, u0, tg, *args, **kwargs):
+            traj = march(mass, op, load, u0, tg, *args, **kwargs)
+            if np.shape(u0)[1:] == (2,) and not poisoned:
+                traj.states[0, -1, 1] = np.nan
+                poisoned.append(True)
+            return traj
+
+        monkeypatch.setattr(fem_module, "backward_euler_solve", poison_first_grid_march)
+        result = run_study(parse_config(base_config()), out_dir=tmp_path / "bad")
+        first, second = result.rows
+        assert first.error is not None and first.error.startswith("SolverError")
+        assert "non-finite" in first.error
+        assert math.isnan(first.e_max) and first.r1 == 0
+        assert second.error is None
+        assert numeric_columns(result)[1] == numeric_columns(clean)[1]
+        summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
+        assert summary["rows"][0]["error"] == first.error
 
 
 def numeric_columns(result) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -119,6 +121,27 @@ class TestSnapshots:
         np.testing.assert_array_equal(
             generate_snapshots(heat, heat_mesh, tg, grid), first
         )
+
+    def test_peak_beyond_tensor_does_not_grow_with_grid(self, heat, heat_mesh):
+        # Every trajectory is checked for finite values as it is written, so
+        # no tensor-sized temporary (such as one bool per entry) appears:
+        # doubling the grid leaves the memory beyond the tensor unchanged.
+        tg = TimeGrid(heat.final_time, 40)
+        generate_snapshots(heat, heat_mesh, tg, uniform_grid(heat.box, (2, 2)))
+        extra, size = [], []
+        for counts in [(9, 9), (9, 18)]:
+            tracemalloc.start()
+            try:
+                tensor = generate_snapshots(
+                    heat, heat_mesh, tg, uniform_grid(heat.box, counts)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - tensor.nbytes)
+            size.append(tensor.nbytes)
+            del tensor
+        assert extra[1] - extra[0] <= size[0] / 32, extra
 
     def test_wrong_parameter_count_rejected(self, heat, heat_mesh):
         tg = TimeGrid(heat.final_time, 4)
