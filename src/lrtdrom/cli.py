@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,16 +22,22 @@ from .errors import ConfigError, LrtdRomError
 from .fem import (
     ProblemSpec,
     TimeGrid,
-    advdiff_problem,
     assemble_mass,
     assemble_operator,
     build_mesh,
-    heat_problem,
     initial_state,
 )
 from .interp import InterpolationScheme, weight_vectors
 from .rom import local_basis, rom_solve
-from .study import exclude_plateau, load_config, run_study, slope_fit
+from .study import (
+    _as_positive_float,
+    exclude_plateau,
+    load_config,
+    parse_problem,
+    problem_block,
+    run_study,
+    slope_fit,
+)
 from .tensors import (
     ParameterGrid,
     check_budget,
@@ -43,24 +50,8 @@ from .tensors import (
 from .tt import first_svd_doubles, frobenius_tolerance, load_tt, save_tt, tt_svd
 
 
-# The meta.json fields every command that reads one uses; `nu` is read
-# for advdiff only.
-_META_KEYS = ("kind", "h", "T", "N", "p", "axes")
-
-
-def _problem_from_meta(meta: dict):
-    kind = meta["kind"]
-    if kind == "heat":
-        return heat_problem()
-    if kind != "advdiff":
-        raise ConfigError(f"meta.json names an unknown problem kind {kind!r}")
-    problem = advdiff_problem()
-    nu = meta.get("nu")
-    if not isinstance(nu, (int, float)) or isinstance(nu, bool) or not nu > 0:
-        raise ConfigError(f"meta.json needs a positive advdiff nu, got {nu!r}")
-    if nu != problem.nu:
-        problem = dataclasses.replace(problem, nu=float(nu))
-    return problem
+# The meta.json fields every command that reads one uses.
+_META_KEYS = ("problem", "h", "T", "N", "p", "axes")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,15 +78,16 @@ def _load_meta(directory: Path) -> _Stored:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ConfigError(f"{path} lacks {missing}; rerun `lrtdrom snapshots`")
-    problem = _problem_from_meta(meta)
     try:
         axes = tuple(np.asarray(a, dtype=float) for a in meta["axes"])
         return _Stored(
-            problem=problem,
-            h=float(meta["h"]),
-            tg=TimeGrid(final_time=float(meta["T"]), steps=int(meta["N"])),
+            problem=parse_problem(meta["problem"]),
+            h=_as_positive_float(meta["h"], "h"),
+            tg=TimeGrid(final_time=_as_positive_float(meta["T"], "T"), steps=int(meta["N"])),
             scheme=InterpolationScheme(grid=ParameterGrid(axes=axes), p=int(meta["p"])),
         )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} holds a bad value: {exc}") from exc
 
@@ -121,13 +113,10 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
     problem, tg = config.problem, config.tg
     mesh = build_mesh(problem, config.h)
     grid = uniform_grid(problem.box, config.grid_counts)
-    tensor = generate_snapshots(
-        problem, mesh, tg, grid, memory_budget_gb=config.memory_budget_gb
-    )
+    tensor = generate_snapshots(problem, mesh, tg, grid)
     save_tensor(out / "snapshots.lrt", tensor)
     meta = {
-        "kind": problem.kind,
-        "nu": problem.nu,
+        "problem": problem_block(problem),
         "h": config.h,
         "cell": mesh.cell,
         "M": mesh.n_nodes,
@@ -144,7 +133,7 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    if not args.eps >= 0:  # also rejects nan
+    if not (math.isfinite(args.eps) and args.eps >= 0):
         raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     directory = Path(args.dir)
     stored = _load_meta(directory)
@@ -153,7 +142,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     m = tensor.shape[0]
     check_budget(
         tensor.size + first_svd_doubles(m, tensor.size // m),
-        resolve_memory_budget(None),
+        resolve_memory_budget(),
         "snapshot tensor and its first-unfolding SVD",
     )
     eps_tilde = frobenius_tolerance(args.eps, tensor, mass, stored.tg.dt)

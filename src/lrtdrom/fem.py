@@ -45,16 +45,6 @@ class BoundaryTag:
     def hole(j: int) -> int:
         return BoundaryTag._HOLE_BASE + j
 
-    @staticmethod
-    def is_hole(tag: int) -> bool:
-        return tag >= BoundaryTag._HOLE_BASE
-
-    @staticmethod
-    def hole_index(tag: int) -> int:
-        if not BoundaryTag.is_hole(tag):
-            raise ValueError(f"tag {tag} is not a hole tag")
-        return tag - BoundaryTag._HOLE_BASE
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -387,16 +377,6 @@ def _edge_mass_entries(
     return rows, cols, local.reshape(-1)
 
 
-def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
-    """Edge mass matrix over boundary edges carrying one of ``tags``.
-
-    Exact P1 edge rule: (length/6) * [[2,1],[1,2]] per edge.
-    """
-    rows, cols, values = _edge_mass_entries(mesh, tags)
-    n = mesh.n_nodes
-    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
     """Load vector of a unit boundary source on edges carrying ``tags``.
 
@@ -415,10 +395,13 @@ def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
 
 
 def _advection_modes(x: np.ndarray) -> np.ndarray:
-    """The six fields :func:`advection_field` combines, shape (6, ..., 2).
+    """The six fields that make up the advection-diffusion velocity at
+    points ``x`` (shape (..., 2)), shape (6, ..., 2).
 
-    The first is the constant drift; the (i+1)-th is the field that
-    alpha_i multiplies, so the velocity is linear in (1, alpha).
+    The velocity is a constant unit drift at 45 degrees (the first field)
+    plus the curl of a five-mode cosine stream function, alpha_i times
+    the (i+1)-th field: linear in (1, alpha) and divergence-free by
+    construction.
     """
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
@@ -434,21 +417,6 @@ def _advection_modes(x: np.ndarray) -> np.ndarray:
         (-2.0 * np.sin(2.0 * np.pi * x2), zero),
     )
     return np.stack([np.stack(pair, axis=-1) for pair in components])
-
-
-def advection_field(x: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
-    """Velocity field of the advection-diffusion problem at points ``x``.
-
-    A constant unit drift at 45 degrees plus the curl of a five-mode cosine
-    stream function; divergence-free by construction. ``x`` has shape
-    (..., 2); the result matches.
-    """
-    coeffs = np.concatenate(([1.0], np.asarray(alpha, dtype=float).reshape(-1)))
-    if coeffs.size != 6:
-        raise ValueError(
-            f"the advection field takes 5 parameters, got {coeffs.size - 1}"
-        )
-    return np.tensordot(coeffs, _advection_modes(x), axes=1)
 
 
 def check_alpha(problem: ProblemSpec, alpha: Sequence[float]) -> np.ndarray:
@@ -581,8 +549,8 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
              g = alpha_1 * outer Robin edge load
                  + 1/2 * alpha_2 * hole edge load.
     advdiff: A = nu * stiffness + C_0 + sum_i alpha_i * C_i, where C_i is
-             the centroid-rule advection matrix of the i-th field of
-             :func:`advection_field` (C_0 the drift);
+             the centroid-rule advection matrix of the i-th velocity
+             field of :func:`_advection_modes` (C_0 the drift);
              g = Gaussian source load (centroid rule).
     """
     held = mesh._terms
@@ -642,7 +610,6 @@ def assemble_operator(
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Spatial operator A(alpha) and load vector g(alpha): the terms of
     :func:`affine_operator`, evaluated at ``alpha``."""
-    alpha = check_alpha(problem, alpha)
     return affine_operator(mesh, problem)(alpha)
 
 
@@ -655,7 +622,6 @@ class FomTrajectory:
 
     states: np.ndarray
     tg: TimeGrid
-    alpha: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.states.shape[1] != self.tg.steps:
@@ -668,7 +634,6 @@ def backward_euler_solve(
     load: np.ndarray | Callable[[float], np.ndarray],
     u0: np.ndarray,
     tg: TimeGrid,
-    alpha: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> FomTrajectory:
     """March (M + dt A) u^n = M u^{n-1} + dt g(t_n) for n = 1..N.
@@ -712,7 +677,7 @@ def backward_euler_solve(
         rhs += dt * np.reshape(load(t), (m, -1)) if time_dependent else scaled
         u = lu.solve(rhs)
         columns[:, n] = u
-    return FomTrajectory(states=states, tg=tg, alpha=alpha)
+    return FomTrajectory(states=states, tg=tg)
 
 
 def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
@@ -801,4 +766,4 @@ def solve_fom(
         mass = assemble_mass(mesh)
     states = np.empty((mesh.n_nodes, tg.steps, 1), order="F")
     solve_fom_batch(affine_operator(mesh, problem), mass, tg, [alpha], states)
-    return FomTrajectory(states=states[:, :, 0], tg=tg, alpha=np.asarray(alpha, float))
+    return FomTrajectory(states=states[:, :, 0], tg=tg)

@@ -92,19 +92,3 @@ def weight_vectors(
         for d in range(scheme.grid.n_params)
     )
 
-
-def interpolate(
-    values: np.ndarray, alpha: Sequence[float], scheme: InterpolationScheme
-) -> float:
-    """Interpolate a scalar field sampled on the scheme's grid.
-
-    ``values`` has shape ``scheme.grid.counts``. Used as the plain-function
-    reference for the in-tensor interpolation routines.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != scheme.grid.counts:
-        raise ValueError("values shape does not match the grid")
-    out = values
-    for w in weight_vectors(alpha, scheme):
-        out = np.tensordot(out, w.values, axes=([0], [0]))
-    return float(out)

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import SolverError
-from .fem import FomTrajectory, TimeGrid
+from .fem import TimeGrid
 from .interp import WeightVector
 from .tt import TTTensor, interpolate_coefficients, universal_basis
 
@@ -123,9 +123,7 @@ def rom_solve(
     return RomTrajectory(coefficients=coeffs, basis=basis, tg=tg)
 
 
-def correlation_spectrum(
-    states: np.ndarray | FomTrajectory, mass: sp.spmatrix
-) -> np.ndarray:
+def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:
     """Eigenvalues of the time-averaged correlation operator, descending.
 
     For states U of shape (M, N) this is the spectrum of U' mass U / N.
@@ -133,7 +131,7 @@ def correlation_spectrum(
     of a symmetric eigensolver on the N x N Gram matrix, are round-off
     and clipped to zero; the result always has length N.
     """
-    u = states.states if isinstance(states, FomTrajectory) else np.asarray(states)
+    u = np.asarray(states)
     n = u.shape[1]
     gram = u.T @ (mass @ u) / n
     vals = sla.eigh(gram, eigvals_only=True, check_finite=False)[::-1]
@@ -154,24 +152,6 @@ def tail_energy(spectra: Sequence[np.ndarray], ell: int) -> float:
     if ell < 0:
         raise ValueError("mode count must be non-negative")
     return max((float(s[ell:].sum()) for s in spectra), default=0.0)
-
-
-def pod_basis(states: np.ndarray, mass: sp.spmatrix, ell: int) -> np.ndarray:
-    """Mass-orthonormal basis of the ``ell`` dominant snapshot directions.
-
-    Built from the snapshot Gram matrix, so only dense eigenvalue work of
-    size N is needed. Raises ValueError when ``ell`` exceeds the
-    numerical rank of the snapshot set.
-    """
-    u = np.asarray(states, dtype=float)
-    gram = u.T @ (mass @ u)
-    vals, vecs = sla.eigh(gram, check_finite=False)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    vals = np.maximum(vals, 0.0)
-    rank = int(np.count_nonzero(vals > _RANK_CUTOFF * vals[0])) if vals.size else 0
-    if not 1 <= ell <= rank:
-        raise ValueError(f"basis size {ell} exceeds numerical rank {rank}")
-    return (u @ vecs[:, :ell]) / np.sqrt(vals[:ell])
 
 
 def trajectory_error_sq(

@@ -99,12 +99,19 @@ def _require(block: dict, key: str, where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: not a boolean, NaN or an infinity (which
+    Python's json module reads from ``NaN`` and ``Infinity``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _as_positive_float(value, where: str) -> float:
     if not _is_number(value):
-        raise ConfigError(f"{where} must be a number")
+        raise ConfigError(f"{where} must be a finite number")
     value = float(value)
     if not value > 0:
         raise ConfigError(f"{where} must be positive")
@@ -200,8 +207,38 @@ class StudyConfig:
     sweep_variable: str
     sweep_values: tuple[float, ...]
     out_dir: str | None = None
-    memory_budget_gb: float | None = None
-    max_ell: int = 64
+
+
+def parse_problem(block) -> ProblemSpec:
+    """The problem of a ``problem`` block: ``{"kind": "heat"}`` or
+    ``{"kind": "advdiff"}`` with an optional positive ``nu``.
+
+    Study configs and the ``meta.json`` of a snapshot directory both hold
+    one; :func:`problem_block` writes it.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError("problem must be a JSON object")
+    _check_keys(block, {"kind", "nu"}, "problem")
+    kind = _require(block, "kind", "problem")
+    if kind == "heat":
+        if "nu" in block:
+            raise ConfigError("problem.nu applies to advdiff only")
+        return heat_problem()
+    if kind != "advdiff":
+        raise ConfigError(f"unknown problem.kind {kind!r}")
+    problem = advdiff_problem()
+    if "nu" in block:
+        nu = _as_positive_float(block["nu"], "problem.nu")
+        problem = dataclasses.replace(problem, nu=nu)
+    return problem
+
+
+def problem_block(problem: ProblemSpec) -> dict:
+    """The ``problem`` block that :func:`parse_problem` reads back as
+    ``problem``, for a problem that came from one."""
+    if problem.kind == "heat":
+        return {"kind": "heat"}
+    return {"kind": "advdiff", "nu": problem.nu}
 
 
 def parse_config(data: dict) -> StudyConfig:
@@ -221,26 +258,11 @@ def parse_config(data: dict) -> StudyConfig:
             "test_set",
             "sweep",
             "output",
-            "memory_budget_gb",
-            "max_ell",
         },
         "config root",
     )
 
-    problem_block = _require(data, "problem", "config root")
-    _check_keys(problem_block, {"kind", "nu"}, "problem")
-    kind = _require(problem_block, "kind", "problem")
-    if kind == "heat":
-        if "nu" in problem_block:
-            raise ConfigError("problem.nu applies to advdiff only")
-        problem = heat_problem()
-    elif kind == "advdiff":
-        problem = advdiff_problem()
-        if "nu" in problem_block:
-            nu = _as_positive_float(problem_block["nu"], "problem.nu")
-            problem = dataclasses.replace(problem, nu=nu)
-    else:
-        raise ConfigError(f"unknown problem.kind {kind!r}")
+    problem = parse_problem(_require(data, "problem", "config root"))
 
     mesh_block = _require(data, "mesh", "config root")
     _check_keys(mesh_block, {"h"}, "mesh")
@@ -274,10 +296,6 @@ def parse_config(data: dict) -> StudyConfig:
         values = tuple(_as_positive_float(v, "sweep.values entry") for v in raw_values)
     if len(set(values)) != len(values):
         raise ConfigError("sweep.values must be distinct")
-
-    max_ell = 64
-    if "max_ell" in data:
-        max_ell = _as_positive_int(data["max_ell"], "max_ell")
 
     grid_counts = None
     if variable == "delta":
@@ -314,9 +332,6 @@ def parse_config(data: dict) -> StudyConfig:
     if variable == "ell":
         if "rom" in data:
             raise ConfigError("rom block must be omitted when sweeping ell")
-        for v in values:
-            if int(v) > max_ell:
-                raise ConfigError(f"swept ell {int(v)} exceeds max_ell {max_ell}")
     else:
         rom_block = _require(data, "rom", "config root")
         _check_keys(rom_block, {"ell"}, "rom")
@@ -324,8 +339,6 @@ def parse_config(data: dict) -> StudyConfig:
         if not isinstance(ell_list, list) or len(ell_list) != 1:
             raise ConfigError("rom.ell must be a single-entry list")
         ell = _as_positive_int(ell_list[0], "rom.ell")
-        if ell > max_ell:
-            raise ConfigError(f"rom.ell {ell} exceeds max_ell {max_ell}")
 
     interp_block = _require(data, "interpolation", "config root")
     _check_keys(interp_block, {"p"}, "interpolation")
@@ -337,12 +350,6 @@ def parse_config(data: dict) -> StudyConfig:
     if "output" in data:
         _check_keys(data["output"], {"dir"}, "output")
         out_dir = str(_require(data["output"], "dir", "output"))
-
-    memory_budget_gb = None
-    if "memory_budget_gb" in data:
-        memory_budget_gb = _as_positive_float(
-            data["memory_budget_gb"], "memory_budget_gb"
-        )
 
     return StudyConfig(
         problem=problem,
@@ -356,8 +363,6 @@ def parse_config(data: dict) -> StudyConfig:
         sweep_variable=variable,
         sweep_values=values,
         out_dir=out_dir,
-        memory_budget_gb=memory_budget_gb,
-        max_ell=max_ell,
     )
 
 
@@ -542,7 +547,7 @@ def run_study(
             raise ConfigError("no output directory given (config output.dir or --out)")
         out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    budget = resolve_memory_budget(config.memory_budget_gb)
+    budget = resolve_memory_budget()
 
     problem, tg = config.problem, config.tg
     mesh = build_mesh(problem, config.h)
@@ -594,9 +599,7 @@ def run_study(
                     budget,
                     "snapshot tensor and its first-unfolding SVD",
                 )
-                tensor = generate_snapshots(
-                    problem, mesh, tg, grid, memory_budget_gb=budget
-                )
+                tensor = generate_snapshots(problem, mesh, tg, grid)
                 memo = {}
                 grid_key = counts
             if tt_key != (counts, eps):

@@ -30,19 +30,14 @@ TENSOR_MAGIC = b"LRT1"
 _MAX_ORDER = 64
 
 
-def resolve_memory_budget(configured: float | None = None) -> float:
-    """Memory budget in GiB: LRTDROM_MEM_BUDGET_GB, else ``configured``, else 8."""
-    env = os.environ.get("LRTDROM_MEM_BUDGET_GB")
-    if env is not None:
-        try:
-            budget = float(env)
-        except ValueError:
-            msg = f"LRTDROM_MEM_BUDGET_GB is not a number: {env!r}"
-            raise BudgetError(msg) from None
-    elif configured is not None:
-        budget = float(configured)
-    else:
-        budget = 8.0
+def resolve_memory_budget() -> float:
+    """Memory budget in GiB: LRTDROM_MEM_BUDGET_GB, else 8."""
+    env = os.environ.get("LRTDROM_MEM_BUDGET_GB", "8")
+    try:
+        budget = float(env)
+    except ValueError:
+        msg = f"LRTDROM_MEM_BUDGET_GB is not a number: {env!r}"
+        raise BudgetError(msg) from None
     if not budget > 0:
         raise BudgetError(f"memory budget must be positive, got {budget}")
     return budget
@@ -131,7 +126,6 @@ def generate_snapshots(
     mesh: Mesh2D,
     tg: TimeGrid,
     grid: ParameterGrid,
-    memory_budget_gb: float | None = None,
 ) -> np.ndarray:
     """Solve the full-order model at every grid node and stack the results.
 
@@ -142,15 +136,15 @@ def generate_snapshots(
     (:func:`solve_fom_batch`), which writes every trajectory straight
     into the tensor and checks it there: a non-finite value raises
     :class:`SolverError`. Beyond the tensor itself the peak memory is
-    a few trajectories, however large the grid.
+    a few trajectories, however large the grid. The tensor must fit the
+    memory budget of :func:`resolve_memory_budget`.
     """
     if grid.n_params != problem.n_params:
         raise DomainError(
             f"grid has {grid.n_params} axes, problem has {problem.n_params} parameters"
         )
-    budget = resolve_memory_budget(memory_budget_gb)
     m, n = mesh.n_nodes, tg.steps
-    check_budget(m * n * grid.n_points, budget, "snapshot tensor")
+    check_budget(m * n * grid.n_points, resolve_memory_budget(), "snapshot tensor")
 
     tensor = np.empty((m, n, *grid.counts), order="F")
     solve_fom_batch(
@@ -194,23 +188,6 @@ def max_trajectory_norm(
         energy = float(np.sum(x * (mass @ x)))
         best = max(best, energy)
     return float(np.sqrt(dt * best))
-
-
-def mode_product(tensor: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
-    """Contract ``factor`` with ``tensor`` along ``mode``.
-
-    A vector factor of length dim_mode removes that mode. A matrix factor
-    of shape (J, dim_mode) replaces the mode's dimension with J.
-    """
-    f = np.asarray(factor, dtype=float)
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    if f.ndim == 1:
-        return np.tensordot(tensor, f, axes=([mode], [0]))
-    if f.ndim == 2:
-        out = np.tensordot(f, tensor, axes=([1], [mode]))
-        return np.moveaxis(out, 0, mode)
-    raise ValueError("factor must be a vector or a matrix")
 
 
 def spectral_norm(matrix: sp.spmatrix | np.ndarray) -> float:

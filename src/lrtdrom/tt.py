@@ -23,10 +23,8 @@ from scipy.linalg import blas
 from .errors import DomainError, FormatError
 from .interp import WeightVector
 from .tensors import (
-    check_budget,
     frobenius_norm,
     max_trajectory_norm,
-    resolve_memory_budget,
     spectral_norm,
     unfold_first_mode,
 )
@@ -90,10 +88,6 @@ class TTTensor:
     def ranks(self) -> tuple[int, ...]:
         """Interior ranks r_1 .. r_{d-1}."""
         return tuple(core.shape[2] for core in self.cores[:-1])
-
-    @property
-    def n_entries(self) -> int:
-        return int(np.prod(self.dims))
 
 
 @dataclass(frozen=True)
@@ -404,18 +398,6 @@ def tt_svd(
     return tt, report
 
 
-def tt_to_full(tt: TTTensor, memory_budget_gb: float | None = None) -> np.ndarray:
-    """Contract all cores back into the full tensor (Fortran layout)."""
-    budget = resolve_memory_budget(memory_budget_gb)
-    check_budget(2 * tt.n_entries, budget, "tensor-train expansion")
-    w = np.ones((1, 1))
-    for core in tt.cores:
-        r_prev, n, r = core.shape
-        w = w @ core.reshape(r_prev, n * r, order="F")
-        w = w.reshape(-1, r, order="F")
-    return w.reshape(tt.dims, order="F")
-
-
 def universal_basis(tt: TTTensor, tol: float = 1e-13) -> np.ndarray:
     """First core as an orthonormal basis of the joint snapshot space.
 
@@ -471,13 +453,6 @@ def interpolate_coefficients(
     """
     v = _contract_parameter_cores(tt, weights)
     return np.tensordot(tt.cores[1], v, axes=([2], [0]))
-
-
-def interpolate_snapshots(
-    tt: TTTensor, weights: Sequence[WeightVector | np.ndarray]
-) -> np.ndarray:
-    """Interpolated trajectory at one parameter value, shape (dim_0, dim_1)."""
-    return tt.cores[0][0] @ interpolate_coefficients(tt, weights)
 
 
 def save_tt(path: str | os.PathLike, tt: TTTensor) -> None:

@@ -1,0 +1,126 @@
+"""Plain reference implementations that the tests compare the package against.
+
+None of these runs in the package's pipeline. Each is the direct,
+unoptimized form of a quantity the package computes another way: the
+full tensor of a train, a mode product, a scalar interpolant, a POD basis
+from the snapshot Gram matrix, an assembled edge mass matrix, and the
+advection velocity as a field.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+
+from lrtdrom import (
+    InterpolationScheme,
+    Mesh2D,
+    TTTensor,
+    WeightVector,
+    interpolate_coefficients,
+    weight_vectors,
+)
+from lrtdrom.fem import _advection_modes, _edge_mass_entries
+from lrtdrom.rom import _RANK_CUTOFF
+from lrtdrom.tensors import check_budget, resolve_memory_budget
+
+
+def mode_product(tensor: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+    """Contract ``factor`` with ``tensor`` along ``mode``.
+
+    A vector factor of length dim_mode removes that mode. A matrix factor
+    of shape (J, dim_mode) replaces the mode's dimension with J.
+    """
+    f = np.asarray(factor, dtype=float)
+    if not 0 <= mode < tensor.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
+    if f.ndim == 1:
+        return np.tensordot(tensor, f, axes=([mode], [0]))
+    if f.ndim == 2:
+        out = np.tensordot(f, tensor, axes=([1], [mode]))
+        return np.moveaxis(out, 0, mode)
+    raise ValueError("factor must be a vector or a matrix")
+
+
+def tt_to_full(tt: TTTensor) -> np.ndarray:
+    """Contract all cores back into the full tensor (Fortran layout), after
+    checking it and its last partial product against the memory budget."""
+    n_entries = int(np.prod(tt.dims))
+    check_budget(2 * n_entries, resolve_memory_budget(), "tensor-train expansion")
+    w = np.ones((1, 1))
+    for core in tt.cores:
+        r_prev, n, r = core.shape
+        w = w @ core.reshape(r_prev, n * r, order="F")
+        w = w.reshape(-1, r, order="F")
+    return w.reshape(tt.dims, order="F")
+
+
+def interpolate_snapshots(
+    tt: TTTensor, weights: Sequence[WeightVector | np.ndarray]
+) -> np.ndarray:
+    """Interpolated trajectory at one parameter value, shape (dim_0, dim_1)."""
+    return tt.cores[0][0] @ interpolate_coefficients(tt, weights)
+
+
+def interpolate(
+    values: np.ndarray, alpha: Sequence[float], scheme: InterpolationScheme
+) -> float:
+    """Interpolate a scalar field sampled on the scheme's grid.
+
+    ``values`` has shape ``scheme.grid.counts``. Used as the plain-function
+    reference for the in-tensor interpolation routines.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != scheme.grid.counts:
+        raise ValueError("values shape does not match the grid")
+    out = values
+    for w in weight_vectors(alpha, scheme):
+        out = np.tensordot(out, w.values, axes=([0], [0]))
+    return float(out)
+
+
+def pod_basis(states: np.ndarray, mass: sp.spmatrix, ell: int) -> np.ndarray:
+    """Mass-orthonormal basis of the ``ell`` dominant snapshot directions.
+
+    Built from the snapshot Gram matrix, so only dense eigenvalue work of
+    size N is needed. Raises ValueError when ``ell`` exceeds the
+    numerical rank of the snapshot set.
+    """
+    u = np.asarray(states, dtype=float)
+    gram = u.T @ (mass @ u)
+    vals, vecs = sla.eigh(gram, check_finite=False)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals = np.maximum(vals, 0.0)
+    rank = int(np.count_nonzero(vals > _RANK_CUTOFF * vals[0])) if vals.size else 0
+    if not 1 <= ell <= rank:
+        raise ValueError(f"basis size {ell} exceeds numerical rank {rank}")
+    return (u @ vecs[:, :ell]) / np.sqrt(vals[:ell])
+
+
+def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
+    """Edge mass matrix over boundary edges carrying one of ``tags``.
+
+    Exact P1 edge rule: (length/6) * [[2,1],[1,2]] per edge.
+    """
+    rows, cols, values = _edge_mass_entries(mesh, tags)
+    n = mesh.n_nodes
+    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def advection_field(x: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
+    """Velocity field of the advection-diffusion problem at points ``x``.
+
+    A constant unit drift at 45 degrees plus the curl of a five-mode cosine
+    stream function; divergence-free by construction. ``x`` has shape
+    (..., 2); the result matches. The combination of the fields that the
+    package assembles its advection terms from.
+    """
+    coeffs = np.concatenate(([1.0], np.asarray(alpha, dtype=float).reshape(-1)))
+    if coeffs.size != 6:
+        raise ValueError(
+            f"the advection field takes 5 parameters, got {coeffs.size - 1}"
+        )
+    return np.tensordot(coeffs, _advection_modes(x), axes=1)

@@ -30,9 +30,7 @@ from lrtdrom import (
     generate_snapshots,
     heat_problem,
     initial_state,
-    interpolate_snapshots,
     max_trajectory_norm,
-    mode_product,
     parse_config,
     rom_solve,
     run_study,
@@ -40,10 +38,10 @@ from lrtdrom import (
     solve_fom,
     trajectory_error_sq,
     tt_svd,
-    tt_to_full,
     uniform_grid,
     weight_vectors,
 )
+from oracles import interpolate_snapshots, mode_product, tt_to_full
 
 def report(n: int, ok: bool, detail: str, wall: float, budget_s: float) -> None:
     status = "PASS" if ok and wall < budget_s else "FAIL"

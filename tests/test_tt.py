@@ -19,17 +19,15 @@ from lrtdrom import (
     frobenius_norm,
     frobenius_tolerance,
     interpolate_coefficients,
-    interpolate_snapshots,
     load_tt,
     max_trajectory_norm,
-    mode_product,
     save_tt,
     tt_svd,
-    tt_to_full,
     unfold_first_mode,
     universal_basis,
     weight_vectors,
 )
+from oracles import interpolate_snapshots, mode_product, tt_to_full
 
 
 def random_tt(rng, dims, ranks):
