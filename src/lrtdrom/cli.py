@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, LrtdRomError
 from .fem import (
+    Mesh2D,
     ProblemSpec,
     TimeGrid,
     assemble_mass,
@@ -31,6 +32,7 @@ from .interp import InterpolationScheme, weight_vectors
 from .rom import local_basis, rom_solve
 from .study import (
     _as_positive_float,
+    _as_positive_int,
     exclude_plateau,
     load_config,
     parse_problem,
@@ -40,14 +42,13 @@ from .study import (
 )
 from .tensors import (
     ParameterGrid,
-    check_budget,
     generate_snapshots,
     load_tensor,
     resolve_memory_budget,
     save_tensor,
     uniform_grid,
 )
-from .tt import first_svd_doubles, frobenius_tolerance, load_tt, save_tt, tt_svd
+from .tt import check_compression_budget, frobenius_tolerance, load_tt, save_tt, tt_svd
 
 
 # The meta.json fields every command that reads one uses.
@@ -59,9 +60,19 @@ class _Stored:
     """What a snapshot directory's meta.json describes."""
 
     problem: ProblemSpec
-    h: float
+    mesh: Mesh2D
     tg: TimeGrid
     scheme: InterpolationScheme
+
+    def check_shape(self, path: Path, shape: tuple[int, ...]) -> None:
+        """Raise ConfigError unless a stored tensor of ``shape`` is the
+        (M, N, K_1, ..., K_D) one that meta.json describes."""
+        expected = (self.mesh.n_nodes, self.tg.steps, *self.scheme.grid.counts)
+        if tuple(shape) != expected:
+            raise ConfigError(
+                f"{path} has shape {tuple(shape)}, but meta.json describes "
+                f"{expected}; rerun `lrtdrom snapshots`"
+            )
 
 
 def _load_meta(directory: Path) -> _Stored:
@@ -80,11 +91,13 @@ def _load_meta(directory: Path) -> _Stored:
         raise ConfigError(f"{path} lacks {missing}; rerun `lrtdrom snapshots`")
     try:
         axes = tuple(np.asarray(a, dtype=float) for a in meta["axes"])
+        problem = parse_problem(meta["problem"])
+        steps, p = _as_positive_int(meta["N"], "N"), _as_positive_int(meta["p"], "p")
         return _Stored(
-            problem=parse_problem(meta["problem"]),
-            h=_as_positive_float(meta["h"], "h"),
-            tg=TimeGrid(final_time=_as_positive_float(meta["T"], "T"), steps=int(meta["N"])),
-            scheme=InterpolationScheme(grid=ParameterGrid(axes=axes), p=int(meta["p"])),
+            problem=problem,
+            mesh=build_mesh(problem, _as_positive_float(meta["h"], "h")),
+            tg=TimeGrid(final_time=_as_positive_float(meta["T"], "T"), steps=steps),
+            scheme=InterpolationScheme(grid=ParameterGrid(axes=axes), p=p),
         )
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -138,13 +151,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     stored = _load_meta(directory)
     tensor = _load_snapshots(directory)
-    mass = assemble_mass(build_mesh(stored.problem, stored.h))
+    stored.check_shape(directory / "snapshots.lrt", tensor.shape)
     m = tensor.shape[0]
-    check_budget(
-        tensor.size + first_svd_doubles(m, tensor.size // m),
-        resolve_memory_budget(),
-        "snapshot tensor and its first-unfolding SVD",
-    )
+    check_compression_budget(m, tensor.size // m, resolve_memory_budget())
+    mass = assemble_mass(stored.mesh)
     eps_tilde = frobenius_tolerance(args.eps, tensor, mass, stored.tg.dt)
     tt, report = tt_svd(tensor, eps_tilde)
     tt_path = directory / f"tt_eps{args.eps:g}.lrtt"
@@ -196,8 +206,8 @@ def _cmd_rom(args: argparse.Namespace) -> int:
         tt = load_tt(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    problem, tg = stored.problem, stored.tg
-    mesh = build_mesh(problem, stored.h)
+    stored.check_shape(path, tt.dims)
+    problem, mesh, tg = stored.problem, stored.mesh, stored.tg
     weights = weight_vectors(alpha, stored.scheme)
     try:
         basis = local_basis(tt, weights, args.ell, alpha=alpha)

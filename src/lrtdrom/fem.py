@@ -34,16 +34,18 @@ class BoundaryTag:
     """Integer tags carried by boundary edges.
 
     ``NEUMANN`` marks zero-flux edges, ``OUTER_ROBIN`` the Robin part of
-    the outer boundary, and ``hole(j)`` the boundary of the j-th hole.
+    the outer boundary, and ``HOLE`` the boundary of every hole.
     """
 
     NEUMANN = 0
     OUTER_ROBIN = 1
-    _HOLE_BASE = 2
+    HOLE = 2
 
-    @staticmethod
-    def hole(j: int) -> int:
-        return BoundaryTag._HOLE_BASE + j
+
+# The advection-diffusion source density: a unit-mass Gaussian with this
+# centre and width (see :func:`source_values`).
+_SOURCE_CENTER = (0.25, 0.25)
+_SOURCE_WIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,6 @@ class ProblemSpec:
     final_time: float
     nu: float = 1.0
     robin_side: str | None = None
-    source_center: tuple[float, float] = (0.25, 0.25)
-    source_width: float = 0.05
-    initial_condition: str = "zero"
 
     def __post_init__(self) -> None:
         if self.kind not in ("heat", "advdiff"):
@@ -166,15 +165,14 @@ def _snap_cell_size(problem: ProblemSpec, h: float) -> tuple[float, int, int]:
         q = value / c
         return abs(q - round(q)) <= 1e-9 * max(1.0, abs(q))
 
+    # The height and every hole edge's offset must be whole cells.
+    lengths = [height]
+    for hx0, hy0, hx1, hy1 in problem.holes:
+        lengths += [hx0 - x0, hx1 - x0, hy0 - y0, hy1 - y0]
     nx_min = int(np.ceil(width / h - 1e-9))
     for nx in range(max(nx_min, 1), max(nx_min, 1) + 100_000):
         c = width / nx
-        if not divides(height, c):
-            continue
-        edges = []
-        for hx0, hy0, hx1, hy1 in problem.holes:
-            edges += [hx0 - x0, hx1 - x0, hy0 - y0, hy1 - y0]
-        if all(divides(v, c) for v in edges):
+        if all(divides(v, c) for v in lengths):
             return c, nx, round(height / c)
     raise GeometryError(
         f"no cell size <= {h} tiles the domain and hole boundaries evenly"
@@ -256,32 +254,17 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
     uniq, counts = np.unique(edges_sorted, axis=0, return_counts=True)
     boundary_edges = uniq[counts == 1]
 
-    grid_of = {int(new_id[i, j]): (int(i), int(j)) for i, j in order}
-    side_checks = {
-        "left": lambda i, j: i == 0,
-        "right": lambda i, j: i == nx,
-        "bottom": lambda i, j: j == 0,
-        "top": lambda i, j: j == ny,
-    }
-
-    def on_hole(idx: int, i: int, j: int) -> bool:
-        ilo, jlo, ihi, jhi = hole_cells[idx]
-        inside = ilo <= i <= ihi and jlo <= j <= jhi
-        on_rim = i in (ilo, ihi) or j in (jlo, jhi)
-        return inside and on_rim
-
+    # Grid indices (i, j) of both end nodes of every boundary edge, (E, 2)
+    # each; an edge is on a side or a hole rim when both its ends are.
+    gi, gj = order[boundary_edges, 0], order[boundary_edges, 1]
     tags = np.zeros(boundary_edges.shape[0], dtype=np.int64)
-    robin = side_checks.get(problem.robin_side) if problem.robin_side else None
-    for e, (a, b) in enumerate(boundary_edges):
-        ga, gb = grid_of[int(a)], grid_of[int(b)]
-        tagged = False
-        for k in range(len(hole_cells)):
-            if on_hole(k, *ga) and on_hole(k, *gb):
-                tags[e] = BoundaryTag.hole(k)
-                tagged = True
-                break
-        if not tagged and robin is not None and robin(*ga) and robin(*gb):
-            tags[e] = BoundaryTag.OUTER_ROBIN
+    sides = {"left": gi == 0, "right": gi == nx, "bottom": gj == 0, "top": gj == ny}
+    if problem.robin_side in sides:
+        tags[sides[problem.robin_side].all(axis=1)] = BoundaryTag.OUTER_ROBIN
+    for ilo, jlo, ihi, jhi in hole_cells:
+        inside = (ilo <= gi) & (gi <= ihi) & (jlo <= gj) & (gj <= jhi)
+        rim = (gi == ilo) | (gi == ihi) | (gj == jlo) | (gj == jhi)
+        tags[(inside & rim).all(axis=1)] = BoundaryTag.HOLE
 
     mesh = Mesh2D(
         nodes=nodes,
@@ -384,8 +367,6 @@ def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
     """
     edges = _selected_edges(mesh, tags)
     g = np.zeros(mesh.n_nodes)
-    if edges.shape[0] == 0:
-        return g
     length = np.linalg.norm(
         mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
     )
@@ -436,10 +417,11 @@ def check_alpha(problem: ProblemSpec, alpha: Sequence[float]) -> np.ndarray:
     return alpha
 
 
-def source_values(x: np.ndarray, problem: ProblemSpec) -> np.ndarray:
-    """Gaussian source density at points ``x`` (shape (..., 2))."""
-    sx, sy = problem.source_center
-    s2 = problem.source_width**2
+def source_values(x: np.ndarray) -> np.ndarray:
+    """Gaussian source density of the advection-diffusion problem at
+    points ``x`` (shape (..., 2))."""
+    sx, sy = _SOURCE_CENTER
+    s2 = _SOURCE_WIDTH**2
     x = np.asarray(x, dtype=float)
     r2 = (x[..., 0] - sx) ** 2 + (x[..., 1] - sy) ** 2
     return np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
@@ -570,7 +552,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
         return np.bincount(at, weights=values, minlength=keys.size)
 
     if problem.kind == "heat":
-        holes = {BoundaryTag.hole(j) for j in range(len(problem.holes))}
+        holes = {BoundaryTag.HOLE}
         robin = {BoundaryTag.OUTER_ROBIN}
         op_terms = [
             stiffness.data,
@@ -589,7 +571,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
         ]
         op_terms = [stiffness.data, *advection]
         op_coeffs = np.vstack([problem.nu * np.eye(1, 6), np.eye(6)])
-        load_terms = [assemble_load(mesh, lambda x: source_values(x, problem))]
+        load_terms = [assemble_load(mesh, source_values)]
         load_coeffs = np.eye(1, 6)
     terms = AffineOperator(
         problem=problem,
@@ -621,11 +603,6 @@ class FomTrajectory:
     """
 
     states: np.ndarray
-    tg: TimeGrid
-
-    def __post_init__(self) -> None:
-        if self.states.shape[1] != self.tg.steps:
-            raise ValueError("trajectory column count must equal the step count")
 
 
 def backward_euler_solve(
@@ -677,15 +654,12 @@ def backward_euler_solve(
         rhs += dt * np.reshape(load(t), (m, -1)) if time_dependent else scaled
         u = lu.solve(rhs)
         columns[:, n] = u
-    return FomTrajectory(states=states, tg=tg)
+    return FomTrajectory(states=states)
 
 
 def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
-    """Nodal coefficients of the problem's initial condition."""
-    if problem.initial_condition != "zero":
-        raise ValueError(
-            f"unknown initial condition {problem.initial_condition!r}"
-        )
+    """Nodal coefficients of the initial condition: every problem starts
+    from rest, which :func:`solve_fom_batch` relies on."""
     return np.zeros(mesh.n_nodes)
 
 
@@ -766,4 +740,4 @@ def solve_fom(
         mass = assemble_mass(mesh)
     states = np.empty((mesh.n_nodes, tg.steps, 1), order="F")
     solve_fom_batch(affine_operator(mesh, problem), mass, tg, [alpha], states)
-    return FomTrajectory(states=states[:, :, 0], tg=tg)
+    return FomTrajectory(states=states[:, :, 0])

@@ -2,9 +2,9 @@
 
 For each parameter axis, an interpolation scheme picks the ``p`` grid
 nodes nearest to the query value and builds the Lagrange weights of that
-stencil, stored as a dense weight vector over the full axis with exactly
-``p`` nonzeros. Queries outside the grid's bounding box are rejected;
-the scheme never extrapolates.
+stencil as a plain float array over the full axis, zero off the stencil
+(one nonzero at a grid node). Queries outside the grid's bounding box are
+rejected; the scheme never extrapolates.
 """
 
 from __future__ import annotations
@@ -16,19 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 from .tensors import ParameterGrid
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Dense weight vector over one grid axis with a small support.
-
-    ``values`` has one entry per grid node; ``support`` lists the indices
-    of the stencil nodes (the only possibly nonzero entries). Weights sum
-    to one for any Lagrange stencil.
-    """
-
-    values: np.ndarray
-    support: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -48,9 +35,10 @@ class InterpolationScheme:
                 )
 
 
-def lagrange_weights(value: float, nodes: np.ndarray, p: int) -> WeightVector:
+def lagrange_weights(value: float, nodes: np.ndarray, p: int) -> np.ndarray:
     """Weights of the p-node Lagrange stencil nearest to ``value``.
 
+    One weight per node, zero off the stencil; the weights sum to one.
     The stencil is the ``p`` nodes closest to ``value`` (ties resolved
     toward lower index). At a grid node the result is exactly the
     indicator of that node. Values outside [nodes[0], nodes[-1]] raise
@@ -67,7 +55,7 @@ def lagrange_weights(value: float, nodes: np.ndarray, p: int) -> WeightVector:
     exact = np.flatnonzero(dist == 0.0)
     if exact.size:
         values[exact[0]] = 1.0
-        return WeightVector(values=values, support=(int(exact[0]),))
+        return values
     # ratio[k, j] = (value - x_j) / (x_k - x_j); the diagonal is exactly 1
     # (value is no node here), so row products are the Lagrange weights.
     x = nodes[chosen]
@@ -75,12 +63,12 @@ def lagrange_weights(value: float, nodes: np.ndarray, p: int) -> WeightVector:
     den = x[:, None] - x[None, :]
     np.fill_diagonal(den, num)
     values[chosen] = np.prod(num / den, axis=1)
-    return WeightVector(values=values, support=tuple(int(i) for i in chosen))
+    return values
 
 
 def weight_vectors(
     alpha: Sequence[float], scheme: InterpolationScheme
-) -> tuple[WeightVector, ...]:
+) -> tuple[np.ndarray, ...]:
     """One weight vector per parameter axis for the query point ``alpha``."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (scheme.grid.n_params,):

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 from .errors import SolverError
 from .fem import TimeGrid
-from .interp import WeightVector
 from .tt import TTTensor, interpolate_coefficients, universal_basis
 
 _RANK_CUTOFF = 1e-14
@@ -44,7 +43,6 @@ class RomTrajectory:
 
     coefficients: np.ndarray
     basis: LocalBasis
-    tg: TimeGrid
 
     def lift(self) -> np.ndarray:
         """States in the full space, shape (M, N)."""
@@ -53,7 +51,7 @@ class RomTrajectory:
 
 def local_basis(
     tt: TTTensor,
-    weights: Sequence[WeightVector | np.ndarray],
+    weights: Sequence[np.ndarray],
     ell: int,
     alpha: np.ndarray | None = None,
 ) -> LocalBasis:
@@ -120,7 +118,7 @@ def rom_solve(
         if info != 0:
             raise SolverError(f"reduced time-step solve failed (getrs info {info})")
         coeffs[:, n] = c
-    return RomTrajectory(coefficients=coeffs, basis=basis, tg=tg)
+    return RomTrajectory(coefficients=coeffs, basis=basis)
 
 
 def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:

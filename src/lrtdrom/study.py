@@ -56,12 +56,11 @@ from .rom import (
 )
 from .tensors import (
     ParameterGrid,
-    check_budget,
     generate_snapshots,
     resolve_memory_budget,
     uniform_grid,
 )
-from .tt import first_svd_doubles, frobenius_tolerance, tt_svd
+from .tt import check_compression_budget, frobenius_tolerance, tt_svd
 
 # (file column name, StudyRow attribute, text format) of every results
 # column, in file order. results.csv has them all; results.dat drops the
@@ -427,15 +426,6 @@ class StudyResult:
 _FOM_SOLVER_VERSION = 3
 
 
-def _hex_floats(value):
-    """Numbers as exact float hex strings, recursing into lists and tuples."""
-    if isinstance(value, (list, tuple)):
-        return [_hex_floats(v) for v in value]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value).hex()
-    return value
-
-
 class FomCache:
     """Content-addressed store of full-order trajectories under a directory."""
 
@@ -449,7 +439,7 @@ class FomCache:
         time grid, the parameter value and the solver version."""
         payload = {
             "solver": _FOM_SOLVER_VERSION,
-            "problem": _hex_floats(dataclasses.asdict(problem)),
+            "problem": dataclasses.asdict(problem),
             "h": float(h).hex(),
             "T": float(tg.final_time).hex(),
             "N": tg.steps,
@@ -593,11 +583,8 @@ def run_study(
                 grid = uniform_grid(problem.box, counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, grid)
-                m, cols = mesh.n_nodes, tg.steps * grid.n_points
-                check_budget(
-                    m * cols + first_svd_doubles(m, cols),
-                    budget,
-                    "snapshot tensor and its first-unfolding SVD",
+                check_compression_budget(
+                    mesh.n_nodes, tg.steps * grid.n_points, budget
                 )
                 tensor = generate_snapshots(problem, mesh, tg, grid)
                 memo = {}

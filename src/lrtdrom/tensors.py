@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,10 +74,6 @@ class ParameterGrid:
         return tuple(a.size for a in self.axes)
 
     @property
-    def box(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(a[0]), float(a[-1])) for a in self.axes)
-
-    @property
     def spacings(self) -> tuple[float, ...]:
         """Mean node spacing per axis (exact spacing for uniform axes)."""
         return tuple(
@@ -88,16 +84,6 @@ class ParameterGrid:
     @property
     def n_points(self) -> int:
         return int(np.prod(self.counts))
-
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        """Multi-indices in first-axis-fastest order."""
-        for flat in range(self.n_points):
-            yield tuple(
-                int(i) for i in np.unravel_index(flat, self.counts, order="F")
-            )
-
-    def point(self, idx: Sequence[int]) -> np.ndarray:
-        return np.array([self.axes[d][i] for d, i in enumerate(idx)])
 
     def points(self) -> np.ndarray:
         """All grid points, shape (n_points, D), first axis fastest."""
@@ -226,18 +212,24 @@ def _read_exact(f, count: int, dtype: str, what: str) -> np.ndarray:
     return data
 
 
+def _read_header(f, magic: bytes) -> np.ndarray:
+    """Check a file's magic, then read its uint32 order and dims."""
+    found = f.read(4)
+    if found != magic:
+        raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+    order = int(_read_exact(f, 1, "<u4", "order")[0])
+    if not 1 <= order <= _MAX_ORDER:
+        raise FormatError(f"implausible tensor order {order}")
+    dims = _read_exact(f, order, "<u4", "dims").astype(np.int64)
+    if np.any(dims < 1):
+        raise FormatError(f"non-positive dimension in {tuple(dims)}")
+    return dims
+
+
 def load_tensor(path: str | os.PathLike) -> np.ndarray:
     """Read a tensor written by :func:`save_tensor`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TENSOR_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-        order = int(_read_exact(f, 1, "<u4", "order")[0])
-        if not 1 <= order <= _MAX_ORDER:
-            raise FormatError(f"implausible tensor order {order}")
-        dims = _read_exact(f, order, "<u4", "dims").astype(np.int64)
-        if np.any(dims < 1):
-            raise FormatError(f"non-positive dimension in {tuple(dims)}")
+        dims = _read_header(f, TENSOR_MAGIC)
         payload = _read_exact(f, int(np.prod(dims)), "<f8", "payload")
         if f.read(1) != b"":
             raise FormatError("trailing bytes after tensor payload")

@@ -21,8 +21,10 @@ import scipy.sparse as sp
 from scipy.linalg import blas
 
 from .errors import DomainError, FormatError
-from .interp import WeightVector
 from .tensors import (
+    _read_exact,
+    _read_header,
+    check_budget,
     frobenius_norm,
     max_trajectory_norm,
     spectral_norm,
@@ -30,7 +32,6 @@ from .tensors import (
 )
 
 TT_MAGIC = b"LRTT"
-_MAX_ORDER = 64
 
 # Trailing singular values at roundoff level relative to the largest one
 # carry no information; keeping them would inflate ranks of exactly
@@ -53,6 +54,10 @@ _BUDGET_FRACTION = 1.0 / 16.0
 
 # Float64 values per column chunk over which |W - QB|_F is measured.
 _CHUNK_DOUBLES = 1 << 17
+
+# Largest entry of |U^T U - I| for which the first core counts as
+# orthonormal in :func:`universal_basis`.
+_ORTHONORMAL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -310,19 +315,24 @@ def _read_only(factors: tuple) -> tuple:
     return factors
 
 
-def first_svd_doubles(rows: int, cols: int) -> int:
-    """Float64 values that factoring a rows x cols first unfolding allocates.
+def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
+    """Raise BudgetError unless compressing a snapshot tensor whose first
+    unfolding is rows x cols fits the budget: the peak memory model.
 
-    The dense fallback's peak: gesdd's working copy of the unfolding, U
-    (rows x k), V^T (k x cols) and its 4k^2 + 7k workspace, with
-    k = min(rows, cols). It also bounds the range finder, which copies no
-    part of the unfolding beyond one column chunk: it holds Q (rows x k/2
-    at most), B (k/2 x cols), a block of 32 columns on each side and the
-    chunk, and releases Q and B before any fallback. A memo keeps the
-    finder's blocks or the dense factors alive as long as the tensor.
+    It counts the tensor and the dense fallback's peak: gesdd's working
+    copy of the unfolding, U (rows x k), V^T (k x cols) and its
+    4k^2 + 7k workspace, with k = min(rows, cols). That also bounds the
+    range finder, which copies no part of the unfolding beyond one column
+    chunk: it holds Q (rows x k/2 at most), B (k/2 x cols), a block of 32
+    columns on each side and the chunk, and releases Q and B before any
+    fallback. A memo keeps the finder's blocks or the dense factors alive
+    as long as the tensor.
     """
     k = min(rows, cols)
-    return rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
+    svd = rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
+    check_budget(
+        rows * cols + svd, budget_gb, "snapshot tensor and its first-unfolding SVD"
+    )
 
 
 def tt_svd(
@@ -398,31 +408,32 @@ def tt_svd(
     return tt, report
 
 
-def universal_basis(tt: TTTensor, tol: float = 1e-13) -> np.ndarray:
+def universal_basis(tt: TTTensor) -> np.ndarray:
     """First core as an orthonormal basis of the joint snapshot space.
 
     Shape (dim_0, r_1). Raises ValueError when the core's columns are not
-    orthonormal to within ``tol`` (the train was not built left-orthogonal).
+    orthonormal to within _ORTHONORMAL_TOL (the train was not built
+    left-orthogonal).
     """
     u = tt.cores[0][0]
     gram = u.T @ u
     defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    if defect > tol:
-        raise ValueError(
-            f"first core is not left-orthogonal (defect {defect:.3e} > {tol:.1e})"
-        )
+    if defect > _ORTHONORMAL_TOL:
+        raise ValueError(f"first core is not left-orthogonal (defect {defect:.3e})")
     return u
 
 
-def _as_weight_array(w: WeightVector | np.ndarray) -> np.ndarray:
-    values = w.values if isinstance(w, WeightVector) else w
-    return np.asarray(values, dtype=float)
-
-
-def _contract_parameter_cores(
-    tt: TTTensor, weights: Sequence[WeightVector | np.ndarray]
+def interpolate_coefficients(
+    tt: TTTensor, weights: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Collapse cores 2..d-1 with one weight vector each; returns an r_2 vector."""
+    """Local coefficient matrix of one parameter value, shape (r_1, dim_1).
+
+    Cores 2..d-1 are collapsed with one weight vector each, last core
+    first; the result applied to core 1 gives the matrix. Columns are
+    time steps; the interpolated trajectory is the first core applied to
+    this matrix. The cost depends on the ranks and the stencil sizes
+    only, never on the full grid size.
+    """
     d = tt.order
     if d < 3:
         raise ValueError("tensor train has no parameter modes")
@@ -430,28 +441,15 @@ def _contract_parameter_cores(
         raise ValueError(f"expected {d - 2} weight vectors, got {len(weights)}")
     v = np.ones(1)
     for k in range(d - 1, 1, -1):
-        chi = _as_weight_array(weights[k - 2])
+        chi = np.asarray(weights[k - 2], dtype=float)
         core = tt.cores[k]
         if chi.shape != (core.shape[1],):
             raise ValueError(
-                f"weight vector {k - 2} has length {chi.shape[0]}, "
+                f"weight vector {k - 2} has shape {chi.shape}, "
                 f"axis has {core.shape[1]} nodes"
             )
         # Collapse the mode, then absorb everything to the right.
         v = np.tensordot(core, chi, axes=([1], [0])) @ v
-    return v
-
-
-def interpolate_coefficients(
-    tt: TTTensor, weights: Sequence[WeightVector | np.ndarray]
-) -> np.ndarray:
-    """Local coefficient matrix of one parameter value, shape (r_1, dim_1).
-
-    Columns are time steps; the interpolated trajectory is the first core
-    applied to this matrix. The cost depends on the ranks and the stencil
-    sizes only, never on the full grid size.
-    """
-    v = _contract_parameter_cores(tt, weights)
     return np.tensordot(tt.cores[1], v, axes=([2], [0]))
 
 
@@ -473,18 +471,9 @@ def save_tt(path: str | os.PathLike, tt: TTTensor) -> None:
 
 def load_tt(path: str | os.PathLike) -> TTTensor:
     """Read a tensor train written by :func:`save_tt`."""
-    from .tensors import _read_exact
-
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {TT_MAGIC!r}")
-        order = int(_read_exact(f, 1, "<u4", "order")[0])
-        if not 1 <= order <= _MAX_ORDER:
-            raise FormatError(f"implausible tensor order {order}")
-        dims = _read_exact(f, order, "<u4", "dims").astype(np.int64)
-        if np.any(dims < 1):
-            raise FormatError(f"non-positive dimension in {tuple(dims)}")
+        dims = _read_header(f, TT_MAGIC)
+        order = dims.size
         ranks = _read_exact(f, order - 1, "<u4", "ranks").astype(np.int64)
         if np.any(ranks < 1):
             raise FormatError(f"non-positive rank in {tuple(ranks)}")

@@ -3,13 +3,14 @@
 None of these runs in the package's pipeline. Each is the direct,
 unoptimized form of a quantity the package computes another way: the
 full tensor of a train, a mode product, a scalar interpolant, a POD basis
-from the snapshot Gram matrix, an assembled edge mass matrix, and the
-advection velocity as a field.
+from the snapshot Gram matrix, an assembled edge mass matrix, the
+advection velocity as a field, and the multi-indices, nodes and box of a
+parameter grid.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,8 +19,8 @@ import scipy.sparse as sp
 from lrtdrom import (
     InterpolationScheme,
     Mesh2D,
+    ParameterGrid,
     TTTensor,
-    WeightVector,
     interpolate_coefficients,
     weight_vectors,
 )
@@ -58,9 +59,7 @@ def tt_to_full(tt: TTTensor) -> np.ndarray:
     return w.reshape(tt.dims, order="F")
 
 
-def interpolate_snapshots(
-    tt: TTTensor, weights: Sequence[WeightVector | np.ndarray]
-) -> np.ndarray:
+def interpolate_snapshots(tt: TTTensor, weights: Sequence[np.ndarray]) -> np.ndarray:
     """Interpolated trajectory at one parameter value, shape (dim_0, dim_1)."""
     return tt.cores[0][0] @ interpolate_coefficients(tt, weights)
 
@@ -78,7 +77,7 @@ def interpolate(
         raise ValueError("values shape does not match the grid")
     out = values
     for w in weight_vectors(alpha, scheme):
-        out = np.tensordot(out, w.values, axes=([0], [0]))
+        out = np.tensordot(out, w, axes=([0], [0]))
     return float(out)
 
 
@@ -124,3 +123,19 @@ def advection_field(x: np.ndarray, alpha: Sequence[float]) -> np.ndarray:
             f"the advection field takes 5 parameters, got {coeffs.size - 1}"
         )
     return np.tensordot(coeffs, _advection_modes(x), axes=1)
+
+
+def grid_indices(grid: ParameterGrid) -> Iterator[tuple[int, ...]]:
+    """Multi-indices of the grid nodes in first-axis-fastest order."""
+    for flat in range(grid.n_points):
+        yield tuple(int(i) for i in np.unravel_index(flat, grid.counts, order="F"))
+
+
+def grid_point(grid: ParameterGrid, idx: Sequence[int]) -> np.ndarray:
+    """The grid node at multi-index ``idx``."""
+    return np.array([grid.axes[d][i] for d, i in enumerate(idx)])
+
+
+def grid_box(grid: ParameterGrid) -> tuple[tuple[float, float], ...]:
+    """The (first, last) node of every axis."""
+    return tuple((float(a[0]), float(a[-1])) for a in grid.axes)

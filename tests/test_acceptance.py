@@ -41,7 +41,7 @@ from lrtdrom import (
     uniform_grid,
     weight_vectors,
 )
-from oracles import interpolate_snapshots, mode_product, tt_to_full
+from oracles import grid_point, interpolate_snapshots, mode_product, tt_to_full
 
 def report(n: int, ok: bool, detail: str, wall: float, budget_s: float) -> None:
     status = "PASS" if ok and wall < budget_s else "FAIL"
@@ -107,7 +107,7 @@ def test_criterion_02_training_node_recovery():
     worst = 0.0
     for i in range(5):
         for j in range(5):
-            alpha = grid.point((i, j))
+            alpha = grid_point(grid, (i, j))
             rec = interpolate_snapshots(tt, weight_vectors(alpha, scheme))
             stored = tensor[:, :, i, j]
             worst = max(
@@ -336,7 +336,7 @@ def test_criterion_09_property_suites(heat_desk, tmp_path):
         for _ in range(50):
             alpha = np.array([rng.uniform(0.0, 2.0), rng.uniform(1.0, 3.0)])
             w1, w2 = weight_vectors(alpha, scheme)
-            got = float(w1.values @ samples @ w2.values)
+            got = float(w1 @ samples @ w2)
             ok = ok and abs(got - fn(alpha)) <= 1e-12
     checks.append(("stencil-exactness", ok))
 

@@ -183,8 +183,12 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
         ("rom", {"p": 9}, "stencil size 9 exceeds axis node count 3"),
         ("rom", {"axes": [[0.5, 0.2, 0.0], [0.0, 0.45, 0.9]]}, "strictly increasing"),
         ("rom", {"axes": 5}, "bad value"),
-        ("rom", {"N": 0}, "need at least one time step"),
-        ("compress", {"N": 0}, "need at least one time step"),
+        ("rom", {"N": 0}, "N must be at least 1"),
+        ("compress", {"N": 0}, "N must be at least 1"),
+        ("rom", {"N": 10.7}, "N must be an integer"),
+        ("compress", {"N": 10.7}, "N must be an integer"),
+        ("rom", {"p": 2.9}, "p must be an integer"),
+        ("rom", {"p": True}, "p must be an integer"),
         ("rom", {"h": float("inf")}, "h must be a finite number"),
         ("compress", {"T": float("inf")}, "T must be a finite number"),
         ("compress", {"T": float("nan")}, "T must be a finite number"),
@@ -193,10 +197,28 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
             {"problem": {"kind": "advdiff", "nu": float("inf")}},
             "problem.nu must be a finite number",
         ),
+        # The stored tensors are heat at h 0.5, N 10 on a 3x3 grid.
+        ("compress", {"h": 0.25}, "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)"),
+        ("rom", {"h": 0.25}, "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)"),
+        ("compress", {"N": 20}, "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)"),
+        ("rom", {"N": 20}, "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)"),
+        (
+            "compress",
+            {"axes": [[0.01, 0.501], [0.0, 0.45, 0.9]]},
+            "(186, 10, 3, 3), but meta.json describes (186, 10, 2, 3)",
+        ),
+        (
+            "rom",
+            {"axes": [[0.01, 0.501], [0.0, 0.45, 0.9]]},
+            "(186, 10, 3, 3), but meta.json describes (186, 10, 2, 3)",
+        ),
     ],
     ids=["rom-p-too-large", "rom-decreasing-axis", "rom-axes-not-a-list",
-         "rom-no-steps", "compress-no-steps", "rom-infinite-h",
-         "compress-infinite-T", "compress-nan-T", "compress-infinite-nu"],
+         "rom-no-steps", "compress-no-steps", "rom-fractional-N",
+         "compress-fractional-N", "rom-fractional-p", "rom-boolean-p", "rom-infinite-h",
+         "compress-infinite-T", "compress-nan-T", "compress-infinite-nu",
+         "compress-h-disagrees", "rom-h-disagrees", "compress-N-disagrees",
+         "rom-N-disagrees", "compress-axes-disagree", "rom-axes-disagree"],
 )
 def test_bad_meta_values_report_error(
     compressed, tmp_path, capsys, command, change, message

@@ -38,6 +38,7 @@ from lrtdrom import (
     solve_fom_batch,
     source_values,
 )
+from lrtdrom.fem import _SOURCE_CENTER, _SOURCE_WIDTH
 from oracles import advection_field, boundary_mass
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -70,7 +71,7 @@ def centroid_rule_advdiff(mesh, problem, alpha):
     rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
     advection = sp.coo_matrix((local, (rows, cols)), shape=(n, n)).tocsr()
     op = problem.nu * assemble_stiffness(mesh) + advection
-    (sx, sy), w = problem.source_center, problem.source_width
+    (sx, sy), w = _SOURCE_CENTER, _SOURCE_WIDTH
     f = np.exp(-((x1 - sx) ** 2 + (x2 - sy) ** 2) / (2 * w**2)) / (2 * np.pi * w**2)
     load = np.zeros(n)
     np.add.at(load, tri, np.broadcast_to((area * f / 3.0)[:, None], tri.shape))
@@ -109,18 +110,30 @@ class TestMesh:
         assert mid.triangles.shape == (1184, 3)
 
     def test_heat_boundary_tags(self, heat):
-        mesh = build_mesh(heat, 0.2)
-        assert mesh.cell == pytest.approx(1.0 / 6.0)
-        assert mesh.boundary_edges.shape[0] == 240
-        tags, counts = np.unique(mesh.edge_tags, return_counts=True)
-        table = dict(zip(tags.tolist(), counts.tolist()))
-        assert table[BoundaryTag.NEUMANN] == 144
-        assert table[BoundaryTag.OUTER_ROBIN] == 24
-        for j in range(3):
-            assert table[BoundaryTag.hole(j)] == 24
-        # Robin edges sit on the left outer edge only.
-        robin_nodes = mesh.boundary_edges[mesh.edge_tags == BoundaryTag.OUTER_ROBIN]
-        assert np.all(mesh.nodes[robin_nodes.ravel(), 0] == 0.0)
+        # Edges per tag; all three hole rims share BoundaryTag.HOLE.
+        expected = {
+            0.5: (0.5, 48, 8, 24),
+            0.2: (1.0 / 6.0, 144, 24, 72),
+            0.1: (0.1, 240, 40, 120),
+        }
+        for h, (cell, neumann, robin, hole) in expected.items():
+            mesh = build_mesh(heat, h)
+            assert mesh.cell == pytest.approx(cell)
+            tags, counts = np.unique(mesh.edge_tags, return_counts=True)
+            assert dict(zip(tags.tolist(), counts.tolist())) == {
+                BoundaryTag.NEUMANN: neumann,
+                BoundaryTag.OUTER_ROBIN: robin,
+                BoundaryTag.HOLE: hole,
+            }
+            # Hole edges sit on the hole rims, an equal share on each.
+            rims = mesh.nodes[mesh.boundary_edges[mesh.edge_tags == BoundaryTag.HOLE]]
+            assert np.all((rims[..., 1] >= 1.5) & (rims[..., 1] <= 2.5))
+            for cx in (2.5, 5.0, 7.5):
+                near = np.abs(rims[..., 0].mean(axis=1) - cx) <= 0.5
+                assert np.count_nonzero(near) == hole // 3
+            # Robin edges sit on the left outer edge only.
+            robin_nodes = mesh.boundary_edges[mesh.edge_tags == BoundaryTag.OUTER_ROBIN]
+            assert np.all(mesh.nodes[robin_nodes.ravel(), 0] == 0.0)
 
     def test_triangles_positive_and_quasi_uniform(self, heat_mesh):
         p = heat_mesh.nodes[heat_mesh.triangles]
@@ -229,7 +242,7 @@ class TestAssembly:
         from lrtdrom import boundary_load
 
         op, load = assemble_operator(heat_mesh, heat, (0.0, 0.0))
-        holes = {BoundaryTag.hole(j) for j in range(3)}
+        holes = {BoundaryTag.HOLE}
         expected = assemble_stiffness(heat_mesh) + 0.5 * boundary_mass(
             heat_mesh, holes
         )
@@ -245,7 +258,7 @@ class TestAssembly:
 
         alpha = (0.3, 0.7)
         op, load = assemble_operator(heat_mesh, heat, alpha)
-        holes = {BoundaryTag.hole(j) for j in range(3)}
+        holes = {BoundaryTag.HOLE}
         expected = (
             assemble_stiffness(heat_mesh)
             + 0.3 * boundary_mass(heat_mesh, {BoundaryTag.OUTER_ROBIN})
@@ -292,15 +305,10 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_operator(heat_mesh, heat, (np.nan, 0.5))
 
-    def test_source_profile(self, advdiff):
-        x = np.array(
-            [
-                advdiff.source_center,
-                (advdiff.source_center[0] + advdiff.source_width, advdiff.source_center[1]),
-            ]
-        )
-        vals = source_values(x, advdiff)
-        peak = 1.0 / (2.0 * np.pi * advdiff.source_width**2)
+    def test_source_profile(self):
+        (sx, sy), w = _SOURCE_CENTER, _SOURCE_WIDTH
+        vals = source_values(np.array([(sx, sy), (sx + w, sy)]))
+        peak = 1.0 / (2.0 * np.pi * w**2)
         assert vals[0] == pytest.approx(peak, rel=1e-13)
         assert vals[1] / vals[0] == pytest.approx(np.exp(-0.5), rel=1e-13)
 

@@ -24,7 +24,7 @@ from lrtdrom import (
     universal_basis,
     weight_vectors,
 )
-from oracles import interpolate_snapshots, pod_basis
+from oracles import grid_point, interpolate_snapshots, pod_basis
 
 
 def lu_solve_march(basis, mass, op, load, u0, tg):
@@ -104,7 +104,7 @@ class TestLocalBasis:
         self, heat_desk, tt_exact, scheme
     ):
         idx = (1, 1)
-        alpha = heat_desk.grid.point(idx)
+        alpha = grid_point(heat_desk.grid, idx)
         lb = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=4)
         stored = heat_desk.tensor[:, :, idx[0], idx[1]]
         oracle = np.linalg.svd(stored, compute_uv=False)

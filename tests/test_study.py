@@ -647,9 +647,6 @@ class TestFomCache:
             "final_time": 21.0,
             "nu": 0.5,
             "robin_side": "right",
-            "source_center": (0.25, 0.3),
-            "source_width": 0.06,
-            "initial_condition": "one",
         }
         assert set(changes) == {f.name for f in dataclasses.fields(ProblemSpec)}
         for name, value in changes.items():

@@ -28,7 +28,7 @@ from lrtdrom import (
     unfold_first_mode,
     uniform_grid,
 )
-from oracles import mode_product
+from oracles import grid_box, grid_indices, grid_point, mode_product
 
 # Frozen once from the writer; pins magic, header layout, little-endian
 # doubles, and first-index-fastest payload order.
@@ -46,7 +46,7 @@ class TestParameterGrid:
         grid = uniform_grid([(0.0, 1.0)], [3])
         np.testing.assert_array_equal(grid.axes[0], [0.0, 0.5, 1.0])
         assert grid.counts == (3,)
-        assert grid.box == ((0.0, 1.0),)
+        assert grid_box(grid) == ((0.0, 1.0),)
         assert grid.n_points == 3
 
     def test_heat_box_spacings(self, heat):
@@ -76,9 +76,9 @@ class TestParameterGrid:
         np.testing.assert_array_equal(pts[0], [0.0, 10.0])
         np.testing.assert_array_equal(pts[1], [1.0, 10.0])
         np.testing.assert_array_equal(pts[2], [0.0, 15.0])
-        idx = list(grid.indices())
+        idx = list(grid_indices(grid))
         assert idx[:3] == [(0, 0), (1, 0), (0, 1)]
-        np.testing.assert_array_equal(grid.point((1, 2)), [1.0, 20.0])
+        np.testing.assert_array_equal(grid_point(grid, (1, 2)), [1.0, 20.0])
 
 
 class TestSnapshots:
@@ -100,8 +100,8 @@ class TestSnapshots:
         tensor = generate_snapshots(heat, mesh, tg, grid)
         assert tensor.shape == (mesh.nodes.shape[0], 100, 5, 5)
         assert np.all(np.isfinite(tensor))
-        for idx in grid.indices():
-            rerun = solve_fom(heat, mesh, tg, grid.point(idx)).states
+        for idx in grid_indices(grid):
+            rerun = solve_fom(heat, mesh, tg, grid_point(grid, idx)).states
             got = tensor[(slice(None), slice(None), *idx)]
             assert np.abs(got - rerun).max() <= 1e-12 * np.abs(rerun).max(), idx
 
@@ -109,8 +109,8 @@ class TestSnapshots:
         tg = TimeGrid(advdiff.final_time, 8)
         grid = uniform_grid(advdiff.box, (2, 1, 2, 1, 2))
         tensor = generate_snapshots(advdiff, unit_mesh, tg, grid)
-        for idx in grid.indices():
-            rerun = solve_fom(advdiff, unit_mesh, tg, grid.point(idx)).states
+        for idx in grid_indices(grid):
+            rerun = solve_fom(advdiff, unit_mesh, tg, grid_point(grid, idx)).states
             got = tensor[(slice(None), slice(None), *idx)]
             assert np.abs(got - rerun).max() <= 1e-12 * np.abs(rerun).max(), idx
 

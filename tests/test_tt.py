@@ -27,7 +27,14 @@ from lrtdrom import (
     universal_basis,
     weight_vectors,
 )
-from oracles import interpolate_snapshots, mode_product, tt_to_full
+from oracles import (
+    grid_box,
+    grid_indices,
+    grid_point,
+    interpolate_snapshots,
+    mode_product,
+    tt_to_full,
+)
 
 
 def random_tt(rng, dims, ranks):
@@ -471,8 +478,8 @@ class TestExtraction:
     def test_training_nodes_recover_snapshots(self, heat_desk):
         tt, _ = tt_svd(heat_desk.tensor, 0.0)
         scheme = InterpolationScheme(heat_desk.grid, p=2)
-        for idx in heat_desk.grid.indices():
-            alpha = heat_desk.grid.point(idx)
+        for idx in grid_indices(heat_desk.grid):
+            alpha = grid_point(heat_desk.grid, idx)
             weights = weight_vectors(alpha, scheme)
             got = interpolate_snapshots(tt, weights)
             stored = heat_desk.tensor[:, :, idx[0], idx[1]]
@@ -520,7 +527,7 @@ class TestExtraction:
         tt, _ = tt_svd(heat_desk.tensor, 1e-8)
         basis = universal_basis(tt)
         scheme = InterpolationScheme(heat_desk.grid, p=2)
-        box = heat_desk.grid.box
+        box = grid_box(heat_desk.grid)
         for _ in range(4):
             alpha = np.array([rng.uniform(lo, hi) for lo, hi in box])
             weights = weight_vectors(alpha, scheme)
@@ -540,7 +547,7 @@ class TestExtraction:
         basis = universal_basis(tt)
         scheme = InterpolationScheme(heat_desk.grid, p=2)
         idx = (1, 2)
-        weights = weight_vectors(heat_desk.grid.point(idx), scheme)
+        weights = weight_vectors(grid_point(heat_desk.grid, idx), scheme)
         coeffs = interpolate_coefficients(tt, weights)
         stored = heat_desk.tensor[:, :, idx[0], idx[1]]
         np.testing.assert_allclose(coeffs, basis.T @ stored, rtol=0, atol=1e-11)
