@@ -119,13 +119,13 @@ def _load_snapshots(directory: Path) -> np.ndarray:
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if config.grid_counts is None:
+    if config.sweep_variable == "delta":
         raise ConfigError("snapshots needs a grid block (not a delta sweep)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     problem, tg = config.problem, config.tg
     mesh = build_mesh(problem, config.h)
-    grid = uniform_grid(problem.box, config.grid_counts)
+    grid = uniform_grid(problem.box, config.runs[0].counts)
     tensor = generate_snapshots(problem, mesh, tg, grid)
     save_tensor(out / "snapshots.lrt", tensor)
     meta = {

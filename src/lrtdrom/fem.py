@@ -128,10 +128,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Mesh2D:
-    """Structured triangulation. ``h`` is the realized maximum element diameter.
+    """Structured triangulation.
 
     ``cell`` is the square cell size the construction snapped to; each cell
-    contributes two congruent right triangles, so h = cell * sqrt(2).
+    contributes two congruent right triangles, so the largest element
+    diameter is cell * sqrt(2).
     The arrays are read-only: a mesh holds the affine operator terms of
     the last problem assembled on it (see :func:`affine_operator`), and
     they must not go stale.
@@ -141,7 +142,6 @@ class Mesh2D:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
-    h: float
     cell: float
     _terms: AffineOperator | None = field(
         default=None, init=False, compare=False, repr=False
@@ -271,7 +271,6 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
         triangles=triangles,
         boundary_edges=boundary_edges,
         edge_tags=tags,
-        h=c * np.sqrt(2.0),
         cell=c,
     )
     _, area = _triangle_geometry(mesh)

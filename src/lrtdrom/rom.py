@@ -29,7 +29,6 @@ class LocalBasis:
     """Orthonormal reduced basis attached to one parameter value."""
 
     basis: np.ndarray
-    singular_values: np.ndarray
     alpha: np.ndarray | None = None
 
     @property
@@ -68,9 +67,8 @@ def local_basis(
             f"basis size {ell} not in [1, {min(r1, n)}] "
             f"(first rank {r1}, {n} time steps)"
         )
-    u, s, _ = sla.svd(coeff, full_matrices=False, check_finite=False)
-    basis = universal_basis(tt) @ u[:, :ell]
-    return LocalBasis(basis=basis, singular_values=s, alpha=alpha)
+    u, _, _ = sla.svd(coeff, full_matrices=False, check_finite=False)
+    return LocalBasis(basis=universal_basis(tt) @ u[:, :ell], alpha=alpha)
 
 
 def rom_solve(

@@ -8,12 +8,12 @@ records the worst and mean space-time H1 errors against cached full-order
 runs. Results go to a CSV file with a fixed header, a gnuplot-friendly
 ``.dat`` twin, and a JSON summary.
 
-Configs are JSON with a strict schema: unknown keys anywhere are
-rejected. The swept variable's values live in the ``sweep`` block and
-its per-run block (``compression``, ``rom``, or ``grid``) must be
-omitted; non-swept blocks carry exactly one value. Random test sets draw
-from numpy's default 64-bit PCG64 generator, so a fixed seed fixes the
-test set across machines.
+Configs are JSON with a strict schema: every block is an object, and
+unknown keys anywhere are rejected. The swept variable's values live in
+the ``sweep`` block and its per-run block (``compression``, ``rom``, or
+``grid``) must be omitted; non-swept blocks carry exactly one value.
+Random test sets draw from numpy's default 64-bit PCG64 generator, so a
+fixed seed fixes the test set across machines.
 """
 
 from __future__ import annotations
@@ -91,6 +91,14 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}")
 
 
+def _object(value, where: str, keys: set[str]) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    _check_keys(value, keys, where)
+    return value
+
+
 def _require(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"missing required key {key!r} in {where}")
@@ -123,6 +131,17 @@ def _as_positive_int(value, where: str) -> int:
     if value < 1:
         raise ConfigError(f"{where} must be at least 1")
     return value
+
+
+def _single(parse):
+    """A reader of a single-entry list whose entry ``parse`` reads."""
+
+    def parse_entry(value, where: str):
+        if not isinstance(value, list) or len(value) != 1:
+            raise ConfigError(f"{where} must be a single-entry list")
+        return parse(value[0], where)
+
+    return parse_entry
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,9 @@ class TestSetSpec:
         return pts
 
 
-def _parse_test_set(block: dict) -> TestSetSpec:
+def _parse_test_set(block) -> TestSetSpec:
     where = "test_set"
+    _object(block, where, {"mode", "n", "count", "seed", "points"})
     mode = _require(block, "mode", where)
     if mode == "grid":
         _check_keys(block, {"mode", "n"}, where)
@@ -192,19 +212,34 @@ def _parse_test_set(block: dict) -> TestSetSpec:
 
 
 @dataclass(frozen=True)
+class SweepRun:
+    """One sweep value with the training-grid counts, eps and requested
+    basis size it runs at."""
+
+    value: float
+    counts: tuple[int, ...]
+    eps: float
+    ell: int
+
+
+@dataclass(frozen=True)
 class StudyConfig:
-    """Parsed and validated study description."""
+    """Parsed and validated study description.
+
+    ``runs`` holds one :class:`SweepRun` per sweep value, in sweep order:
+    the swept variable takes the value (a delta becomes the grid counts
+    of :func:`grid_counts_for_delta`), the other two their single
+    configured value. ``out_dir`` is None when the config has no
+    ``output`` block.
+    """
 
     problem: ProblemSpec
     h: float
     tg: TimeGrid
-    grid_counts: tuple[int, ...] | None
-    eps: float | None
-    ell: int | None
     p: int
     test_set: TestSetSpec
     sweep_variable: str
-    sweep_values: tuple[float, ...]
+    runs: tuple[SweepRun, ...]
     out_dir: str | None = None
 
 
@@ -215,9 +250,7 @@ def parse_problem(block) -> ProblemSpec:
     Study configs and the ``meta.json`` of a snapshot directory both hold
     one; :func:`problem_block` writes it.
     """
-    if not isinstance(block, dict):
-        raise ConfigError("problem must be a JSON object")
-    _check_keys(block, {"kind", "nu"}, "problem")
+    _object(block, "problem", {"kind", "nu"})
     kind = _require(block, "kind", "problem")
     if kind == "heat":
         if "nu" in block:
@@ -241,50 +274,44 @@ def problem_block(problem: ProblemSpec) -> dict:
 
 
 def parse_config(data: dict) -> StudyConfig:
-    """Validate a JSON study description; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(
+    """Validate a JSON study description and resolve its sweep into runs.
+
+    Every block is a JSON object; unknown keys are rejected. The swept
+    variable's block (``compression`` for eps, ``grid`` for delta, ``rom``
+    for ell) must be omitted, and every other one holds a single value.
+    """
+    _object(
         data,
-        {
-            "problem",
-            "mesh",
-            "time",
-            "grid",
-            "compression",
-            "rom",
-            "interpolation",
-            "test_set",
-            "sweep",
-            "output",
-        },
         "config root",
+        {"problem", "mesh", "time", "grid", "compression", "rom", "interpolation",
+         "test_set", "sweep", "output"},
     )
+
+    def block(name: str, keys: set[str]) -> dict:
+        return _object(_require(data, name, "config root"), name, keys)
 
     problem = parse_problem(_require(data, "problem", "config root"))
-
-    mesh_block = _require(data, "mesh", "config root")
-    _check_keys(mesh_block, {"h"}, "mesh")
-    h = _as_positive_float(_require(mesh_block, "h", "mesh"), "mesh.h")
-
-    time_block = _require(data, "time", "config root")
-    _check_keys(time_block, {"N", "T"}, "time")
+    h = _as_positive_float(_require(block("mesh", {"h"}), "h", "mesh"), "mesh.h")
+    time_block = block("time", {"N", "T"})
     steps = _as_positive_int(_require(time_block, "N", "time"), "time.N")
-    final_time = (
-        _as_positive_float(time_block["T"], "time.T")
-        if "T" in time_block
-        else problem.final_time
+    final_time = _as_positive_float(time_block.get("T", problem.final_time), "time.T")
+    p = _as_positive_int(
+        _require(block("interpolation", {"p"}), "p", "interpolation"), "interpolation.p"
     )
-    tg = TimeGrid(final_time=final_time, steps=steps)
+    test_set = _parse_test_set(_require(data, "test_set", "config root"))
+    out_dir = None
+    if "output" in data:
+        out_dir = _require(block("output", {"dir"}), "dir", "output")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError("output.dir must be a non-empty string")
 
-    sweep_block = _require(data, "sweep", "config root")
-    _check_keys(sweep_block, {"variable", "values"}, "sweep")
-    variable = _require(sweep_block, "variable", "sweep")
+    sweep = block("sweep", {"variable", "values"})
+    variable = _require(sweep, "variable", "sweep")
     if variable not in _SWEEP_VARIABLES:
         raise ConfigError(
             f"sweep.variable must be one of {_SWEEP_VARIABLES}, got {variable!r}"
         )
-    raw_values = _require(sweep_block, "values", "sweep")
+    raw_values = _require(sweep, "values", "sweep")
     if not isinstance(raw_values, list) or not raw_values:
         raise ConfigError("sweep.values must be a non-empty list")
     if variable == "ell":
@@ -296,71 +323,43 @@ def parse_config(data: dict) -> StudyConfig:
     if len(set(values)) != len(values):
         raise ConfigError("sweep.values must be distinct")
 
-    grid_counts = None
-    if variable == "delta":
-        if "grid" in data:
-            raise ConfigError("grid block must be omitted when sweeping delta")
-    else:
-        grid_block = _require(data, "grid", "config root")
-        _check_keys(grid_block, {"K"}, "grid")
-        counts = _require(grid_block, "K", "grid")
-        if not isinstance(counts, list) or len(counts) != problem.n_params:
-            raise ConfigError(
-                f"grid.K must list {problem.n_params} per-dimension counts"
-            )
-        grid_counts = tuple(_as_positive_int(k, "grid.K entry") for k in counts)
-        for k in grid_counts:
-            if k < 2:
-                raise ConfigError("grid.K entries must be at least 2")
+    def fixed(swept: str, name: str, key: str, parse):
+        """``name.key`` read by ``parse``, or None when ``swept`` is the
+        sweep variable, whose block must then be omitted."""
+        if variable == swept:
+            if name in data:
+                raise ConfigError(f"{name} block must be omitted when sweeping {swept}")
+            return None
+        return parse(_require(block(name, {key}), key, name), f"{name}.{key}")
 
-    eps = None
-    if variable == "eps":
-        if "compression" in data:
-            raise ConfigError(
-                "compression block must be omitted when sweeping eps"
-            )
-    else:
-        comp_block = _require(data, "compression", "config root")
-        _check_keys(comp_block, {"eps"}, "compression")
-        eps_list = _require(comp_block, "eps", "compression")
-        if not isinstance(eps_list, list) or len(eps_list) != 1:
-            raise ConfigError("compression.eps must be a single-entry list")
-        eps = _as_positive_float(eps_list[0], "compression.eps")
+    def grid_counts(value, where: str) -> tuple[int, ...]:
+        if not isinstance(value, list) or len(value) != problem.n_params:
+            raise ConfigError(f"{where} must list {problem.n_params} per-dimension counts")
+        counts = tuple(_as_positive_int(k, f"{where} entry") for k in value)
+        if min(counts) < 2:
+            raise ConfigError(f"{where} entries must be at least 2")
+        return counts
 
-    ell = None
-    if variable == "ell":
-        if "rom" in data:
-            raise ConfigError("rom block must be omitted when sweeping ell")
-    else:
-        rom_block = _require(data, "rom", "config root")
-        _check_keys(rom_block, {"ell"}, "rom")
-        ell_list = _require(rom_block, "ell", "rom")
-        if not isinstance(ell_list, list) or len(ell_list) != 1:
-            raise ConfigError("rom.ell must be a single-entry list")
-        ell = _as_positive_int(ell_list[0], "rom.ell")
-
-    interp_block = _require(data, "interpolation", "config root")
-    _check_keys(interp_block, {"p"}, "interpolation")
-    p = _as_positive_int(_require(interp_block, "p", "interpolation"), "interpolation.p")
-
-    test_set = _parse_test_set(_require(data, "test_set", "config root"))
-
-    out_dir = None
-    if "output" in data:
-        _check_keys(data["output"], {"dir"}, "output")
-        out_dir = str(_require(data["output"], "dir", "output"))
-
+    counts = fixed("delta", "grid", "K", grid_counts)
+    eps = fixed("eps", "compression", "eps", _single(_as_positive_float))
+    ell = fixed("ell", "rom", "ell", _single(_as_positive_int))
+    runs = tuple(
+        SweepRun(
+            value=v,
+            counts=grid_counts_for_delta(problem.box, v) if counts is None else counts,
+            eps=v if eps is None else eps,
+            ell=int(v) if ell is None else ell,
+        )
+        for v in values
+    )
     return StudyConfig(
         problem=problem,
         h=h,
-        tg=tg,
-        grid_counts=grid_counts,
-        eps=eps,
-        ell=ell,
+        tg=TimeGrid(final_time=final_time, steps=steps),
         p=p,
         test_set=test_set,
         sweep_variable=variable,
-        sweep_values=values,
+        runs=runs,
         out_dir=out_dir,
     )
 
@@ -379,28 +378,33 @@ def grid_counts_for_delta(
 ) -> tuple[int, ...]:
     """Per-dimension node counts whose uniform spacing is at most ``delta``.
 
-    When ``delta`` divides a box side exactly the spacing hits it exactly.
+    When ``delta`` divides a box side exactly the spacing hits it exactly;
+    every axis gets at least two nodes. A ``delta`` so small that a side
+    over it overflows a float is a :class:`ConfigError`.
     """
     counts = []
     for lo, hi in box:
         ratio = (hi - lo) / delta
-        counts.append(int(math.ceil(ratio - 1e-9)) + 1)
+        if not math.isfinite(ratio):
+            raise ConfigError(f"delta {delta!r} is too small for the parameter box")
+        counts.append(max(math.ceil(ratio - 1e-9), 1) + 1)
     return tuple(counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyRow:
-    """One CSV record of a sweep."""
+    """One CSV record of a sweep; a failed run keeps the defaults of the
+    measured columns and carries its ``error``."""
 
     sweep_var: str
     value: float
     eps: float
     delta_max: float
     ell: int
-    lambda_tail: float
-    e_max: float
-    e_mean: float
-    r1: int
+    lambda_tail: float = math.nan
+    e_max: float = math.nan
+    e_mean: float = math.nan
+    r1: int = 0
     wall_s: float
     error: str | None = None
 
@@ -516,26 +520,22 @@ def run_study(
     config: StudyConfig,
     out_dir: str | os.PathLike | None = None,
 ) -> StudyResult:
-    """Execute a sweep and write results.csv, results.dat, summary.json.
+    """Run every entry of ``config.runs``; write results.csv, results.dat
+    and summary.json.
 
-    Snapshots are rebuilt only when the training grid changes, and the
-    previous grid's tensor is released first. Each grid gets one memo for
-    :func:`frobenius_tolerance` and :func:`tt_svd`, so the norms and the
-    factorization of the first unfolding (range finder blocks, extended
-    when a tighter eps needs more, or a dense SVD) are computed once per
-    grid and reused for every eps; the memo is dropped after the grid's
-    last compression, or with the grid's tensor at the latest. The rest
-    of the compression reruns when (grid, eps) changes. The operator
-    terms are assembled once and serve the test solves and every reduced
-    solve. Full-order test solves are cached on disk under the output
-    directory, so repeated studies with the same configuration are cheap
-    and produce identical numeric columns (the wall-clock column aside).
+    A run rebuilds the snapshots only when its grid counts change: the old
+    tensor is released first, and the new grid becomes current once its
+    tensor exists. One memo per grid lets :func:`frobenius_tolerance` and
+    :func:`tt_svd` compute the norms and the first-unfolding factorization
+    once for every eps; it is dropped after the grid's last compression.
+    The operator terms serve the test solves and every reduced solve.
+    Full-order test solves are cached under the output directory, so a
+    rerun reproduces every numeric column. A failed run records its error
+    in a row with its own eps, requested ell and ``delta_max``.
     """
-    out = Path(out_dir) if out_dir is not None else None
-    if out is None:
-        if config.out_dir is None:
-            raise ConfigError("no output directory given (config output.dir or --out)")
-        out = Path(config.out_dir)
+    if out_dir is None and config.out_dir is None:
+        raise ConfigError("no output directory given (config output.dir or --out)")
+    out = Path(config.out_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     budget = resolve_memory_budget()
 
@@ -545,103 +545,70 @@ def run_study(
     gram = assemble_h1_gram(mesh)
     terms = affine_operator(mesh, problem)
     u0 = initial_state(problem, mesh)
-
     test_points = config.test_set.build(problem.box)
-    n_test = test_points.shape[0]
-
     test_states = _solve_test_foms(
         terms, mass, tg, test_points, FomCache(out / "fom_cache")
     )
     spectra = [correlation_spectrum(states, mass) for states in test_states]
 
     rows: list[StudyRow] = []
-    grid: ParameterGrid | None = None
-    grid_key: tuple[int, ...] | None = None
-    tt = None
-    tt_key = None
-    tensor = None
-    memo: dict | None = None
-
-    # The (grid counts, eps) pair that each sweep value compresses at.
-    keys = [
-        (
-            grid_counts_for_delta(problem.box, float(value))
-            if config.sweep_variable == "delta"
-            else config.grid_counts,
-            config.eps if config.sweep_variable != "eps" else float(value),
-        )
-        for value in config.sweep_values
-    ]
-
-    for i, value in enumerate(config.sweep_values):
+    grid = tensor = memo = tt = tt_eps = None
+    for i, run in enumerate(config.runs):
         start = time.perf_counter()
-        counts, eps = keys[i]
-        ell_req = config.ell if config.sweep_variable != "ell" else int(value)
+        measured = {"ell": run.ell}
         try:
-            if grid_key != counts:
-                tensor = memo = tt = grid_key = tt_key = None
-                grid = uniform_grid(problem.box, counts)
+            if grid is None or grid.counts != run.counts:
+                grid = tensor = memo = tt = None
+                new_grid = uniform_grid(problem.box, run.counts)
                 if config.test_set.mode != "explicit":
-                    _check_disjoint(test_points, grid)
+                    _check_disjoint(test_points, new_grid)
                 check_compression_budget(
-                    mesh.n_nodes, tg.steps * grid.n_points, budget
+                    mesh.n_nodes, tg.steps * new_grid.n_points, budget
                 )
-                tensor = generate_snapshots(problem, mesh, tg, grid)
-                memo = {}
-                grid_key = counts
-            if tt_key != (counts, eps):
-                eps_tilde = frobenius_tolerance(eps, tensor, mass, tg.dt, memo=memo)
+                tensor = generate_snapshots(problem, mesh, tg, new_grid)
+                grid, memo = new_grid, {}
+            if tt is None or tt_eps != run.eps:
+                eps_tilde = frobenius_tolerance(run.eps, tensor, mass, tg.dt, memo=memo)
                 tt, _ = tt_svd(tensor, eps_tilde, memo=memo)
-                tt_key = (counts, eps)
-                if not any(c == counts and e != eps for c, e in keys[i + 1 :]):
-                    memo = None  # no later value compresses this grid again
+                tt_eps = run.eps
+                later = config.runs[i + 1 :]
+                if not any(r.counts == run.counts and r.eps != run.eps for r in later):
+                    memo = None  # no later run compresses this grid again
             r1 = tt.ranks[0]
-            ell_eff = min(ell_req, r1, tg.steps)
+            ell = min(run.ell, r1, tg.steps)
             scheme = InterpolationScheme(grid=grid, p=config.p)
-
             errors = []
             for alpha, fom_states in zip(test_points, test_states):
                 weights = weight_vectors(alpha, scheme)
-                basis = local_basis(tt, weights, ell_eff, alpha=alpha)
+                basis = local_basis(tt, weights, ell, alpha=alpha)
                 op, load = terms(alpha)
                 rom_traj = rom_solve(basis, mass, op, load, u0, tg)
                 errors.append(
                     trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
                 )
-            e_max = float(np.sqrt(max(errors)))
-            e_mean = float(np.sqrt(np.mean(errors)))
-            rows.append(
-                StudyRow(
-                    sweep_var=config.sweep_variable,
-                    value=float(value),
-                    eps=float(eps),
-                    delta_max=max(grid.spacings),
-                    ell=ell_eff,
-                    lambda_tail=tail_energy(spectra, ell_eff),
-                    e_max=e_max,
-                    e_mean=e_mean,
-                    r1=int(r1),
-                    wall_s=time.perf_counter() - start,
-                )
-            )
+            measured = {
+                "ell": ell,
+                "r1": int(r1),
+                "lambda_tail": tail_energy(spectra, ell),
+                "e_max": float(np.sqrt(max(errors))),
+                "e_mean": float(np.sqrt(np.mean(errors))),
+            }
         except ConfigError:
             raise
         except Exception as exc:  # record the failure, keep sweeping
-            rows.append(
-                StudyRow(
-                    sweep_var=config.sweep_variable,
-                    value=float(value),
-                    eps=float(eps) if eps is not None else float("nan"),
-                    delta_max=max(grid.spacings) if grid is not None else float("nan"),
-                    ell=int(ell_req) if ell_req is not None else 0,
-                    lambda_tail=float("nan"),
-                    e_max=float("nan"),
-                    e_mean=float("nan"),
-                    r1=0,
-                    wall_s=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            measured["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(
+            StudyRow(
+                sweep_var=config.sweep_variable,
+                value=run.value,
+                eps=run.eps,
+                delta_max=max(
+                    (hi - lo) / (k - 1) for (lo, hi), k in zip(problem.box, run.counts)
+                ),
+                wall_s=time.perf_counter() - start,
+                **measured,
             )
+        )
 
     csv_path = out / "results.csv"
     with open(csv_path, "w", encoding="utf-8") as f:
@@ -658,7 +625,7 @@ def run_study(
     summary_path = out / "summary.json"
     summary = {
         "sweep_variable": config.sweep_variable,
-        "n_test": n_test,
+        "n_test": test_points.shape[0],
         "mesh_nodes": mesh.n_nodes,
         "rows": [
             {name: getattr(row, attr) for name, attr, _ in _SUMMARY_COLUMNS}

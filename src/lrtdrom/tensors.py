@@ -74,14 +74,6 @@ class ParameterGrid:
         return tuple(a.size for a in self.axes)
 
     @property
-    def spacings(self) -> tuple[float, ...]:
-        """Mean node spacing per axis (exact spacing for uniform axes)."""
-        return tuple(
-            float(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0
-            for a in self.axes
-        )
-
-    @property
     def n_points(self) -> int:
         return int(np.prod(self.counts))
 

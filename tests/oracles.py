@@ -139,3 +139,10 @@ def grid_point(grid: ParameterGrid, idx: Sequence[int]) -> np.ndarray:
 def grid_box(grid: ParameterGrid) -> tuple[tuple[float, float], ...]:
     """The (first, last) node of every axis."""
     return tuple((float(a[0]), float(a[-1])) for a in grid.axes)
+
+
+def grid_spacings(grid: ParameterGrid) -> tuple[float, ...]:
+    """Mean node spacing per axis (exact spacing for uniform axes)."""
+    return tuple(
+        float(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0 for a in grid.axes
+    )

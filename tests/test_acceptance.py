@@ -139,7 +139,7 @@ def test_criterion_03_galerkin_reproduction():
             np.column_stack([u0, fom.states]), full_matrices=False
         )
         keep = s > 1e-12 * s[0]
-        basis = LocalBasis(basis=u[:, keep], singular_values=s[keep], alpha=alpha)
+        basis = LocalBasis(basis=u[:, keep], alpha=alpha)
         op, load = assemble_operator(mesh, problem, alpha)
         rom = rom_solve(basis, mass, op, load, u0, tg)
         num = trajectory_error_sq(fom.states, rom.lift(), gram, tg.dt)

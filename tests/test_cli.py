@@ -111,6 +111,31 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"mesh": 5},
+        {"output": {"dir": None}},
+        {
+            "grid": None,
+            "compression": {"eps": [1e-3]},
+            "sweep": {"variable": "delta", "values": [0.25, 1e-320]},
+        },
+    ],
+    ids=["non-object-block", "null-output-dir", "over-fine-delta"],
+)
+def test_malformed_study_config_reports_error(tmp_path, capsys, changes):
+    path = tmp_path / "study.json"
+    data = {key: value for key, value in (CONFIG | changes).items() if value is not None}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["study", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("content", [None, '{"problem": '], ids=["missing", "not-json"])
 def test_unreadable_config_reports_error(tmp_path, capsys, content):
     path = tmp_path / "study.json"

@@ -85,7 +85,6 @@ def reference_triangle_mesh() -> Mesh2D:
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.empty((0, 2), dtype=int),
         edge_tags=np.empty(0, dtype=int),
-        h=np.sqrt(2.0),
         cell=1.0,
     )
 
@@ -151,7 +150,7 @@ class TestMesh:
         )
         diam = np.linalg.norm(edges, axis=2).max(axis=1)
         assert diam.max() / diam.min() <= 4.0
-        assert diam.max() == pytest.approx(heat_mesh.h)
+        assert diam.max() == pytest.approx(heat_mesh.cell * np.sqrt(2))
 
     def test_hole_outside_domain_rejected(self):
         bad = ProblemSpec(
@@ -196,8 +195,9 @@ class TestAssembly:
         for h in (0.5, 0.25, 0.125):
             mesh = build_mesh(advdiff, h)
             lam = np.linalg.eigvalsh(assemble_mass(mesh).toarray())
-            assert lam[0] > 0.02 * mesh.h**2
-            assert lam[-1] < 0.55 * mesh.h**2
+            h = mesh.cell * np.sqrt(2)
+            assert lam[0] > 0.02 * h**2
+            assert lam[-1] < 0.55 * h**2
 
     def test_mass_and_gram_spd(self, heat_mesh):
         for matrix in (assemble_mass(heat_mesh), assemble_h1_gram(heat_mesh)):

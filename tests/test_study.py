@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from lrtdrom import (
     slope_fit,
     solve_fom,
 )
-from lrtdrom.tensors import check_budget
+from lrtdrom.study import SweepRun
+from lrtdrom.tensors import check_budget, uniform_grid
+from oracles import grid_spacings
 
 
 def poisoned_entries(shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -65,6 +69,43 @@ def base_config() -> dict:
     }
 
 
+# Values a JSON key may hold that its schema does not expect: null, a
+# boolean, zero, negative, fractional and subnormal numbers, strings,
+# lists of each depth, objects, and NaN.
+SUBSTITUTES = [None, True, 0, -1, 2.5, 1e-320, "x", "", [], [1], [[1]], {}, {"a": 1}, math.nan]
+
+
+def substitution_bases() -> dict[str, dict]:
+    """Both shipped configs, and heat variants that sweep delta and ell or
+    use an explicit test set."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    heat = json.loads((configs / "heat_eps_study.json").read_text(encoding="utf-8"))
+    advdiff = json.loads((configs / "advdiff_smoke.json").read_text(encoding="utf-8"))
+    fixed_eps = {"compression": {"eps": [1e-3]}}
+    delta = {k: v for k, v in heat.items() if k != "grid"} | fixed_eps
+    ell = {k: v for k, v in heat.items() if k != "rom"} | fixed_eps
+    return {
+        "heat": heat,
+        "advdiff": advdiff,
+        "delta": delta | {"sweep": {"variable": "delta", "values": [0.25, 0.125]}},
+        "ell": ell | {"sweep": {"variable": "ell", "values": [2, 4]}},
+        "explicit": heat | {"test_set": {"mode": "explicit", "points": [[0.2, 0.3]]}},
+    }
+
+
+def key_paths(node, prefix=()):
+    """The path of every object member and list entry below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
 class TestParseConfig:
     def test_happy_path(self):
         cfg = parse_config(base_config())
@@ -72,12 +113,12 @@ class TestParseConfig:
         assert cfg.h == 0.5
         assert cfg.tg.steps == 10
         assert cfg.tg.final_time == heat_problem().final_time
-        assert cfg.grid_counts == (3, 3)
-        assert cfg.eps is None
-        assert cfg.ell == 4
         assert cfg.p == 2
         assert cfg.sweep_variable == "eps"
-        assert cfg.sweep_values == (1e-1, 1e-3)
+        assert cfg.runs == (
+            SweepRun(value=1e-1, counts=(3, 3), eps=1e-1, ell=4),
+            SweepRun(value=1e-3, counts=(3, 3), eps=1e-3, ell=4),
+        )
         assert cfg.out_dir is None
 
     def test_explicit_time_horizon(self):
@@ -156,8 +197,11 @@ class TestParseConfig:
             parse_config(data)
         del data["grid"]
         cfg = parse_config(data)
-        assert cfg.grid_counts is None
-        assert cfg.eps == 1e-3
+        box = heat_problem().box
+        assert cfg.runs == tuple(
+            SweepRun(value=d, counts=grid_counts_for_delta(box, d), eps=1e-3, ell=4)
+            for d in (0.2, 0.1)
+        )
 
     def test_ell_clamped_to_r1_without_max_ell(self, tmp_path):
         # No key bounds ell: the removed max_ell and memory_budget_gb keys
@@ -171,7 +215,7 @@ class TestParseConfig:
         data["time"]["N"] = 40
         data["rom"]["ell"] = [80]
         config = parse_config(data)
-        assert config.ell == 80
+        assert [run.ell for run in config.runs] == [80, 80]
         result = run_study(config, out_dir=tmp_path)
         for row in result.rows:
             assert row.error is None
@@ -255,6 +299,57 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             parse_config(data)
 
+    def test_ell_sweep_resolves_integer_runs(self):
+        data = base_config()
+        del data["rom"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "ell", "values": [2, 4]}
+        runs = parse_config(data).runs
+        assert runs == (
+            SweepRun(value=2.0, counts=(3, 3), eps=1e-3, ell=2),
+            SweepRun(value=4.0, counts=(3, 3), eps=1e-3, ell=4),
+        )
+        assert all(type(run.ell) is int for run in runs)
+
+    @pytest.mark.parametrize("base", sorted(substitution_bases()))
+    def test_substituted_values_parse_or_raise_config_error(self, base):
+        # Each key path of the config holds each substitute in turn: the
+        # parser returns a config or raises ConfigError, never another type.
+        data = substitution_bases()[base]
+        parse_config(data)
+        escaped = []
+        for path in key_paths(data):
+            for value in SUBSTITUTES:
+                changed = copy.deepcopy(data)
+                node = changed
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    parse_config(changed)
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    escaped.append((path, value, repr(exc)))
+        assert escaped == []
+
+    @pytest.mark.parametrize("value", [v for v in SUBSTITUTES if v != "x"], ids=repr)
+    def test_output_dir_must_be_a_non_empty_string(self, value):
+        data = base_config()
+        data["output"] = {"dir": value}
+        with pytest.raises(ConfigError, match="output.dir must be a non-empty string"):
+            parse_config(data)
+        data["output"]["dir"] = "out/study"
+        assert parse_config(data).out_dir == "out/study"
+
+    def test_over_fine_delta_rejected(self):
+        data = base_config()
+        del data["grid"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "delta", "values": [0.25, 1e-320]}
+        with pytest.raises(ConfigError, match="too small"):
+            parse_config(data)
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "study.json"
         path.write_text(json.dumps(base_config()), encoding="utf-8")
@@ -299,6 +394,16 @@ class TestGridCountsForDelta:
 
     def test_rounds_up(self):
         assert grid_counts_for_delta(((0.0, 1.0),), 0.3) == (5,)
+
+    def test_coarse_delta_keeps_two_nodes(self):
+        for delta in (1.0, 7.0, 1e10, 1e300):
+            assert grid_counts_for_delta(((0.0, 1.0),), delta) == (2,)
+
+    def test_over_fine_delta_is_a_config_error(self):
+        (count,) = grid_counts_for_delta(((0.0, 1.0),), 1e-300)
+        assert count > 10**299
+        with pytest.raises(ConfigError, match="too small"):
+            grid_counts_for_delta(((0.0, 1.0),), 1e-320)
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +510,25 @@ class TestRunStudy:
         assert row.error is not None and "DomainError" in row.error
         assert math.isnan(row.e_max)
         assert "nan" in result.csv_path.read_text(encoding="utf-8")
+
+    def test_error_row_carries_its_own_delta_max(self, tmp_path):
+        # The second grid is too large to build: its row records the error
+        # with its own spacing, not the first grid's.
+        data = base_config()
+        del data["grid"]
+        data |= {
+            "mesh": {"h": 1.0},
+            "time": {"N": 4},
+            "compression": {"eps": [1e-3]},
+            "sweep": {"variable": "delta", "values": [0.25, 1e-300]},
+        }
+        first, second = run_study(parse_config(data), out_dir=tmp_path).rows
+        box = heat_problem().box
+        grid = uniform_grid(box, grid_counts_for_delta(box, 0.25))
+        assert first.error is None and first.delta_max == max(grid_spacings(grid))
+        assert second.error.startswith("ValueError")
+        assert second.delta_max == 1e-300
+        assert math.isnan(second.e_max) and second.r1 == 0 and second.ell == 4
 
     def test_training_nodes_are_reproduced(self, tmp_path):
         # Explicit test points on the training grid with a near-lossless

@@ -28,7 +28,7 @@ from lrtdrom import (
     unfold_first_mode,
     uniform_grid,
 )
-from oracles import grid_box, grid_indices, grid_point, mode_product
+from oracles import grid_box, grid_indices, grid_point, grid_spacings, mode_product
 
 # Frozen once from the writer; pins magic, header layout, little-endian
 # doubles, and first-index-fastest payload order.
@@ -51,13 +51,13 @@ class TestParameterGrid:
 
     def test_heat_box_spacings(self, heat):
         grid = uniform_grid(heat.box, (11, 19))
-        assert grid.spacings[0] == pytest.approx(0.0491, rel=1e-12)
-        assert grid.spacings[1] == pytest.approx(0.05, rel=1e-12)
+        assert grid_spacings(grid)[0] == pytest.approx(0.0491, rel=1e-12)
+        assert grid_spacings(grid)[1] == pytest.approx(0.05, rel=1e-12)
 
     def test_single_node_axis_allowed(self):
         grid = ParameterGrid(axes=(np.array([0.3]), np.array([0.0, 1.0])))
         assert grid.counts == (1, 2)
-        assert grid.spacings[0] == 0.0
+        assert grid_spacings(grid)[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
