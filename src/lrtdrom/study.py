@@ -56,6 +56,7 @@ from .rom import (
 )
 from .tensors import (
     ParameterGrid,
+    check_budget,
     generate_snapshots,
     resolve_memory_budget,
     uniform_grid,
@@ -427,7 +428,7 @@ class StudyResult:
 
 # Part of every FOM-cache key: raise it when a change to the full-order
 # solver alters its output, so entries it wrote earlier stop matching.
-_FOM_SOLVER_VERSION = 3
+_FOM_SOLVER_VERSION = 4
 
 
 class FomCache:
@@ -532,6 +533,12 @@ def run_study(
     Full-order test solves are cached under the output directory, so a
     rerun reproduces every numeric column. A failed run records its error
     in a row with its own eps, requested ell and ``delta_max``.
+
+    The memory budget is checked before anything it covers is allocated:
+    the test trajectories, which live through every run, before they are
+    solved (a :class:`BudgetError` here ends the study), and each grid's
+    compression next to them, from the run's node counts before the grid
+    is built (a :class:`BudgetError` row).
     """
     if out_dir is None and config.out_dir is None:
         raise ConfigError("no output directory given (config output.dir or --out)")
@@ -546,6 +553,9 @@ def run_study(
     terms = affine_operator(mesh, problem)
     u0 = initial_state(problem, mesh)
     test_points = config.test_set.build(problem.box)
+    # The test trajectories stay alive through every row.
+    held = mesh.n_nodes * tg.steps * test_points.shape[0]
+    check_budget(held, budget, "test trajectories")
     test_states = _solve_test_foms(
         terms, mass, tg, test_points, FomCache(out / "fom_cache")
     )
@@ -559,12 +569,12 @@ def run_study(
         try:
             if grid is None or grid.counts != run.counts:
                 grid = tensor = memo = tt = None
+                check_compression_budget(
+                    mesh.n_nodes, tg.steps * math.prod(run.counts), budget, held
+                )
                 new_grid = uniform_grid(problem.box, run.counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, new_grid)
-                check_compression_budget(
-                    mesh.n_nodes, tg.steps * new_grid.n_points, budget
-                )
                 tensor = generate_snapshots(problem, mesh, tg, new_grid)
                 grid, memo = new_grid, {}
             if tt is None or tt_eps != run.eps:

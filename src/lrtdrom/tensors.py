@@ -9,6 +9,7 @@ first-mode unfolding is a zero-copy view.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,11 +45,16 @@ def resolve_memory_budget() -> float:
 
 
 def check_budget(n_doubles: int, budget_gb: float, what: str) -> None:
-    """Raise BudgetError when ``n_doubles`` float64 values exceed the budget."""
+    """Raise BudgetError when ``n_doubles`` float64 values exceed the budget.
+
+    ``n_doubles`` may be an integer beyond the float range (a grid of
+    astronomically many points); the message then reads ``inf`` GiB.
+    """
     need = 8 * n_doubles
     if need > budget_gb * 2**30:
+        gib = need / 2**30 if need < 2**1000 else math.inf
         raise BudgetError(
-            f"{what} needs {need / 2**30:.2f} GiB, budget is {budget_gb:.2f} GiB"
+            f"{what} needs {gib:.2f} GiB, budget is {budget_gb:.2f} GiB"
         )
 
 

@@ -315,9 +315,13 @@ def _read_only(factors: tuple) -> tuple:
     return factors
 
 
-def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
+def check_compression_budget(
+    rows: int, cols: int, budget_gb: float, held: int = 0
+) -> None:
     """Raise BudgetError unless compressing a snapshot tensor whose first
-    unfolding is rows x cols fits the budget: the peak memory model.
+    unfolding is rows x cols fits the budget next to ``held`` doubles
+    that stay allocated meanwhile (a study's test trajectories): the
+    peak memory model.
 
     It counts the tensor and the dense fallback's peak: gesdd's working
     copy of the unfolding, U (rows x k), V^T (k x cols) and its
@@ -331,7 +335,10 @@ def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
     k = min(rows, cols)
     svd = rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
     check_budget(
-        rows * cols + svd, budget_gb, "snapshot tensor and its first-unfolding SVD"
+        held + rows * cols + svd,
+        budget_gb,
+        "snapshot tensor and its first-unfolding SVD"
+        + (" next to the test trajectories" if held else ""),
     )
 
 

@@ -4,8 +4,8 @@ None of these runs in the package's pipeline. Each is the direct,
 unoptimized form of a quantity the package computes another way: the
 full tensor of a train, a mode product, a scalar interpolant, a POD basis
 from the snapshot Gram matrix, an assembled edge mass matrix, the
-advection velocity as a field, and the multi-indices, nodes and box of a
-parameter grid.
+advection velocity as a field, the multi-indices, nodes and box of a
+parameter grid, and a backward-Euler march on a sparse LU factor.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from lrtdrom import (
     InterpolationScheme,
@@ -146,3 +147,23 @@ def grid_spacings(grid: ParameterGrid) -> tuple[float, ...]:
     return tuple(
         float(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0 for a in grid.axes
     )
+
+
+def superlu_march(
+    mass: sp.spmatrix, op: sp.spmatrix, load, u0: np.ndarray, tg
+) -> np.ndarray:
+    """Backward Euler on a SuperLU factor of (mass + dt op) in node order:
+    the states (M, N) or (M, N, k) of ``u0`` of shape (M,) or (M, k).
+
+    ``load`` is an (M,) vector, an (M, k) block or a callable t -> (M,).
+    """
+    dt = tg.dt
+    lu = splu((mass + dt * op).tocsc())
+    m = mass.shape[0]
+    u = np.asarray(u0, dtype=float).reshape(m, -1)
+    states = np.empty((m, tg.steps, u.shape[1]), order="F")
+    for n, t in enumerate(tg.times()):
+        g = load(t) if callable(load) else load
+        u = lu.solve(mass @ u + dt * np.reshape(g, (m, -1)))
+        states[:, n] = u
+    return states.reshape(m, tg.steps, *np.shape(u0)[1:])

@@ -158,6 +158,22 @@ def test_unparseable_memory_budget_reports_error(
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
+def test_study_over_budget_test_trajectories_reports_error(tmp_path, capsys, monkeypatch):
+    # 3000 random test trajectories (M=186, 10 steps) need 42.6 MiB, over
+    # a 5 MiB budget that holds every compression of the study.
+    path = tmp_path / "study.json"
+    data = CONFIG | {"test_set": {"mode": "random", "count": 3000, "seed": 0}}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "0.005")
+    capsys.readouterr()
+    rc = main(["study", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "test trajectories" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -39,7 +39,7 @@ from lrtdrom import (
     source_values,
 )
 from lrtdrom.fem import _SOURCE_CENTER, _SOURCE_WIDTH
-from oracles import advection_field, boundary_mass
+from oracles import advection_field, boundary_mass, superlu_march
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -522,6 +522,108 @@ class TestTimeStepping:
         op, load = assemble_operator(heat_mesh, heat, (0.5, 0.9))
         steady = spla.spsolve(op.tocsc(), load)
         assert np.all(steady > 0.0)
+
+
+def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+# (problem, mesh size, alpha) of a symmetric (heat) and a nonsymmetric
+# (advdiff) time-step system.
+MARCH_SYSTEMS = {
+    "heat": (heat_problem(), 0.5, (0.3, 0.5)),
+    "advdiff": (advdiff_problem(), 0.1, (0.05, -0.02, 0.1, 0.0, -0.1)),
+}
+
+
+class TestBandedMarch:
+    """The banded march against SuperLU in node order (``superlu_march``)."""
+
+    @staticmethod
+    def system(kind: str):
+        problem, h, alpha = MARCH_SYSTEMS[kind]
+        mesh = build_mesh(problem, h)
+        op, load = assemble_operator(mesh, problem, alpha)
+        return assemble_mass(mesh), op, load, TimeGrid(problem.final_time, 12)
+
+    @pytest.mark.parametrize("kind", ["heat", "advdiff"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_matches_superlu(self, kind, width, rng):
+        mass, op, load, tg = self.system(kind)
+        m = mass.shape[0]
+        if width == 1:
+            u0 = rng.normal(size=m)
+        else:
+            u0 = rng.normal(size=(m, width))
+            load = np.column_stack([load, -2.0 * load])
+        got = backward_euler_solve(mass, op, load, u0, tg).states
+        ref = superlu_march(mass, op, load, u0, tg)
+        assert got.shape == ref.shape
+        assert relative_error(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["heat", "advdiff"])
+    def test_callable_load_into_a_view_matches_superlu(self, kind, rng):
+        mass, op, load, tg = self.system(kind)
+        m = mass.shape[0]
+        u0 = rng.normal(size=(m, 2))
+        forcing = lambda t: np.cos(t) * load  # noqa: E731
+        big = np.full((m, tg.steps, 4), np.nan, order="F")
+        traj = backward_euler_solve(mass, op, forcing, u0, tg, out=big[:, :, 1:3])
+        assert np.shares_memory(traj.states, big)
+        ref = superlu_march(mass, op, forcing, u0, tg)
+        assert relative_error(big[:, :, 1:3], ref) <= 1e-12
+        assert np.isnan(big[:, :, [0, 3]]).all()
+        backward_euler_solve(mass, op, forcing, u0[:, 0], tg, out=big[:, :, 3])
+        assert relative_error(big[:, :, 3], ref[:, :, 0]) <= 1e-12
+
+    @pytest.mark.parametrize("kind, routine", [("heat", "dpbtrf"), ("advdiff", "dgbtrf")])
+    def test_symmetric_systems_take_cholesky(self, kind, routine, monkeypatch):
+        # Heat's mass + dt * operator is exactly symmetric, advdiff's is not.
+        mass, op, load, tg = self.system(kind)
+        calls = []
+        for name in ("dpbtrf", "dgbtrf"):
+            factor = getattr(fem, name)
+            monkeypatch.setattr(
+                fem, name, lambda *a, _f=factor, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        backward_euler_solve(mass, op, load, np.zeros(mass.shape[0]), tg)
+        assert calls == [routine]
+
+    def test_symmetric_indefinite_system_raises(self):
+        # mass + dt * op = diag(1, -1, 1, -1): symmetric but not positive
+        # definite, so the Cholesky factorization fails.
+        mass = sp.identity(4, format="csr")
+        op = sp.diags([0.0, -4.0, 0.0, -4.0], format="csr")
+        with pytest.raises(SolverError, match="factorization failed"):
+            backward_euler_solve(mass, op, np.zeros(4), np.zeros(4), TimeGrid(1.0, 2))
+
+    def test_nonsymmetric_singular_system_raises(self):
+        # [[2, 1], [4, 2]] has an exactly zero second pivot.
+        zero = sp.csr_matrix((2, 2))
+        op = sp.csr_matrix(np.array([[2.0, 1.0], [4.0, 2.0]]))
+        with pytest.raises(SolverError, match="factorization failed"):
+            backward_euler_solve(zero, op, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+
+    def test_tiny_pivot_ratio_raises(self):
+        mass = sp.diags([1.0, 1e-16], format="csr")
+        zero = sp.csr_matrix((2, 2))
+        with pytest.raises(SolverError, match="numerically singular"):
+            backward_euler_solve(mass, zero, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+
+    def test_layout_computed_once_per_pattern(self, heat, heat_mesh, monkeypatch):
+        # Three operator groups share the stiffness pattern.
+        built = []
+        build = fem._build_band_layout
+        monkeypatch.setattr(
+            fem, "_build_band_layout", lambda mass, op: built.append(1) or build(mass, op)
+        )
+        monkeypatch.setattr(fem, "_LAYOUTS", {})
+        alphas = [(0.1, 0.2), (0.3, 0.2), (0.4, 0.5), (0.1, 0.9)]
+        tg = TimeGrid(heat.final_time, 3)
+        out = np.empty((heat_mesh.n_nodes, 3, len(alphas)), order="F")
+        terms = affine_operator(heat_mesh, heat)
+        solve_fom_batch(terms, assemble_mass(heat_mesh), tg, alphas, out)
+        assert built == [1]
 
 
 def test_problem_factories():

@@ -18,6 +18,7 @@ import lrtdrom.study as study_module
 import lrtdrom.tt as tt_module
 from lrtdrom import (
     CSV_HEADER,
+    BudgetError,
     ConfigError,
     FomCache,
     ProblemSpec,
@@ -526,9 +527,33 @@ class TestRunStudy:
         box = heat_problem().box
         grid = uniform_grid(box, grid_counts_for_delta(box, 0.25))
         assert first.error is None and first.delta_max == max(grid_spacings(grid))
-        assert second.error.startswith("ValueError")
+        assert second.error.startswith("BudgetError")
         assert second.delta_max == 1e-300
         assert math.isnan(second.e_max) and second.r1 == 0 and second.ell == 4
+
+    def test_over_fine_grid_is_budgeted_before_it_exists(self, tmp_path, monkeypatch):
+        # A delta of 1e-300 asks for ~4e599 grid points: the budget check
+        # sees the count before any grid axis is allocated, so the row
+        # records a BudgetError and the grid is never built.
+        built = []
+        make_grid = study_module.uniform_grid
+
+        def counted(box, counts):
+            built.append(counts)
+            return make_grid(box, counts)
+
+        monkeypatch.setattr(study_module, "uniform_grid", counted)
+        data = base_config()
+        del data["grid"]
+        data |= {
+            "compression": {"eps": [1e-3]},
+            "sweep": {"variable": "delta", "values": [1e-300, 0.25]},
+        }
+        first, second = run_study(parse_config(data), out_dir=tmp_path).rows
+        assert first.error.startswith("BudgetError: snapshot tensor")
+        assert second.error is None
+        box = heat_problem().box
+        assert built == [grid_counts_for_delta(box, 0.25)]
 
     def test_training_nodes_are_reproduced(self, tmp_path):
         # Explicit test points on the training grid with a near-lossless
@@ -740,6 +765,40 @@ class TestCompressionReuse:
         for row in result.rows:
             assert row.error is not None and "BudgetError" in row.error
 
+    @staticmethod
+    def random_test_set(count: int) -> dict:
+        data = base_config()
+        data["test_set"] = {"mode": "random", "count": count, "seed": 0}
+        return data
+
+    def test_preflight_counts_the_test_trajectories(self, tmp_path, monkeypatch):
+        # 3000 test trajectories (M=186, 10 steps) need 42.6 MiB; a 5 MiB
+        # budget holds every compression of the study but not them, so the
+        # study stops before the first test solve.
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "0.005")
+        with pytest.raises(BudgetError, match="test trajectories"):
+            run_study(parse_config(self.random_test_set(3000)), out_dir=tmp_path)
+        assert not list((tmp_path / "fom_cache").glob("*.npy"))
+
+    def test_compression_preflight_counts_the_test_trajectories(
+        self, tmp_path, monkeypatch
+    ):
+        # 50 test trajectories (0.71 MiB) and the 3x3 grid's compression
+        # (0.70 MiB) each fit 1 MiB, but not together, and the test
+        # trajectories are alive while the grid is compressed.
+        m = build_mesh(heat_problem(), 0.5).n_nodes
+        held = m * 10 * 50
+        budget_gb = 1.0 / 1024
+        check_budget(held, budget_gb, "test trajectories")
+        tt_module.check_compression_budget(m, 10 * 9, budget_gb)
+        with pytest.raises(BudgetError):
+            tt_module.check_compression_budget(m, 10 * 9, budget_gb, held)
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
+        result = run_study(parse_config(self.random_test_set(50)), out_dir=tmp_path)
+        for row in result.rows:
+            assert row.error.startswith("BudgetError")
+            assert "next to the test trajectories" in row.error
+
 
 class TestFomCache:
     def test_store_and_lookup_bitwise(self, tmp_path, rng):
@@ -758,6 +817,14 @@ class TestFomCache:
         assert FomCache.key(problem, 0.25, tg, (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, TimeGrid(2.0, 8), (0.2, 0.3)) != base
         assert FomCache.key(problem, 0.5, tg, (0.2, 0.30001)) != base
+
+    def test_key_tracks_solver_version(self, monkeypatch):
+        # The banded march moved trajectories by ~1e-14: entries written by
+        # the SuperLU march (solver version 3) must not match.
+        tg = TimeGrid(2.0, 4)
+        current = FomCache.key(heat_problem(), 0.5, tg, (0.2, 0.3))
+        monkeypatch.setattr(study_module, "_FOM_SOLVER_VERSION", 3)
+        assert FomCache.key(heat_problem(), 0.5, tg, (0.2, 0.3)) != current
 
     def test_key_tracks_every_problem_field(self):
         problem = heat_problem()
