@@ -252,6 +252,8 @@ _X_COLUMN = {"eps": "eps", "delta": "delta_max", "ell": "lambda_tail"}
 
 
 def _cmd_slopes(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.floor_factor):
+        raise ConfigError(f"--floor-factor must be a finite number, got {args.floor_factor}")
     try:
         with open(args.csv, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f if line.strip()]

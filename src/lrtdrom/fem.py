@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import AssemblyError, DomainError, GeometryError, SolverError
 
@@ -612,91 +611,6 @@ class FomTrajectory:
     states: np.ndarray
 
 
-@dataclass(frozen=True)
-class _BandLayout:
-    """Where the entries of a (mass, operator) sparsity pattern go in
-    LAPACK band storage, with the nodes in reverse Cuthill-McKee order.
-
-    Position k of the ordering holds node ``perm[k]``; node i sits at
-    position ``inverse[i]``. Entry (i, j) lands in row
-    2 bw + inverse[i] - inverse[j] and column inverse[j] of the
-    (3 bw + 1, M) Fortran array that ``dgbtrf`` factors (kl = ku = bw);
-    ``mass_slots`` and ``op_slots`` are these flat positions for every
-    stored entry, in CSR order. ``slots`` lists each occupied position
-    once and ``mirror`` the position of its transpose, so the assembled
-    system is symmetric when the values at the two agree. The mass
-    matrix in the new order is ``mass.data[mass_order]`` on the CSR
-    pattern (``mass_indptr``, ``mass_indices``).
-    """
-
-    perm: np.ndarray
-    inverse: np.ndarray
-    bandwidth: int
-    mass_slots: np.ndarray
-    op_slots: np.ndarray
-    slots: np.ndarray
-    mirror: np.ndarray
-    mass_order: np.ndarray
-    mass_indptr: np.ndarray
-    mass_indices: np.ndarray
-
-
-def _build_band_layout(mass: sp.csr_matrix, op: sp.csr_matrix) -> _BandLayout:
-    m = mass.shape[0]
-    mass_rows, mass_cols = _csr_entries(mass)
-    op_rows, op_cols = _csr_entries(op)
-    rows = np.concatenate([mass_rows, op_rows])
-    cols = np.concatenate([mass_cols, op_cols])
-    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-    perm = reverse_cuthill_mckee(graph, symmetric_mode=False).astype(np.int64)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(m)
-    r, c = inverse[rows], inverse[cols]
-    bw = int(np.abs(r - c).max()) if rows.size else 0
-    ldab = 3 * bw + 1
-    slot = (2 * bw + r - c) + ldab * c
-    slots = np.unique(slot)
-    c_occ = slots // ldab
-    r_occ = slots % ldab - 2 * bw + c_occ
-    n_mass = mass_rows.size
-    order = np.lexsort((c[:n_mass], r[:n_mass]))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(r[:n_mass], minlength=m))))
-    return _BandLayout(
-        perm=perm,
-        inverse=inverse,
-        bandwidth=bw,
-        mass_slots=slot[:n_mass],
-        op_slots=slot[n_mass:],
-        slots=slots,
-        mirror=(2 * bw + c_occ - r_occ) + ldab * r_occ,
-        mass_order=order,
-        mass_indptr=indptr,
-        mass_indices=c[:n_mass][order],
-    )
-
-
-# The layout of the last pattern marched: every operator of one
-# AffineOperator shares the stiffness pattern, so a study computes it once.
-_LAYOUTS: dict[tuple, _BandLayout] = {}
-
-
-def _band_layout(mass: sp.csr_matrix, op: sp.csr_matrix) -> _BandLayout:
-    key = (
-        mass.shape,
-        op.shape,
-        mass.indptr.tobytes(),
-        mass.indices.tobytes(),
-        op.indptr.tobytes(),
-        op.indices.tobytes(),
-    )
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        layout = _build_band_layout(mass, op)
-        _LAYOUTS.clear()
-        _LAYOUTS[key] = layout
-    return layout
-
-
 def backward_euler_solve(
     mass: sp.spmatrix,
     op: sp.spmatrix,
@@ -715,30 +629,36 @@ def backward_euler_solve(
     given, shape (M, N) or (M, N, k) (a view into a larger array works),
     and to a new Fortran array otherwise.
 
-    The nodes are put in reverse Cuthill-McKee order, which makes the
-    matrix banded with half-bandwidth bw, and the march runs in that order on
-    a banded LAPACK factor: Cholesky (``dpbtrf``/``dpbtrs``,
-    (bw + 1) M doubles) when the assembled matrix is exactly symmetric,
-    as for heat, and LU with partial pivoting (``dgbtrf``/``dgbtrs``,
-    (3 bw + 1) M doubles) otherwise. Each step is written back in node
-    order. The ordering and the band positions of the entries depend on
-    the sparsity patterns alone and are computed once per pattern. Per
-    step this is O(M bw) work: faster than a sparse LU on every mesh
-    the package's studies and tests use (heat h = 0.05, bw = 82,
-    included), and slower only for nonsymmetric systems on finer meshes
-    (advdiff h = 0.0125, bw = 81). A failed factorization (a symmetric matrix that is not positive
-    definite, an exactly zero pivot) or a pivot ratio at or below 1e-14
-    raises :class:`SolverError`.
+    The march runs in node order on a banded LAPACK factor of half-bandwidth
+    bw = max |i - j| over the stored entries. :func:`build_mesh` numbers
+    the nodes column by column, so bw is the nodes per grid column plus
+    one; a matrix in any other order is solved the same way, on a wider
+    band. The factor is Cholesky (``dpbtrf``/``dpbtrs``, (bw + 1) M
+    doubles) when the assembled matrix is exactly symmetric, as for heat,
+    and LU with partial pivoting (``dgbtrf``/``dgbtrs``, (3 bw + 1) M
+    doubles) otherwise. Per step this is O(M bw) work: faster than a
+    sparse LU on every mesh the package's studies and tests use (heat
+    h = 0.05, bw = 82, included), and slower only for nonsymmetric systems
+    on finer meshes (advdiff h = 0.0125, bw = 82). A failed factorization
+    (a symmetric matrix that is not positive definite, an exactly zero
+    pivot) or a pivot ratio at or below 1e-14 raises :class:`SolverError`.
     """
     dt = tg.dt
     mass, op = mass.tocsr(), op.tocsr()
-    layout = _band_layout(mass, op)
-    m, bw = mass.shape[0], layout.bandwidth
-    band = np.zeros((3 * bw + 1) * m)
-    np.add.at(band, layout.mass_slots, mass.data)
-    np.add.at(band, layout.op_slots, dt * op.data)
-    full = band.reshape(3 * bw + 1, m, order="F")
-    symmetric = np.array_equal(band[layout.slots], band[layout.mirror])
+    m = mass.shape[0]
+    mass_rows, mass_cols = _csr_entries(mass)
+    op_rows, op_cols = _csr_entries(op)
+    rows = np.concatenate([mass_rows, op_rows])
+    cols = np.concatenate([mass_cols, op_cols])
+    bw = int(np.abs(rows - cols).max()) if rows.size else 0
+    # Entry (i, j) sits in row 2 bw + i - j, column j of the (3 bw + 1, M)
+    # Fortran array that dgbtrf factors (kl = ku = bw).
+    ldab = 3 * bw + 1
+    slots = (2 * bw + rows - cols) + ldab * cols
+    band = np.zeros(ldab * m)
+    np.add.at(band, slots, np.concatenate([mass.data, dt * op.data]))
+    full = band.reshape(ldab, m, order="F")
+    symmetric = np.array_equal(band[slots], band[(2 * bw + cols - rows) + ldab * rows])
     if symmetric:
         # Upper storage: rows bw..2 bw of the general layout hold i <= j.
         factor, info = dpbtrf(full[bw : 2 * bw + 1])
@@ -761,24 +681,19 @@ def backward_euler_solve(
     if states.shape != shape:
         raise SolverError(f"state array has shape {states.shape}, expected {shape}")
     # Every step writes one (M, k) block, k = 1 for a single state.
-    perm, inverse = layout.perm, layout.inverse
-    u = u.reshape(m, -1)[perm]
+    u = u.reshape(m, -1)
     columns = states if states.ndim == 3 else states[:, :, None]
-    mass_p = sp.csr_matrix(
-        (mass.data[layout.mass_order], layout.mass_indices, layout.mass_indptr),
-        shape=(m, m),
-    )
     time_dependent = callable(load)
     if not time_dependent:
-        scaled = dt * np.asarray(load, dtype=float).reshape(m, -1)[perm]
+        scaled = dt * np.asarray(load, dtype=float).reshape(m, -1)
     for n, t in enumerate(tg.times()):
-        rhs = mass_p @ u
-        rhs += dt * np.reshape(load(t), (m, -1))[perm] if time_dependent else scaled
+        rhs = mass @ u
+        rhs += dt * np.reshape(load(t), (m, -1)) if time_dependent else scaled
         if symmetric:
             u, _ = dpbtrs(factor, rhs, overwrite_b=1)
         else:
             u, _ = dgbtrs(factor, bw, bw, rhs, ipiv, overwrite_b=1)
-        columns[:, n] = u[inverse]
+        columns[:, n] = u
     return FomTrajectory(states=states)
 
 

@@ -126,6 +126,11 @@ def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:
     Values below max(1e-14, N * eps_mach) times the largest, the accuracy
     of a symmetric eigensolver on the N x N Gram matrix, are round-off
     and clipped to zero; the result always has length N.
+
+    Every eigenvalue has an absolute error of about N * eps_mach * lambda_0
+    (lambda_0 the largest), so a value or tail sum s carries about
+    log10(s / (N * eps_mach * lambda_0)) meaningful digits, and none once
+    s is within a few multiples of that error.
     """
     u = np.asarray(states)
     n = u.shape[1]

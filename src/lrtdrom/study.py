@@ -428,7 +428,7 @@ class StudyResult:
 
 # Part of every FOM-cache key: raise it when a change to the full-order
 # solver alters its output, so entries it wrote earlier stop matching.
-_FOM_SOLVER_VERSION = 4
+_FOM_SOLVER_VERSION = 5
 
 
 class FomCache:

@@ -204,6 +204,10 @@ def save_tensor(path: str | os.PathLike, tensor: np.ndarray) -> None:
 
 
 def _read_exact(f, count: int, dtype: str, what: str) -> np.ndarray:
+    # A crafted header can claim any size: check it against the bytes left
+    # in the file before numpy allocates it.
+    if count * np.dtype(dtype).itemsize > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"truncated file while reading {what}")
     data = np.fromfile(f, dtype=dtype, count=count)
     if data.size != count:
         raise FormatError(f"truncated file while reading {what}")
@@ -228,7 +232,7 @@ def load_tensor(path: str | os.PathLike) -> np.ndarray:
     """Read a tensor written by :func:`save_tensor`."""
     with open(path, "rb") as f:
         dims = _read_header(f, TENSOR_MAGIC)
-        payload = _read_exact(f, int(np.prod(dims)), "<f8", "payload")
+        payload = _read_exact(f, math.prod(dims.tolist()), "<f8", "payload")
         if f.read(1) != b"":
             raise FormatError("trailing bytes after tensor payload")
     return payload.astype(np.float64).reshape(tuple(dims), order="F")

@@ -11,6 +11,7 @@ parameter value to a local coefficient matrix.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -488,7 +489,7 @@ def load_tt(path: str | os.PathLike) -> TTTensor:
         cores = []
         for k in range(order):
             shape = (int(full_ranks[k]), int(dims[k]), int(full_ranks[k + 1]))
-            payload = _read_exact(f, int(np.prod(shape)), "<f8", f"core {k}")
+            payload = _read_exact(f, math.prod(shape), "<f8", f"core {k}")
             cores.append(payload.astype(np.float64).reshape(shape, order="F"))
         if f.read(1) != b"":
             raise FormatError("trailing bytes after tensor-train payload")

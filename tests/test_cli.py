@@ -81,6 +81,19 @@ def test_compress_without_snapshots_fails(compressed, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
+def test_compress_crafted_tensor_header_fails(compressed, tmp_path, capsys):
+    # A header claiming 65535 x 65535 doubles (32 GiB) over 16 doubles of
+    # payload is a format error, not an allocation attempt.
+    shutil.copy(compressed / "meta.json", tmp_path)
+    header = np.array([2, 65535, 65535], dtype="<u4").tobytes()
+    (tmp_path / "snapshots.lrt").write_bytes(b"LRT1" + header + np.zeros(16).tobytes())
+    capsys.readouterr()
+    rc = main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -175,18 +188,29 @@ def test_study_over_budget_test_trajectories_reports_error(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize(
-    "content, message",
+    "content, extra, message",
     [
-        (None, "cannot read"),
-        ("", "is empty"),
-        ("sweep_var,value,eps,E_max\neps,0.1,0.1\n", "malformed row"),
+        pytest.param(None, [], "cannot read", id="None-cannot read"),
+        pytest.param("", [], "is empty", id="-is empty"),
+        pytest.param(
+            "sweep_var,value,eps,E_max\neps,0.1,0.1\n",
+            [],
+            "malformed row",
+            id="sweep_var,value,eps,E_max\neps,0.1,0.1\n-malformed row",
+        ),
+        pytest.param(
+            "eps,E_max\n1,1\n0.1,0.1\n0.01,0.01\n",
+            ["--floor-factor", "nan"],
+            "must be a finite",
+            id="nan-floor-factor",
+        ),
     ],
 )
-def test_bad_slopes_csv_reports_error(tmp_path, capsys, content, message):
+def test_bad_slopes_csv_reports_error(tmp_path, capsys, content, extra, message):
     path = tmp_path / "results.csv"
     if content is not None:
         path.write_text(content, encoding="utf-8")
-    rc = main(["slopes", "--csv", str(path), "--var", "eps"])
+    rc = main(["slopes", "--csv", str(path), "--var", "eps", *extra])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

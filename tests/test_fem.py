@@ -610,20 +610,31 @@ class TestBandedMarch:
         with pytest.raises(SolverError, match="numerically singular"):
             backward_euler_solve(mass, zero, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
 
-    def test_layout_computed_once_per_pattern(self, heat, heat_mesh, monkeypatch):
-        # Three operator groups share the stiffness pattern.
-        built = []
-        build = fem._build_band_layout
-        monkeypatch.setattr(
-            fem, "_build_band_layout", lambda mass, op: built.append(1) or build(mass, op)
-        )
-        monkeypatch.setattr(fem, "_LAYOUTS", {})
-        alphas = [(0.1, 0.2), (0.3, 0.2), (0.4, 0.5), (0.1, 0.9)]
-        tg = TimeGrid(heat.final_time, 3)
-        out = np.empty((heat_mesh.n_nodes, 3, len(alphas)), order="F")
-        terms = affine_operator(heat_mesh, heat)
-        solve_fom_batch(terms, assemble_mass(heat_mesh), tg, alphas, out)
-        assert built == [1]
+    @pytest.mark.parametrize(
+        "problem, h, bandwidth",
+        [(heat_problem(), 0.5, 10), (heat_problem(), 0.2, 26), (advdiff_problem(), 0.1, 12)],
+    )
+    def test_node_numbering_keeps_the_band_narrow(self, problem, h, bandwidth):
+        # build_mesh numbers nodes column by column, so the half-bandwidth
+        # is the nodes per grid column plus one: a renumbering that widens
+        # the band (and slows every march) fails here.
+        mesh = build_mesh(problem, h)
+        op, _ = assemble_operator(mesh, problem, np.full(problem.n_params, 0.05))
+        pattern = (abs(assemble_mass(mesh)) + abs(op)).tocoo()
+        y0, y1 = problem.outer[1], problem.outer[3]
+        assert np.abs(pattern.row - pattern.col).max() == bandwidth
+        assert bandwidth == round((y1 - y0) / mesh.cell) + 2
+
+    def test_permuted_system_matches_superlu(self, rng):
+        # A random node order makes the band nearly full; the march must
+        # still agree with SuperLU on the permuted system.
+        mass, op, load, tg = self.system("heat")
+        perm = np.random.default_rng(7).permutation(mass.shape[0])
+        mass, op = mass[perm][:, perm], op[perm][:, perm]
+        u0 = rng.normal(size=mass.shape[0])
+        got = backward_euler_solve(mass, op, load[perm], u0, tg).states
+        ref = superlu_march(mass, op, load[perm], u0, tg)
+        assert relative_error(got, ref) <= 1e-12
 
 
 def test_problem_factories():

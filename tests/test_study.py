@@ -819,11 +819,11 @@ class TestFomCache:
         assert FomCache.key(problem, 0.5, tg, (0.2, 0.30001)) != base
 
     def test_key_tracks_solver_version(self, monkeypatch):
-        # The banded march moved trajectories by ~1e-14: entries written by
-        # the SuperLU march (solver version 3) must not match.
+        # The node-order banded march moved trajectories by ~1e-14: entries
+        # written by the reordered banded march (solver version 4) must not match.
         tg = TimeGrid(2.0, 4)
         current = FomCache.key(heat_problem(), 0.5, tg, (0.2, 0.3))
-        monkeypatch.setattr(study_module, "_FOM_SOLVER_VERSION", 3)
+        monkeypatch.setattr(study_module, "_FOM_SOLVER_VERSION", 4)
         assert FomCache.key(heat_problem(), 0.5, tg, (0.2, 0.3)) != current
 
     def test_key_tracks_every_problem_field(self):

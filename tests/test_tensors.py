@@ -337,3 +337,17 @@ class TestPersistence:
         path.write_bytes(GOLDEN_2X2X2 + b"\x00")  # trailing bytes
         with pytest.raises(FormatError):
             load_tensor(path)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(65535, 65535), (2**31, 2**31), (2**32 - 1,) * 8],
+        ids=["32GiB", "too-big", "wraps-int64"],
+    )
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, dims):
+        # The claimed payload is checked against the file size before any
+        # allocation, in exact integers: (2^32 - 1)^8 wraps an int64 product.
+        path = tmp_path / "crafted.lrt"
+        header = np.array([len(dims), *dims], dtype="<u4").tobytes()
+        path.write_bytes(b"LRT1" + header + np.zeros(16).tobytes())
+        with pytest.raises(FormatError, match="truncated"):
+            load_tensor(path)

@@ -596,3 +596,12 @@ class TestPersistence:
         path.write_bytes(raw[: len(raw) - 5])
         with pytest.raises(FormatError):
             load_tt(path)
+
+    def test_rank_claiming_more_than_the_file_holds(self, tmp_path):
+        # Order 2, dims (2, 2), interior rank 2^31: the first core alone
+        # would be 32 GiB, and the file holds 16 doubles.
+        path = tmp_path / "crafted.lrtt"
+        header = np.array([2, 2, 2, 2**31], dtype="<u4").tobytes()
+        path.write_bytes(b"LRTT" + header + np.zeros(16).tobytes())
+        with pytest.raises(FormatError, match="truncated"):
+            load_tt(path)
