@@ -2,11 +2,11 @@
 
 A study sweeps exactly one of three knobs: the compression tolerance
 ``eps``, the parameter-grid spacing ``delta``, or the local basis size
-``ell``. For each sweep value it builds (or reuses) the snapshot tensor,
-compresses it, solves the reduced model at every test parameter, and
-records the worst and mean space-time H1 errors against cached full-order
-runs. Results go to a CSV file with a fixed header, a gnuplot-friendly
-``.dat`` twin, and a JSON summary.
+``ell``. It first compresses the snapshot tensor of every sweep value
+(built or reused), then solves the reduced model of each at every test
+parameter and records the worst and mean space-time H1 errors against
+cached full-order runs. Results go to a CSV file with a fixed header, a
+gnuplot-friendly ``.dat`` twin, and a JSON summary.
 
 Configs are JSON with a strict schema: every block is an object, and
 unknown keys anywhere are rejected. The swept variable's values live in
@@ -524,21 +524,24 @@ def run_study(
     """Run every entry of ``config.runs``; write results.csv, results.dat
     and summary.json.
 
-    A run rebuilds the snapshots only when its grid counts change: the old
-    tensor is released first, and the new grid becomes current once its
-    tensor exists. One memo per grid lets :func:`frobenius_tolerance` and
-    :func:`tt_svd` compute the norms and the first-unfolding factorization
-    once for every eps; it is dropped after the grid's last compression.
-    The operator terms serve the test solves and every reduced solve.
-    Full-order test solves are cached under the output directory, so a
-    rerun reproduces every numeric column. A failed run records its error
-    in a row with its own eps, requested ell and ``delta_max``.
+    Two phases keep each snapshot tensor apart from the test trajectories.
+    First every run, in order, gets its train: a run rebuilds the
+    snapshots only when its grid counts change, and one memo per grid lets
+    :func:`frobenius_tolerance` and :func:`tt_svd` compute the norms and
+    the first-unfolding factorization once for every eps. A grid's tensor
+    and memo are released right after its last compression (or a failed
+    one), before the next grid is built. Then the full-order test
+    trajectories are solved, cached under the output directory so a rerun
+    reproduces every numeric column, and each run's reduced model is
+    solved at every test point, rows outer. A row's ``wall_s`` is its
+    compression time plus its evaluation time. A failed run records its
+    error in a row with its own eps, requested ell and ``delta_max``.
 
     The memory budget is checked before anything it covers is allocated:
-    the test trajectories, which live through every run, before they are
-    solved (a :class:`BudgetError` here ends the study), and each grid's
-    compression next to them, from the run's node counts before the grid
-    is built (a :class:`BudgetError` row).
+    the test trajectories before any compression (a :class:`BudgetError`
+    here ends the study), and each grid's tensor and first-unfolding SVD
+    alone, from the run's node counts before the grid is built (a
+    :class:`BudgetError` row).
     """
     if out_dir is None and config.out_dir is None:
         raise ConfigError("no output directory given (config output.dir or --out)")
@@ -553,25 +556,18 @@ def run_study(
     terms = affine_operator(mesh, problem)
     u0 = initial_state(problem, mesh)
     test_points = config.test_set.build(problem.box)
-    # The test trajectories stay alive through every row.
     held = mesh.n_nodes * tg.steps * test_points.shape[0]
     check_budget(held, budget, "test trajectories")
-    test_states = _solve_test_foms(
-        terms, mass, tg, test_points, FomCache(out / "fom_cache")
-    )
-    spectra = [correlation_spectrum(states, mass) for states in test_states]
 
-    rows: list[StudyRow] = []
+    compressed = []  # per run: (grid, train, error, seconds)
     grid = tensor = memo = tt = tt_eps = None
     for i, run in enumerate(config.runs):
         start = time.perf_counter()
-        measured = {"ell": run.ell}
         try:
             if grid is None or grid.counts != run.counts:
                 grid = tensor = memo = tt = None
-                check_compression_budget(
-                    mesh.n_nodes, tg.steps * math.prod(run.counts), budget, held
-                )
+                cols = tg.steps * math.prod(run.counts)
+                check_compression_budget(mesh.n_nodes, cols, budget)
                 new_grid = uniform_grid(problem.box, run.counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, new_grid)
@@ -583,30 +579,47 @@ def run_study(
                 tt_eps = run.eps
                 later = config.runs[i + 1 :]
                 if not any(r.counts == run.counts and r.eps != run.eps for r in later):
-                    memo = None  # no later run compresses this grid again
-            r1 = tt.ranks[0]
-            ell = min(run.ell, r1, tg.steps)
-            scheme = InterpolationScheme(grid=grid, p=config.p)
-            errors = []
-            for alpha, fom_states in zip(test_points, test_states):
-                weights = weight_vectors(alpha, scheme)
-                basis = local_basis(tt, weights, ell, alpha=alpha)
-                op, load = terms(alpha)
-                rom_traj = rom_solve(basis, mass, op, load, u0, tg)
-                errors.append(
-                    trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
-                )
-            measured = {
-                "ell": ell,
-                "r1": int(r1),
-                "lambda_tail": tail_energy(spectra, ell),
-                "e_max": float(np.sqrt(max(errors))),
-                "e_mean": float(np.sqrt(np.mean(errors))),
-            }
+                    tensor = memo = None  # no later run compresses this grid again
+            done = (grid, tt, None)
         except ConfigError:
             raise
         except Exception as exc:  # record the failure, keep sweeping
-            measured["error"] = f"{type(exc).__name__}: {exc}"
+            grid = tensor = memo = tt = None
+            done = (None, None, f"{type(exc).__name__}: {exc}")
+        compressed.append((*done, time.perf_counter() - start))
+
+    test_states = _solve_test_foms(
+        terms, mass, tg, test_points, FomCache(out / "fom_cache")
+    )
+    spectra = [correlation_spectrum(states, mass) for states in test_states]
+
+    rows: list[StudyRow] = []
+    for run, (grid, tt, error, compress_s) in zip(config.runs, compressed):
+        start = time.perf_counter()
+        measured = {"ell": run.ell, "error": error}
+        if error is None:
+            try:
+                r1 = tt.ranks[0]
+                ell = min(run.ell, r1, tg.steps)
+                scheme = InterpolationScheme(grid=grid, p=config.p)
+                errors = []
+                for alpha, fom_states in zip(test_points, test_states):
+                    weights = weight_vectors(alpha, scheme)
+                    basis = local_basis(tt, weights, ell, alpha=alpha)
+                    op, load = terms(alpha)
+                    rom_traj = rom_solve(basis, mass, op, load, u0, tg)
+                    errors.append(
+                        trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
+                    )
+                measured = {
+                    "ell": ell,
+                    "r1": int(r1),
+                    "lambda_tail": tail_energy(spectra, ell),
+                    "e_max": float(np.sqrt(max(errors))),
+                    "e_mean": float(np.sqrt(np.mean(errors))),
+                }
+            except Exception as exc:  # record the failure, keep sweeping
+                measured["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(
             StudyRow(
                 sweep_var=config.sweep_variable,
@@ -615,7 +628,7 @@ def run_study(
                 delta_max=max(
                     (hi - lo) / (k - 1) for (lo, hi), k in zip(problem.box, run.counts)
                 ),
-                wall_s=time.perf_counter() - start,
+                wall_s=compress_s + time.perf_counter() - start,
                 **measured,
             )
         )

@@ -302,27 +302,12 @@ def _first_unfolding_svd(
             ub, s, vt = _thin_svd(finder.b[:k])
             r2 = finder.residuals[n - 1] ** 2
             return blas.dgemm(1.0, finder.q[:, :k], ub), s, vt, r2
-    if memo is None:
-        return (*_thin_svd(w), 0.0)
-    return _memoized(memo, "first_svd", lambda: _read_only((*_thin_svd(w), 0.0)))
+    return _memoized(memo, "first_svd", lambda: (*_thin_svd(w), 0.0))
 
 
-def _read_only(factors: tuple) -> tuple:
-    # Memoized factors back the first core of every train built from them,
-    # so an in-place edit of one train must not reach the next.
-    for a in factors:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return factors
-
-
-def check_compression_budget(
-    rows: int, cols: int, budget_gb: float, held: int = 0
-) -> None:
+def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
     """Raise BudgetError unless compressing a snapshot tensor whose first
-    unfolding is rows x cols fits the budget next to ``held`` doubles
-    that stay allocated meanwhile (a study's test trajectories): the
-    peak memory model.
+    unfolding is rows x cols fits the budget: the peak memory model.
 
     It counts the tensor and the dense fallback's peak: gesdd's working
     copy of the unfolding, U (rows x k), V^T (k x cols) and its
@@ -336,10 +321,7 @@ def check_compression_budget(
     k = min(rows, cols)
     svd = rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
     check_budget(
-        held + rows * cols + svd,
-        budget_gb,
-        "snapshot tensor and its first-unfolding SVD"
-        + (" next to the test trajectories" if held else ""),
+        rows * cols + svd, budget_gb, "snapshot tensor and its first-unfolding SVD"
     )
 
 
@@ -401,7 +383,8 @@ def tt_svd(
         else:
             (u, s, vt), r2 = _thin_svd(w), 0.0
         r, dropped = _select_rank(s, budget, r2)
-        cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
+        # A copy, so the train does not pin the whole factor (or a memo's).
+        cores.append(u[:, :r].copy(order="F").reshape(r_prev, dims[k], r, order="F"))
         discarded.append(dropped)
         w = s[:r, None] * vt[:r]
         r_prev = r

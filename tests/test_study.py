@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -774,30 +775,59 @@ class TestCompressionReuse:
     def test_preflight_counts_the_test_trajectories(self, tmp_path, monkeypatch):
         # 3000 test trajectories (M=186, 10 steps) need 42.6 MiB; a 5 MiB
         # budget holds every compression of the study but not them, so the
-        # study stops before the first test solve.
+        # study stops before it builds a tensor or solves a test point.
+        built = []
+        monkeypatch.setattr(study_module, "generate_snapshots", lambda *a: built.append(a))
         monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "0.005")
         with pytest.raises(BudgetError, match="test trajectories"):
             run_study(parse_config(self.random_test_set(3000)), out_dir=tmp_path)
+        assert built == []
         assert not list((tmp_path / "fom_cache").glob("*.npy"))
 
-    def test_compression_preflight_counts_the_test_trajectories(
+    def test_compression_budget_excludes_the_test_trajectories(
         self, tmp_path, monkeypatch
     ):
         # 50 test trajectories (0.71 MiB) and the 3x3 grid's compression
-        # (0.70 MiB) each fit 1 MiB, but not together, and the test
-        # trajectories are alive while the grid is compressed.
+        # (0.70 MiB) each fit 1 MiB but not together; they are never alive
+        # together, so every row runs.
         m = build_mesh(heat_problem(), 0.5).n_nodes
         held = m * 10 * 50
         budget_gb = 1.0 / 1024
         check_budget(held, budget_gb, "test trajectories")
         tt_module.check_compression_budget(m, 10 * 9, budget_gb)
         with pytest.raises(BudgetError):
-            tt_module.check_compression_budget(m, 10 * 9, budget_gb, held)
+            tt_module.check_compression_budget(m, 10 * 9, budget_gb - 8 * held / 2**30)
         monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
         result = run_study(parse_config(self.random_test_set(50)), out_dir=tmp_path)
-        for row in result.rows:
-            assert row.error.startswith("BudgetError")
-            assert "next to the test trajectories" in row.error
+        assert [row.error for row in result.rows] == [None, None]
+
+    @pytest.mark.parametrize("variable", ["eps", "delta"])
+    def test_tensors_released_before_the_test_solves(self, variable, tmp_path, monkeypatch):
+        # Every snapshot tensor is built, compressed and freed before the
+        # first full-order test solve.
+        data = base_config()
+        if variable == "delta":
+            del data["grid"]
+            data["compression"] = {"eps": [1e-3]}
+            data["sweep"] = {"variable": "delta", "values": [0.5, 0.25]}
+        tensors, solved = [], []
+        generate, solve = study_module.generate_snapshots, study_module._solve_test_foms
+
+        def tracked_generate(*args):
+            tensor = generate(*args)
+            tensors.append(weakref.ref(tensor))
+            return tensor
+
+        def checked_solve(*args):
+            assert [ref() for ref in tensors] == [None] * len(tensors)
+            solved.append(len(tensors))
+            return solve(*args)
+
+        monkeypatch.setattr(study_module, "generate_snapshots", tracked_generate)
+        monkeypatch.setattr(study_module, "_solve_test_foms", checked_solve)
+        result = run_study(parse_config(data), out_dir=tmp_path)
+        assert all(row.error is None for row in result.rows)
+        assert solved == [1 if variable == "eps" else 2]
 
 
 class TestFomCache:

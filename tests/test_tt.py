@@ -15,15 +15,18 @@ from lrtdrom import (
     DomainError,
     FormatError,
     InterpolationScheme,
+    TimeGrid,
     TTTensor,
     frobenius_norm,
     frobenius_tolerance,
+    generate_snapshots,
     interpolate_coefficients,
     load_tt,
     max_trajectory_norm,
     save_tt,
     tt_svd,
     unfold_first_mode,
+    uniform_grid,
     universal_basis,
     weight_vectors,
 )
@@ -227,8 +230,9 @@ class TestCompressionMemo:
             reused, reused_report = tt_svd(t, eps_tilde, memo=memo)
             assert_same_train(fresh, reused)
             assert reused_report == fresh_report
-            with pytest.raises(ValueError, match="read-only"):
-                reused.cores[0][...] = 0.0
+            # An in-place edit of one train must not reach the next.
+            reused.cores[0][...] = 0.0
+            assert_same_train(tt_svd(t, eps_tilde, memo=memo)[0], fresh)
         assert "first_svd" in memo
 
     def test_tt_svd_memo_on_heat_tensor(self, heat_desk):
@@ -292,6 +296,41 @@ def certificate_tensor(rng, kind):
             term = np.multiply.outer(term, v / np.linalg.norm(v))
         t += 10.0 ** (-1.5 * i) * term
     return np.asfortranarray(t + 1e-17 * rng.normal(size=dims))
+
+
+class TestCoreOwnership:
+    """A train holds only its kept columns: no core is a view that pins a
+    whole SVD factor, with or without a memo."""
+
+    EPS_TILDES = (1e-1, 1e-3, 0.0)
+
+    @pytest.fixture(scope="class")
+    def advdiff_tensor(self, advdiff, unit_mesh):
+        tg = TimeGrid(advdiff.final_time, 8)
+        return generate_snapshots(advdiff, unit_mesh, tg, uniform_grid(advdiff.box, (2,) * 5))
+
+    # The heat unfolding (186 x 180) takes the finder unless it is
+    # switched off; advdiff's (25 x 256) is too short for it.
+    @pytest.mark.parametrize("memo", [False, True], ids=["fresh", "memo"])
+    @pytest.mark.parametrize(
+        "kind, path", [("heat", "finder"), ("heat", "dense"), ("advdiff", "dense")]
+    )
+    def test_cores_own_their_memory(
+        self, heat_desk, advdiff_tensor, monkeypatch, kind, path, memo
+    ):
+        t = heat_desk.tensor if kind == "heat" else advdiff_tensor
+        if path == "dense":
+            monkeypatch.setattr(tt_module, "_SKETCH_MIN_BLOCKS", 10**9)
+        cache = {} if memo else None
+        for eps_tilde in self.EPS_TILDES:
+            tt, _ = tt_svd(t, eps_tilde, memo=cache)
+            for core in tt.cores:
+                root = core
+                while isinstance(root.base, np.ndarray):
+                    root = root.base
+                assert root.nbytes <= core.nbytes
+        if memo:
+            assert ("first_svd" if path == "dense" else "finder") in cache
 
 
 class TestCertificate:
