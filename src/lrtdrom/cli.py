@@ -30,18 +30,8 @@ from .fem import (
 )
 from .interp import InterpolationScheme, weight_vectors
 from .rom import local_basis, rom_solve
-from .study import (
-    _as_positive_float,
-    _as_positive_int,
-    exclude_plateau,
-    load_config,
-    parse_problem,
-    problem_block,
-    run_study,
-    slope_fit,
-)
+from .study import StudyConfig, exclude_plateau, load_config, run_study, slope_fit
 from .tensors import (
-    ParameterGrid,
     generate_snapshots,
     load_tensor,
     resolve_memory_budget,
@@ -49,10 +39,6 @@ from .tensors import (
     uniform_grid,
 )
 from .tt import check_compression_budget, frobenius_tolerance, load_tt, save_tt, tt_svd
-
-
-# The meta.json fields every command that reads one uses.
-_META_KEYS = ("problem", "h", "T", "N", "p", "axes")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,6 +49,21 @@ class _Stored:
     mesh: Mesh2D
     tg: TimeGrid
     scheme: InterpolationScheme
+
+    @classmethod
+    def of(cls, config: StudyConfig) -> _Stored:
+        """What ``lrtdrom snapshots`` samples for ``config``: the grid of
+        its runs, which a delta sweep does not share."""
+        if config.sweep_variable == "delta":
+            raise ConfigError("a delta sweep samples no single grid; give a grid block")
+        problem = config.problem
+        grid = uniform_grid(problem.box, config.runs[0].counts)
+        return cls(
+            problem=problem,
+            mesh=build_mesh(problem, config.h),
+            tg=config.tg,
+            scheme=InterpolationScheme(grid=grid, p=config.p),
+        )
 
     def check_shape(self, path: Path, shape: tuple[int, ...]) -> None:
         """Raise ConfigError unless a stored tensor of ``shape`` is the
@@ -76,33 +77,15 @@ class _Stored:
 
 
 def _load_meta(directory: Path) -> _Stored:
+    """What the study config that ``lrtdrom snapshots`` stored as
+    meta.json samples."""
     path = directory / "meta.json"
     if not path.exists():
         raise ConfigError(f"no meta.json in {directory}; run `lrtdrom snapshots` first")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{path} does not hold a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise ConfigError(f"{path} lacks {missing}; rerun `lrtdrom snapshots`")
-    try:
-        axes = tuple(np.asarray(a, dtype=float) for a in meta["axes"])
-        problem = parse_problem(meta["problem"])
-        steps, p = _as_positive_int(meta["N"], "N"), _as_positive_int(meta["p"], "p")
-        return _Stored(
-            problem=problem,
-            mesh=build_mesh(problem, _as_positive_float(meta["h"], "h")),
-            tg=TimeGrid(final_time=_as_positive_float(meta["T"], "T"), steps=steps),
-            scheme=InterpolationScheme(grid=ParameterGrid(axes=axes), p=p),
-        )
+        return _Stored.of(load_config(path))
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} holds a bad value: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}; rerun `lrtdrom snapshots`") from exc
 
 
 def _load_snapshots(directory: Path) -> np.ndarray:
@@ -118,28 +101,12 @@ def _load_snapshots(directory: Path) -> np.ndarray:
 
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if config.sweep_variable == "delta":
-        raise ConfigError("snapshots needs a grid block (not a delta sweep)")
+    stored = _Stored.of(load_config(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    problem, tg = config.problem, config.tg
-    mesh = build_mesh(problem, config.h)
-    grid = uniform_grid(problem.box, config.runs[0].counts)
-    tensor = generate_snapshots(problem, mesh, tg, grid)
+    tensor = generate_snapshots(stored.problem, stored.mesh, stored.tg, stored.scheme.grid)
     save_tensor(out / "snapshots.lrt", tensor)
-    meta = {
-        "problem": problem_block(problem),
-        "h": config.h,
-        "cell": mesh.cell,
-        "M": mesh.n_nodes,
-        "T": tg.final_time,
-        "N": tg.steps,
-        "p": config.p,
-        "axes": [a.tolist() for a in grid.axes],
-    }
-    with open(out / "meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
+    (out / "meta.json").write_bytes(Path(args.config).read_bytes())
     print(f"wrote {out / 'snapshots.lrt'} shape {tensor.shape}")
     print(f"wrote {out / 'meta.json'}")
     return 0

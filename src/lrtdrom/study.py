@@ -163,29 +163,31 @@ class TestSetSpec:
     seed: int = 0
     points: tuple[tuple[float, ...], ...] = ()
 
+    def n_points(self, d: int) -> int:
+        """How many points :meth:`build` makes in a box of ``d`` sides."""
+        if self.mode == "grid":
+            return self.n**d
+        if self.mode == "random":
+            return self.count
+        return len(self.points)
+
     def build(self, box: Sequence[tuple[float, float]]) -> np.ndarray:
-        d = len(box)
         if self.mode == "grid":
             axes = [
                 lo + (np.arange(self.n) + 0.5) * (hi - lo) / self.n
                 for lo, hi in box
             ]
-            mats = np.meshgrid(*axes, indexing="ij")
-            return np.column_stack([m.ravel(order="F") for m in mats])
+            return ParameterGrid(axes=tuple(axes)).points()
         if self.mode == "random":
             rng = np.random.default_rng(self.seed)
             lows = np.array([lo for lo, _ in box])
             highs = np.array([hi for _, hi in box])
-            return rng.uniform(lows, highs, size=(self.count, d))
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise ConfigError(
-                f"explicit test points must be rows of length {d}"
-            )
-        return pts
+            return rng.uniform(lows, highs, size=(self.count, len(box)))
+        return np.array(self.points, dtype=float)
 
 
-def _parse_test_set(block) -> TestSetSpec:
+def _parse_test_set(block, d: int) -> TestSetSpec:
+    """The test set of a ``test_set`` block, for a problem of ``d`` parameters."""
     where = "test_set"
     _object(block, where, {"mode", "n", "count", "seed", "points"})
     mode = _require(block, "mode", where)
@@ -206,6 +208,8 @@ def _parse_test_set(block) -> TestSetSpec:
             raise ConfigError("test_set.points must be a non-empty list")
         if not all(isinstance(p, list) and all(map(_is_number, p)) for p in points):
             raise ConfigError("test_set.points must be lists of numbers")
+        if any(len(p) != d for p in points):
+            raise ConfigError(f"test_set.points must be rows of length {d}")
         return TestSetSpec(
             mode="explicit", points=tuple(tuple(float(v) for v in p) for p in points)
         )
@@ -246,11 +250,7 @@ class StudyConfig:
 
 def parse_problem(block) -> ProblemSpec:
     """The problem of a ``problem`` block: ``{"kind": "heat"}`` or
-    ``{"kind": "advdiff"}`` with an optional positive ``nu``.
-
-    Study configs and the ``meta.json`` of a snapshot directory both hold
-    one; :func:`problem_block` writes it.
-    """
+    ``{"kind": "advdiff"}`` with an optional positive ``nu``."""
     _object(block, "problem", {"kind", "nu"})
     kind = _require(block, "kind", "problem")
     if kind == "heat":
@@ -264,14 +264,6 @@ def parse_problem(block) -> ProblemSpec:
         nu = _as_positive_float(block["nu"], "problem.nu")
         problem = dataclasses.replace(problem, nu=nu)
     return problem
-
-
-def problem_block(problem: ProblemSpec) -> dict:
-    """The ``problem`` block that :func:`parse_problem` reads back as
-    ``problem``, for a problem that came from one."""
-    if problem.kind == "heat":
-        return {"kind": "heat"}
-    return {"kind": "advdiff", "nu": problem.nu}
 
 
 def parse_config(data: dict) -> StudyConfig:
@@ -299,7 +291,9 @@ def parse_config(data: dict) -> StudyConfig:
     p = _as_positive_int(
         _require(block("interpolation", {"p"}), "p", "interpolation"), "interpolation.p"
     )
-    test_set = _parse_test_set(_require(data, "test_set", "config root"))
+    test_set = _parse_test_set(
+        _require(data, "test_set", "config root"), problem.n_params
+    )
     out_dir = None
     if "output" in data:
         out_dir = _require(block("output", {"dir"}), "dir", "output")
@@ -353,6 +347,9 @@ def parse_config(data: dict) -> StudyConfig:
         )
         for v in values
     )
+    fewest = min(min(run.counts) for run in runs)
+    if p > fewest:
+        raise ConfigError(f"interpolation.p {p} exceeds axis node count {fewest}")
     return StudyConfig(
         problem=problem,
         h=h,
@@ -538,8 +535,9 @@ def run_study(
     error in a row with its own eps, requested ell and ``delta_max``.
 
     The memory budget is checked before anything it covers is allocated:
-    the test trajectories before any compression (a :class:`BudgetError`
-    here ends the study), and each grid's tensor and first-unfolding SVD
+    the test trajectories from the test set's point count, before its
+    points are built or any run compressed (a :class:`BudgetError` here
+    ends the study), and each grid's tensor and first-unfolding SVD
     alone, from the run's node counts before the grid is built (a
     :class:`BudgetError` row).
     """
@@ -555,9 +553,9 @@ def run_study(
     gram = assemble_h1_gram(mesh)
     terms = affine_operator(mesh, problem)
     u0 = initial_state(problem, mesh)
+    n_test = config.test_set.n_points(problem.n_params)
+    check_budget(mesh.n_nodes * tg.steps * n_test, budget, "test trajectories")
     test_points = config.test_set.build(problem.box)
-    held = mesh.n_nodes * tg.steps * test_points.shape[0]
-    check_budget(held, budget, "test trajectories")
 
     compressed = []  # per run: (grid, train, error, seconds)
     grid = tensor = memo = tt = tt_eps = None

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lrtdrom import load_config, load_tensor, load_tt
+from lrtdrom import cli, generate_snapshots, load_config, load_tensor, load_tt
 from lrtdrom.cli import _load_meta, main
 
 
@@ -37,7 +37,7 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     tensor = load_tensor(work / "snapshots.lrt")
     assert tensor.shape[2:] == (3, 3)
     meta = json.loads((work / "meta.json").read_text(encoding="utf-8"))
-    assert meta["problem"] == {"kind": "heat"} and meta["N"] == 10
+    assert meta["problem"] == {"kind": "heat"} and meta["time"]["N"] == 10
 
     assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
     tt = load_tt(work / "tt_eps0.001.lrtt")
@@ -98,11 +98,11 @@ def test_compress_crafted_tensor_header_fails(compressed, tmp_path, capsys):
     "content, message",
     [
         ('{"problem": ', "cannot read"),
-        ('{"h": 0.5}', "lacks ['problem', 'T', 'N', 'p', 'axes']; rerun `lrtdrom snapshots`"),
         (
-            '{"problem": {"kind": "plate"}, "h": 0.5, "T": 1.0, "N": 10, "p": 2, "axes": []}',
-            "unknown problem.kind 'plate'",
+            '{"mesh": {"h": 0.5}}',
+            "missing required key 'problem' in config root; rerun `lrtdrom snapshots`",
         ),
+        (json.dumps(CONFIG | {"problem": {"kind": "plate"}}), "unknown problem.kind 'plate'"),
     ],
     ids=["not-json", "no-kind", "unknown-kind"],
 )
@@ -134,8 +134,9 @@ def test_bad_config_reports_error(tmp_path, capsys):
             "compression": {"eps": [1e-3]},
             "sweep": {"variable": "delta", "values": [0.25, 1e-320]},
         },
+        {"test_set": {"mode": "explicit", "points": [[0.2, 0.3], [0.1]]}},
     ],
-    ids=["non-object-block", "null-output-dir", "over-fine-delta"],
+    ids=["non-object-block", "null-output-dir", "over-fine-delta", "ragged-explicit-points"],
 )
 def test_malformed_study_config_reports_error(tmp_path, capsys, changes):
     path = tmp_path / "study.json"
@@ -184,6 +185,21 @@ def test_study_over_budget_test_trajectories_reports_error(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "test trajectories" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_study_huge_grid_test_set_reports_error(tmp_path, capsys):
+    # 100000^2 midpoints would need 149 GiB to enumerate and 135 TiB of
+    # trajectories; the budget check counts them without building them.
+    path = tmp_path / "study.json"
+    path.write_text(
+        json.dumps(CONFIG | {"test_set": {"mode": "grid", "n": 100000}}), encoding="utf-8"
+    )
+    capsys.readouterr()
+    rc = main(["study", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: test trajectories needs ") and "Traceback" not in err
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
@@ -245,40 +261,44 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
 @pytest.mark.parametrize(
     "command, change, message",
     [
-        ("rom", {"p": 9}, "stencil size 9 exceeds axis node count 3"),
-        ("rom", {"axes": [[0.5, 0.2, 0.0], [0.0, 0.45, 0.9]]}, "strictly increasing"),
-        ("rom", {"axes": 5}, "bad value"),
-        ("rom", {"N": 0}, "N must be at least 1"),
-        ("compress", {"N": 0}, "N must be at least 1"),
-        ("rom", {"N": 10.7}, "N must be an integer"),
-        ("compress", {"N": 10.7}, "N must be an integer"),
-        ("rom", {"p": 2.9}, "p must be an integer"),
-        ("rom", {"p": True}, "p must be an integer"),
-        ("rom", {"h": float("inf")}, "h must be a finite number"),
-        ("compress", {"T": float("inf")}, "T must be a finite number"),
-        ("compress", {"T": float("nan")}, "T must be a finite number"),
+        ("rom", {"interpolation": {"p": 9}}, "interpolation.p 9 exceeds axis node count 3"),
+        ("rom", {"grid": {"K": [3, 1]}}, "grid.K entries must be at least 2"),
+        ("rom", {"grid": {"K": 5}}, "grid.K must list 2 per-dimension counts"),
+        ("rom", {"time": {"N": 0}}, "time.N must be at least 1"),
+        ("compress", {"time": {"N": 0}}, "time.N must be at least 1"),
+        ("rom", {"time": {"N": 10.7}}, "time.N must be an integer"),
+        ("compress", {"time": {"N": 10.7}}, "time.N must be an integer"),
+        ("rom", {"interpolation": {"p": 2.9}}, "interpolation.p must be an integer"),
+        ("rom", {"interpolation": {"p": True}}, "interpolation.p must be an integer"),
+        ("rom", {"mesh": {"h": float("inf")}}, "mesh.h must be a finite number"),
+        ("compress", {"time": {"N": 10, "T": float("inf")}}, "time.T must be a finite number"),
+        ("compress", {"time": {"N": 10, "T": float("nan")}}, "time.T must be a finite number"),
         (
             "compress",
             {"problem": {"kind": "advdiff", "nu": float("inf")}},
             "problem.nu must be a finite number",
         ),
         # The stored tensors are heat at h 0.5, N 10 on a 3x3 grid.
-        ("compress", {"h": 0.25}, "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)"),
-        ("rom", {"h": 0.25}, "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)"),
-        ("compress", {"N": 20}, "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)"),
-        ("rom", {"N": 20}, "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)"),
         (
             "compress",
-            {"axes": [[0.01, 0.501], [0.0, 0.45, 0.9]]},
-            "(186, 10, 3, 3), but meta.json describes (186, 10, 2, 3)",
+            {"mesh": {"h": 0.25}},
+            "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)",
         ),
+        ("rom", {"mesh": {"h": 0.25}}, "(186, 10, 3, 3), but meta.json describes (670, 10, 3, 3)"),
         (
-            "rom",
-            {"axes": [[0.01, 0.501], [0.0, 0.45, 0.9]]},
+            "compress",
+            {"time": {"N": 20}},
+            "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)",
+        ),
+        ("rom", {"time": {"N": 20}}, "(186, 10, 3, 3), but meta.json describes (186, 20, 3, 3)"),
+        (
+            "compress",
+            {"grid": {"K": [2, 3]}},
             "(186, 10, 3, 3), but meta.json describes (186, 10, 2, 3)",
         ),
+        ("rom", {"grid": {"K": [2, 3]}}, "(186, 10, 3, 3), but meta.json describes (186, 10, 2, 3)"),
     ],
-    ids=["rom-p-too-large", "rom-decreasing-axis", "rom-axes-not-a-list",
+    ids=["rom-p-too-large", "rom-K-too-small", "rom-K-not-a-list",
          "rom-no-steps", "compress-no-steps", "rom-fractional-N",
          "compress-fractional-N", "rom-fractional-p", "rom-boolean-p", "rom-infinite-h",
          "compress-infinite-T", "compress-nan-T", "compress-infinite-nu",
@@ -308,7 +328,11 @@ def test_bad_meta_values_report_error(
 def test_meta_round_trips_the_problem(tmp_path, problem):
     config, alpha = dict(CONFIG, problem=problem), "0.2,0.3"
     if problem["kind"] == "advdiff":
-        config.update(mesh={"h": 0.25}, grid={"K": [2] * 5})
+        config.update(
+            mesh={"h": 0.25},
+            grid={"K": [2] * 5},
+            test_set={"mode": "explicit", "points": [[0.05] * 5]},
+        )
         alpha = ",".join(["0.05"] * 5)
     path = tmp_path / "study.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -319,6 +343,59 @@ def test_meta_round_trips_the_problem(tmp_path, problem):
     assert _load_meta(work).problem == load_config(path).problem
     assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
     assert main(["rom", "--alpha", alpha, "--ell", "2", "--dir", str(work)]) == 0
+
+
+def test_meta_is_the_config_and_rebuilds_the_sampled_axes(tmp_path, config_path, monkeypatch):
+    sampled = []
+
+    def recording(problem, mesh, tg, grid):
+        sampled.append(grid.axes)
+        return generate_snapshots(problem, mesh, tg, grid)
+
+    monkeypatch.setattr(cli, "generate_snapshots", recording)
+    work = tmp_path / "work"
+    assert main(["snapshots", "--config", str(config_path), "--out", str(work)]) == 0
+    assert (work / "meta.json").read_bytes() == config_path.read_bytes()
+    [axes] = sampled
+    stored = _load_meta(work).scheme.grid.axes
+    assert [a.tobytes() for a in stored] == [a.tobytes() for a in axes]
+
+
+# meta.json as snapshot directories held it before it was the study config.
+OLD_META = {
+    "problem": {"kind": "heat"}, "h": 0.5, "cell": 0.5, "M": 186, "T": 1.0, "N": 10,
+    "p": 2, "axes": [[0.01, 0.255, 0.5], [0.0, 0.45, 0.9]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, meta, message",
+    [
+        ("compress", OLD_META, "unknown keys ['M', 'N', 'T', 'axes', 'cell', 'h', 'p']"),
+        ("rom", OLD_META, "unknown keys ['M', 'N', 'T', 'axes', 'cell', 'h', 'p']"),
+        (
+            "rom",
+            {k: v for k, v in CONFIG.items() if k != "grid"}
+            | {"compression": {"eps": [1e-3]}, "rom": {"ell": [4]},
+               "sweep": {"variable": "delta", "values": [0.25]}},
+            "a delta sweep samples no single grid; give a grid block",
+        ),
+    ],
+    ids=["compress-old-format", "rom-old-format", "rom-delta-sweep"],
+)
+def test_meta_that_is_not_a_grid_config_asks_for_a_rerun(
+    compressed, tmp_path, capsys, command, meta, message
+):
+    for name in ("snapshots.lrt", "tt_eps0.001.lrtt"):
+        shutil.copy(compressed / name, tmp_path)
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    args = {"rom": ["--alpha", "0.2,0.3", "--ell", "4"], "compress": ["--eps", "1e-2"]}
+    capsys.readouterr()
+    assert main([command, *args[command], "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'meta.json'}: ") and message in err
+    assert err.rstrip().endswith("rerun `lrtdrom snapshots`")
+    assert not list(tmp_path.glob("rom_*")) and not (tmp_path / "tt_eps0.01.lrtt").exists()
 
 
 def test_unreadable_compressed_tensor_reports_error(compressed, tmp_path, capsys):

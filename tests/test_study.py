@@ -26,6 +26,7 @@ from lrtdrom import (
     SolverError,
     TestSetSpec,
     TimeGrid,
+    advdiff_problem,
     build_mesh,
     exclude_plateau,
     grid_counts_for_delta,
@@ -179,6 +180,7 @@ class TestParseConfig:
         data = base_config()
         data["problem"] = {"kind": "advdiff", "nu": 0.025}
         data["grid"]["K"] = [3, 3, 3, 3, 3]
+        data["test_set"]["points"] = [[0.05] * 5]
         cfg = parse_config(data)
         assert cfg.problem.nu == 0.025
 
@@ -278,6 +280,36 @@ class TestParseConfig:
         data = base_config()
         data["test_set"] = {"mode": "explicit", "points": points}
         with pytest.raises(ConfigError, match="lists of numbers"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("points", [[[0.2, 0.3], [0.1]], [[0.2, 0.3, 0.4]]])
+    def test_explicit_points_must_match_the_parameter_count(self, points):
+        data = base_config()
+        data["test_set"] = {"mode": "explicit", "points": points}
+        with pytest.raises(ConfigError, match="rows of length 2"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("ell_sweep", [False, True], ids=["eps", "ell"])
+    def test_stencil_must_fit_the_grid(self, ell_sweep):
+        data = base_config()
+        data["interpolation"]["p"] = 4
+        if ell_sweep:
+            del data["rom"]
+            data["compression"] = {"eps": [1e-3]}
+            data["sweep"] = {"variable": "ell", "values": [2, 4]}
+        with pytest.raises(ConfigError, match="interpolation.p 4 exceeds axis node count 3"):
+            parse_config(data)
+        data["interpolation"]["p"] = 3
+        assert parse_config(data).p == 3
+
+    def test_stencil_must_fit_every_delta_grid(self):
+        data = base_config()
+        del data["grid"]
+        data["compression"] = {"eps": [1e-3]}
+        data["interpolation"]["p"] = 3
+        # delta 0.5 puts 2 nodes on heat's [0.01, 0.5] side.
+        data["sweep"] = {"variable": "delta", "values": [0.25, 0.5]}
+        with pytest.raises(ConfigError, match="interpolation.p 3 exceeds axis node count 2"):
             parse_config(data)
 
     def test_test_set_modes(self):
@@ -381,10 +413,36 @@ class TestTestSetSpec:
             ((0.0, 1.0), (0.0, 1.0))
         )
         np.testing.assert_array_equal(pts, [[0.1, 0.2], [0.3, 0.4]])
+        data = base_config()
+        data["test_set"] = {"mode": "explicit", "points": [[0.1]]}
         with pytest.raises(ConfigError, match="rows of length"):
-            TestSetSpec(mode="explicit", points=((0.1,),)).build(
-                ((0.0, 1.0), (0.0, 1.0))
-            )
+            parse_config(data)
+
+    @pytest.mark.parametrize(
+        "problem, n", [(heat_problem(), 8), (advdiff_problem(), 2)], ids=["heat", "advdiff"]
+    )
+    def test_grid_points_are_the_midpoint_grid_enumeration(self, problem, n):
+        # The enumeration the grid mode used before it became a ParameterGrid.
+        axes = [lo + (np.arange(n) + 0.5) * (hi - lo) / n for lo, hi in problem.box]
+        mats = np.meshgrid(*axes, indexing="ij")
+        expected = np.column_stack([m.ravel(order="F") for m in mats])
+        pts = TestSetSpec(mode="grid", n=n).build(problem.box)
+        assert pts.shape == expected.shape == (n**problem.n_params, problem.n_params)
+        assert pts.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, d, count",
+        [
+            (TestSetSpec(mode="grid", n=100000), 2, 10**10),
+            (TestSetSpec(mode="grid", n=3), 5, 243),
+            (TestSetSpec(mode="random", count=7, seed=1), 3, 7),
+            (TestSetSpec(mode="explicit", points=((0.1, 0.2),) * 4), 2, 4),
+        ],
+        ids=["grid-huge", "grid", "random", "explicit"],
+    )
+    def test_point_count_needs_no_points(self, spec, d, count):
+        n = spec.n_points(d)
+        assert n == count and type(n) is int
 
 
 class TestGridCountsForDelta:
@@ -783,6 +841,18 @@ class TestCompressionReuse:
             run_study(parse_config(self.random_test_set(3000)), out_dir=tmp_path)
         assert built == []
         assert not list((tmp_path / "fom_cache").glob("*.npy"))
+
+    def test_preflight_builds_no_test_points(self, tmp_path, monkeypatch):
+        # A 100000^2 midpoint grid would take 149 GiB to enumerate; the
+        # budget check counts it from the spec and stops the study first.
+        def build(self, box):
+            raise AssertionError("test points built before the budget check")
+
+        monkeypatch.setattr(TestSetSpec, "build", build)
+        data = base_config()
+        data["test_set"] = {"mode": "grid", "n": 100000}
+        with pytest.raises(BudgetError, match="test trajectories needs"):
+            run_study(parse_config(data), out_dir=tmp_path)
 
     def test_compression_budget_excludes_the_test_trajectories(
         self, tmp_path, monkeypatch

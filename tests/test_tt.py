@@ -431,6 +431,15 @@ class TestBudgetTarget:
             if s.size == min(w.shape):
                 assert r2 == 0.0
 
+    def test_chunked_residual_matches_the_direct_norm(self, rng):
+        # 300 rows put 436 columns in a chunk: four full chunks and a part.
+        w = np.asfortranarray(rng.standard_normal((300, 2000)))
+        q = np.linalg.qr(rng.standard_normal((300, 40)))[0]
+        b = np.asfortranarray(q.T @ w)
+        direct = np.linalg.norm(w - q @ b)
+        measured = tt_module._residual_norm(w, np.asfortranarray(q), b)
+        assert measured == pytest.approx(direct, rel=1e-12)
+
     @pytest.mark.parametrize(
         "order",
         [
