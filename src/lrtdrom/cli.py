@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LrtdRomError
+from .errors import ConfigError, LrtdRomError, resolve_memory_budget
 from .fem import (
     Mesh2D,
     ProblemSpec,
@@ -34,7 +34,6 @@ from .study import StudyConfig, exclude_plateau, load_config, run_study, slope_f
 from .tensors import (
     generate_snapshots,
     load_tensor,
-    resolve_memory_budget,
     save_tensor,
     uniform_grid,
 )
@@ -65,14 +64,18 @@ class _Stored:
             scheme=InterpolationScheme(grid=grid, p=config.p),
         )
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The (M, N, K_1, ..., K_D) snapshot tensor shape."""
+        return (self.mesh.n_nodes, self.tg.steps, *self.scheme.grid.counts)
+
     def check_shape(self, path: Path, shape: tuple[int, ...]) -> None:
         """Raise ConfigError unless a stored tensor of ``shape`` is the
-        (M, N, K_1, ..., K_D) one that meta.json describes."""
-        expected = (self.mesh.n_nodes, self.tg.steps, *self.scheme.grid.counts)
-        if tuple(shape) != expected:
+        one that meta.json describes."""
+        if tuple(shape) != self.shape:
             raise ConfigError(
                 f"{path} has shape {tuple(shape)}, but meta.json describes "
-                f"{expected}; rerun `lrtdrom snapshots`"
+                f"{self.shape}; rerun `lrtdrom snapshots`"
             )
 
 
@@ -117,10 +120,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     directory = Path(args.dir)
     stored = _load_meta(directory)
+    m, *rest = stored.shape
+    check_compression_budget(m, math.prod(rest), resolve_memory_budget())
     tensor = _load_snapshots(directory)
     stored.check_shape(directory / "snapshots.lrt", tensor.shape)
-    m = tensor.shape[0]
-    check_compression_budget(m, tensor.size // m, resolve_memory_budget())
     mass = assemble_mass(stored.mesh)
     eps_tilde = frobenius_tolerance(args.eps, tensor, mass, stored.tg.dt)
     tt, report = tt_svd(tensor, eps_tilde)

@@ -25,7 +25,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
-from .errors import AssemblyError, DomainError, GeometryError, SolverError
+from .errors import (
+    AssemblyError,
+    DomainError,
+    GeometryError,
+    SolverError,
+    check_budget,
+    resolve_memory_budget,
+)
 
 Rect = tuple[float, float, float, float]
 
@@ -46,6 +53,11 @@ class BoundaryTag:
 # centre and width (see :func:`source_values`).
 _SOURCE_CENTER = (0.25, 0.25)
 _SOURCE_WIDTH = 0.05
+
+# Peak float64 values per grid node of :func:`build_mesh` and the mesh's
+# assembly, with a margin: 611-618 bytes were measured on heat at
+# h = 0.2 to 0.025.
+_MESH_DOUBLES_PER_NODE = 80
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,9 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
     The realized cell size is ``h`` snapped down to the nearest value that
     divides the outer rectangle and aligns every hole edge with a grid
     line. Cells inside holes are removed; boundary edges are tagged with
-    the problem's Robin segments.
+    the problem's Robin segments. The (nx + 1)(ny + 1) grid nodes must
+    fit the memory budget of :func:`resolve_memory_budget` before any
+    array of that size is allocated.
     """
     if not h > 0:
         raise GeometryError("mesh size must be positive")
@@ -203,6 +217,9 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
                 raise GeometryError("hole rectangles must be pairwise disjoint")
 
     c, nx, ny = _snap_cell_size(problem, h)
+    check_budget(
+        _MESH_DOUBLES_PER_NODE * (nx + 1) * (ny + 1), resolve_memory_budget(), "mesh"
+    )
 
     # Hole footprints in cell-index space (exact integers by construction).
     hole_cells = []
@@ -611,6 +628,16 @@ class FomTrajectory:
     states: np.ndarray
 
 
+def check_pivots(pivots: np.ndarray, what: str) -> None:
+    """Raise SolverError unless the smallest pivot magnitude exceeds 1e-14
+    times the largest; a NaN pivot fails too."""
+    small, large = pivots.min(), pivots.max()
+    if not small > 1e-14 * large:
+        with np.errstate(invalid="ignore"):  # 0/0 reads nan
+            ratio = small / large
+        raise SolverError(f"{what} numerically singular: pivot ratio {ratio:.3e}")
+
+
 def backward_euler_solve(
     mass: sp.spmatrix,
     op: sp.spmatrix,
@@ -641,7 +668,8 @@ def backward_euler_solve(
     h = 0.05, bw = 82, included), and slower only for nonsymmetric systems
     on finer meshes (advdiff h = 0.0125, bw = 82). A failed factorization
     (a symmetric matrix that is not positive definite, an exactly zero
-    pivot) or a pivot ratio at or below 1e-14 raises :class:`SolverError`.
+    pivot) or pivots that fail :func:`check_pivots` raise
+    :class:`SolverError`.
     """
     dt = tg.dt
     mass, op = mass.tocsr(), op.tocsr()
@@ -668,11 +696,7 @@ def backward_euler_solve(
         pivots = np.abs(factor[2 * bw])
     if info != 0:
         raise SolverError(f"time-step system factorization failed (LAPACK info {info})")
-    if pivots.min() <= 1e-14 * pivots.max():
-        raise SolverError(
-            "time-step system numerically singular: pivot ratio "
-            f"{pivots.min() / pivots.max():.3e}"
-        )
+    check_pivots(pivots, "time-step system")
     u = np.asarray(u0, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != m:
         raise SolverError("initial state has wrong dimension")

@@ -11,14 +11,14 @@ every factorization here is a dense one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import SolverError
-from .fem import TimeGrid
+from .fem import TimeGrid, check_pivots
 from .tt import TTTensor, interpolate_coefficients, universal_basis
 
 _RANK_CUTOFF = 1e-14
@@ -30,10 +30,6 @@ class LocalBasis:
 
     basis: np.ndarray
     alpha: np.ndarray | None = None
-
-    @property
-    def ell(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,44 +71,32 @@ def rom_solve(
     basis: LocalBasis,
     mass: sp.spmatrix,
     op: sp.spmatrix,
-    load: np.ndarray | Callable[[float], np.ndarray],
+    load: np.ndarray,
     u0: np.ndarray,
     tg: TimeGrid,
 ) -> RomTrajectory:
     """Galerkin projection of the implicit Euler march onto the basis.
 
-    The initial coefficient vector is the mass-weighted projection of
-    ``u0``. The reduced time-step system is factored once (dense LU).
+    ``load`` is a fixed (M,) vector. The initial coefficient vector is the
+    mass-weighted projection of ``u0``. The reduced time-step and mass
+    matrices are factored once (dense LU), and a factor that fails the
+    full-order march's :func:`check_pivots` raises :class:`SolverError`.
     """
     s = basis.basis
     mass_r = s.T @ (mass @ s)
-    op_r = s.T @ (op @ s)
-    dt = tg.dt
-    system = mass_r + dt * op_r
-    try:
-        lu, piv = sla.lu_factor(system, check_finite=False)
-    except ValueError as exc:
-        raise SolverError(f"reduced system factorization failed: {exc}") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * diag.max():
-        raise SolverError("reduced time-step system numerically singular")
-
-    try:
-        mass_factor = sla.lu_factor(mass_r, check_finite=False)
-    except ValueError as exc:
-        raise SolverError(f"reduced mass factorization failed: {exc}") from exc
-    c = sla.lu_solve(mass_factor, s.T @ (mass @ np.asarray(u0, dtype=float)))
-    time_dependent = callable(load)
-    if not time_dependent:
-        load_r = dt * (s.T @ np.asarray(load, dtype=float))
+    system = mass_r + tg.dt * (s.T @ (op @ s))
+    # LAPACK bound once: the lu_factor/lu_solve wrappers cost more than the
+    # solves themselves at these sizes, and compute the same thing.
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (system,))
+    lu, piv, _ = getrf(system, overwrite_a=1)
+    check_pivots(np.abs(np.diag(lu)), "reduced time-step system")
+    mass_lu, mass_piv, _ = getrf(mass_r)
+    check_pivots(np.abs(np.diag(mass_lu)), "reduced mass matrix")
+    c, _ = getrs(mass_lu, mass_piv, s.T @ (mass @ np.asarray(u0, dtype=float)))
+    load_r = tg.dt * (s.T @ np.asarray(load, dtype=float))
     coeffs = np.empty((s.shape[1], tg.steps), order="F")
-    # LAPACK getrs bound once: the lu_solve wrapper costs more than the
-    # solve itself at these sizes, and computes the same thing.
-    (getrs,) = sla.get_lapack_funcs(("getrs",), (lu,))
-    for n, t in enumerate(tg.times()):
-        rhs = mass_r @ c
-        rhs += dt * (s.T @ load(t)) if time_dependent else load_r
-        c, info = getrs(lu, piv, rhs)
+    for n in range(tg.steps):
+        c, info = getrs(lu, piv, mass_r @ c + load_r)
         if info != 0:
             raise SolverError(f"reduced time-step solve failed (getrs info {info})")
         coeffs[:, n] = c

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_budget, resolve_memory_budget
 from .fem import (
     AffineOperator,
     ProblemSpec,
@@ -56,9 +56,7 @@ from .rom import (
 )
 from .tensors import (
     ParameterGrid,
-    check_budget,
     generate_snapshots,
-    resolve_memory_budget,
     uniform_grid,
 )
 from .tt import check_compression_budget, frobenius_tolerance, tt_svd
@@ -526,11 +524,11 @@ def run_study(
     snapshots only when its grid counts change, and one memo per grid lets
     :func:`frobenius_tolerance` and :func:`tt_svd` compute the norms and
     the first-unfolding factorization once for every eps. A grid's tensor
-    and memo are released right after its last compression (or a failed
-    one), before the next grid is built. Then the full-order test
-    trajectories are solved, cached under the output directory so a rerun
-    reproduces every numeric column, and each run's reduced model is
-    solved at every test point, rows outer. A row's ``wall_s`` is its
+    and memo are released before the next grid is built (or after a
+    failed compression), the last ones after the last compression. Then
+    the full-order test trajectories are solved, cached under the output
+    directory so a rerun reproduces every numeric column, and each run's
+    reduced model is solved at every test point, rows outer. A row's ``wall_s`` is its
     compression time plus its evaluation time. A failed run records its
     error in a row with its own eps, requested ell and ``delta_max``.
 
@@ -559,7 +557,7 @@ def run_study(
 
     compressed = []  # per run: (grid, train, error, seconds)
     grid = tensor = memo = tt = tt_eps = None
-    for i, run in enumerate(config.runs):
+    for run in config.runs:
         start = time.perf_counter()
         try:
             if grid is None or grid.counts != run.counts:
@@ -575,9 +573,6 @@ def run_study(
                 eps_tilde = frobenius_tolerance(run.eps, tensor, mass, tg.dt, memo=memo)
                 tt, _ = tt_svd(tensor, eps_tilde, memo=memo)
                 tt_eps = run.eps
-                later = config.runs[i + 1 :]
-                if not any(r.counts == run.counts and r.eps != run.eps for r in later):
-                    tensor = memo = None  # no later run compresses this grid again
             done = (grid, tt, None)
         except ConfigError:
             raise
@@ -585,6 +580,7 @@ def run_study(
             grid = tensor = memo = tt = None
             done = (None, None, f"{type(exc).__name__}: {exc}")
         compressed.append((*done, time.perf_counter() - start))
+    tensor = memo = None
 
     test_states = _solve_test_foms(
         terms, mass, tg, test_points, FomCache(out / "fom_cache")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BudgetError, DomainError, FormatError
+from .errors import DomainError, FormatError, check_budget, resolve_memory_budget
 from .fem import (
     Mesh2D,
     ProblemSpec,
@@ -29,33 +29,6 @@ from .fem import (
 
 TENSOR_MAGIC = b"LRT1"
 _MAX_ORDER = 64
-
-
-def resolve_memory_budget() -> float:
-    """Memory budget in GiB: LRTDROM_MEM_BUDGET_GB, else 8."""
-    env = os.environ.get("LRTDROM_MEM_BUDGET_GB", "8")
-    try:
-        budget = float(env)
-    except ValueError:
-        msg = f"LRTDROM_MEM_BUDGET_GB is not a number: {env!r}"
-        raise BudgetError(msg) from None
-    if not budget > 0:
-        raise BudgetError(f"memory budget must be positive, got {budget}")
-    return budget
-
-
-def check_budget(n_doubles: int, budget_gb: float, what: str) -> None:
-    """Raise BudgetError when ``n_doubles`` float64 values exceed the budget.
-
-    ``n_doubles`` may be an integer beyond the float range (a grid of
-    astronomically many points); the message then reads ``inf`` GiB.
-    """
-    need = 8 * n_doubles
-    if need > budget_gb * 2**30:
-        gib = need / 2**30 if need < 2**1000 else math.inf
-        raise BudgetError(
-            f"{what} needs {gib:.2f} GiB, budget is {budget_gb:.2f} GiB"
-        )
 
 
 @dataclass(frozen=True)
@@ -214,6 +187,14 @@ def _read_exact(f, count: int, dtype: str, what: str) -> np.ndarray:
     return data
 
 
+def _read_finite(f, count: int, what: str) -> np.ndarray:
+    """Read ``count`` float64 values; a non-finite one is a FormatError."""
+    data = _read_exact(f, count, "<f8", what).astype(np.float64, copy=False)
+    if not np.isfinite(data).all():
+        raise FormatError(f"non-finite value in {what}")
+    return data
+
+
 def _read_header(f, magic: bytes) -> np.ndarray:
     """Check a file's magic, then read its uint32 order and dims."""
     found = f.read(4)
@@ -232,7 +213,7 @@ def load_tensor(path: str | os.PathLike) -> np.ndarray:
     """Read a tensor written by :func:`save_tensor`."""
     with open(path, "rb") as f:
         dims = _read_header(f, TENSOR_MAGIC)
-        payload = _read_exact(f, math.prod(dims.tolist()), "<f8", "payload")
+        payload = _read_finite(f, math.prod(dims.tolist()), "payload")
         if f.read(1) != b"":
             raise FormatError("trailing bytes after tensor payload")
-    return payload.astype(np.float64).reshape(tuple(dims), order="F")
+    return payload.reshape(tuple(dims), order="F")

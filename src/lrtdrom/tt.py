@@ -21,11 +21,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, check_budget
 from .tensors import (
     _read_exact,
+    _read_finite,
     _read_header,
-    check_budget,
     frobenius_norm,
     max_trajectory_norm,
     spectral_norm,
@@ -411,12 +411,12 @@ def universal_basis(tt: TTTensor) -> np.ndarray:
 
     Shape (dim_0, r_1). Raises ValueError when the core's columns are not
     orthonormal to within _ORTHONORMAL_TOL (the train was not built
-    left-orthogonal).
+    left-orthogonal, or holds a NaN).
     """
     u = tt.cores[0][0]
     gram = u.T @ u
     defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    if defect > _ORTHONORMAL_TOL:
+    if not defect <= _ORTHONORMAL_TOL:
         raise ValueError(f"first core is not left-orthogonal (defect {defect:.3e})")
     return u
 
@@ -479,8 +479,8 @@ def load_tt(path: str | os.PathLike) -> TTTensor:
         cores = []
         for k in range(order):
             shape = (int(full_ranks[k]), int(dims[k]), int(full_ranks[k + 1]))
-            payload = _read_exact(f, math.prod(shape), "<f8", f"core {k}")
-            cores.append(payload.astype(np.float64).reshape(shape, order="F"))
+            payload = _read_finite(f, math.prod(shape), f"core {k}")
+            cores.append(payload.reshape(shape, order="F"))
         if f.read(1) != b"":
             raise FormatError("trailing bytes after tensor-train payload")
     return TTTensor(cores=tuple(cores))

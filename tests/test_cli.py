@@ -417,14 +417,54 @@ def test_bad_compress_tolerance_reports_error(compressed, capsys, eps):
 
 
 def test_compress_over_budget_reports_error(compressed, capsys, monkeypatch):
-    # 0.3 MiB holds the loaded 0.13 MiB tensor (M=186, 10 steps, 3x3 grid)
-    # but not the SVD workspace next to it (0.7 MiB in all).
+    # 0.3 MiB holds the 0.13 MiB tensor (M=186, 10 steps, 3x3 grid) but not
+    # the SVD workspace next to it (0.7 MiB in all). The check needs only
+    # the shape meta.json describes, so the tensor is never read.
+    def load_tensor(path):
+        raise AssertionError("snapshots read before the budget check")
+
+    monkeypatch.setattr(cli, "load_tensor", load_tensor)
     monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "3e-4")
     capsys.readouterr()
     assert main(["compress", "--eps", "1e-2", "--dir", str(compressed)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "first-unfolding SVD" in err
     assert not (compressed / "tt_eps0.01.lrtt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, what",
+    [
+        (["compress", "--eps", "1e-2"], "snapshots.lrt", "payload"),
+        (["rom", "--alpha", "0.2,0.3", "--ell", "4"], "tt_eps0.001.lrtt", "core 3"),
+    ],
+    ids=["lrt", "lrtt"],
+)
+def test_non_finite_stored_file_reports_error(
+    compressed, tmp_path, capsys, command, name, what
+):
+    for path in compressed.iterdir():
+        shutil.copy(path, tmp_path)
+    stored = tmp_path / name
+    raw = bytearray(stored.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    stored.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main([*command, "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: non-finite value in {what}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["snapshots", "study"])
+def test_tiny_mesh_size_reports_error(tmp_path, capsys, command):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(CONFIG | {"mesh": {"h": 1e-5}}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh needs ") and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_2():

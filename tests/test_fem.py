@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 from lrtdrom import fem
 from lrtdrom import (
     BoundaryTag,
+    BudgetError,
     DomainError,
     GeometryError,
     Mesh2D,
@@ -151,6 +152,12 @@ class TestMesh:
         diam = np.linalg.norm(edges, axis=2).max(axis=1)
         assert diam.max() / diam.min() <= 4.0
         assert diam.max() == pytest.approx(heat_mesh.cell * np.sqrt(2))
+
+    def test_tiny_cell_size_is_over_budget(self, heat):
+        # h 1e-5 snaps at once to a 10^6 x 4 10^5 grid; the budget check
+        # counts its nodes before the 373 GiB cell mask is allocated.
+        with pytest.raises(BudgetError, match="mesh needs"):
+            build_mesh(heat, 1e-5)
 
     def test_hole_outside_domain_rejected(self):
         bad = ProblemSpec(
@@ -609,6 +616,25 @@ class TestBandedMarch:
         zero = sp.csr_matrix((2, 2))
         with pytest.raises(SolverError, match="numerically singular"):
             backward_euler_solve(mass, zero, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+
+    def test_nan_pivot_raises(self):
+        # A NaN entry gives LU (info 0) a NaN pivot, which no ratio test
+        # written as "min <= 1e-14 max" catches.
+        zero = sp.csr_matrix((2, 2))
+        op = sp.csr_matrix(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        with pytest.raises(SolverError, match="numerically singular: pivot ratio nan"):
+            backward_euler_solve(zero, op, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+
+    @pytest.mark.parametrize(
+        "pivots",
+        [[1.0, 1e-14], [1.0, 0.0], [0.0, 0.0], [1.0, np.nan], [np.inf, 1.0]],
+    )
+    def test_pivot_rule_rejects(self, pivots):
+        with pytest.raises(SolverError, match="numerically singular: pivot ratio"):
+            fem.check_pivots(np.array(pivots), "system")
+
+    def test_pivot_rule_accepts(self):
+        fem.check_pivots(np.array([1.0, 2e-14]), "system")
 
     @pytest.mark.parametrize(
         "problem, h, bandwidth",

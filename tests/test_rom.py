@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,6 +12,7 @@ import scipy.sparse as sp
 from lrtdrom import (
     InterpolationScheme,
     LocalBasis,
+    SolverError,
     assemble_operator,
     correlation_spectrum,
     frobenius_tolerance,
@@ -34,9 +37,9 @@ def lu_solve_march(basis, mass, op, load, u0, tg):
     factor = sla.lu_factor(mass_r + tg.dt * (s.T @ (op @ s)), check_finite=False)
     c = sla.lu_solve(sla.lu_factor(mass_r, check_finite=False), s.T @ (mass @ u0))
     coeffs = np.empty((s.shape[1], tg.steps), order="F")
-    for n, t in enumerate(tg.times()):
+    for n in range(tg.steps):
         rhs = mass_r @ c
-        rhs += tg.dt * (s.T @ (load(t) if callable(load) else load))
+        rhs += tg.dt * (s.T @ load)
         c = sla.lu_solve(factor, rhs, check_finite=False)
         coeffs[:, n] = c
     return coeffs
@@ -72,7 +75,7 @@ class TestLocalBasis:
         alpha = np.array([0.3, 0.6])
         weights = weight_vectors(alpha, scheme)
         lb = local_basis(tt_exact, weights, ell=5, alpha=alpha)
-        assert lb.ell == 5
+        assert lb.basis.shape[1] == 5
         gram = lb.basis.T @ lb.basis
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
 
@@ -205,13 +208,33 @@ class TestRomSolve:
         alpha = np.array([0.35, 0.6])
         op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
         u0 = rng.uniform(0.0, 1.0, size=heat_desk.mesh.n_nodes)
-        for ell, g in ((1, load), (5, load), (9, lambda t: np.cos(t) * load)):
+        for ell in (1, 5, 9):
             lb = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=ell)
-            rom = rom_solve(lb, heat_desk.mass, op, g, u0, heat_desk.tg)
+            rom = rom_solve(lb, heat_desk.mass, op, load, u0, heat_desk.tg)
             np.testing.assert_array_equal(
                 rom.coefficients,
-                lu_solve_march(lb, heat_desk.mass, op, g, u0, heat_desk.tg),
+                lu_solve_march(lb, heat_desk.mass, op, load, u0, heat_desk.tg),
             )
+
+    @pytest.mark.parametrize("defect", ["nan", "repeated column"])
+    def test_singular_basis_raises_without_warning(
+        self, heat_desk, tt_exact, scheme, defect
+    ):
+        # Both reduced factors go through the full-order march's pivot
+        # rule: a NaN pivot fails it, and an exact zero pivot fails it
+        # before LAPACK's info (or scipy's LinAlgWarning) is consulted.
+        alpha = np.array([0.35, 0.6])
+        s = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=4).basis.copy()
+        if defect == "nan":
+            s[3, 1] = np.nan
+        else:
+            s[:, 2] = s[:, 1]
+        op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
+        u0 = initial_state(heat_desk.problem, heat_desk.mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="numerically singular: pivot ratio"):
+                rom_solve(LocalBasis(basis=s), heat_desk.mass, op, load, u0, heat_desk.tg)
 
     def test_coefficients_layout(self, heat_desk, tt_exact, scheme):
         alpha = np.array([0.2, 0.1])

@@ -338,6 +338,28 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, value):
+        path = tmp_path / "bad.lrt"
+        path.write_bytes(GOLDEN_2X2X2[:-8] + np.array([value], dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="non-finite value in payload"):
+            load_tensor(path)
+
+    def test_load_reads_in_place(self, tmp_path, rng):
+        # The payload is read once and reshaped, not copied: the peak is
+        # the tensor plus the finiteness mask (one byte per value).
+        t = np.asfortranarray(rng.normal(size=(256, 64, 8)))
+        path = tmp_path / "t.lrt"
+        save_tensor(path, t)
+        tracemalloc.start()
+        try:
+            back = load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, t)
+        assert peak <= 1.2 * t.nbytes, peak / t.nbytes
+
     @pytest.mark.parametrize(
         "dims",
         [(65535, 65535), (2**31, 2**31), (2**32 - 1,) * 8],

@@ -511,6 +511,13 @@ class TestUniversalBasis:
         with pytest.raises(ValueError):
             universal_basis(tt)
 
+    def test_rejects_nan(self, rng):
+        tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
+        cores = [core.copy() for core in tt.cores]
+        cores[0][0, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="left-orthogonal"):
+            universal_basis(TTTensor(cores=tuple(cores)))
+
     def test_range_matches_unfolding(self, rng):
         t = np.asfortranarray(rng.normal(size=(6, 4, 3, 2)))
         tt, _ = tt_svd(t, 0.0)
@@ -643,6 +650,16 @@ class TestPersistence:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 5])
         with pytest.raises(FormatError):
+            load_tt(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_core(self, tmp_path, rng, value):
+        tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(3, 3, 3))), 0.0)
+        path = tmp_path / "t.lrtt"
+        save_tt(path, tt)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + np.array([value], dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="non-finite value in core 2"):
             load_tt(path)
 
     def test_rank_claiming_more_than_the_file_holds(self, tmp_path):
