@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a sweep study from a config")
     p.add_argument("--config", required=True, help="study config (JSON)")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", help="output directory (default: the config's output.dir)")
     p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("slopes", help="log-log slope fit over a results CSV")

@@ -50,11 +50,12 @@ def resolve_memory_budget() -> float:
     return budget
 
 
-def check_budget(n_doubles: int, budget_gb: float, what: str) -> None:
+def check_budget(n_doubles: float, budget_gb: float, what: str) -> None:
     """Raise BudgetError when ``n_doubles`` float64 values exceed the budget.
 
     ``n_doubles`` may be an integer beyond the float range (a grid of
-    astronomically many points); the message then reads ``inf`` GiB.
+    astronomically many points) or an overflowed float count (a mesh
+    size far below the domain's width); the message then reads ``inf`` GiB.
     """
     need = 8 * n_doubles
     if need > budget_gb * 2**30:

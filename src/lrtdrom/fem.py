@@ -216,6 +216,10 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
             if a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]:
                 raise GeometryError("hole rectangles must be pairwise disjoint")
 
+    # Snapping only shrinks the cell, so the nodes at size h are a lower
+    # bound; it reads inf where width / h overflows, before any snapping.
+    nodes_at_h = ((x1 - x0) / float(h) + 1) * ((y1 - y0) / float(h) + 1)
+    check_budget(_MESH_DOUBLES_PER_NODE * nodes_at_h, resolve_memory_budget(), "mesh")
     c, nx, ny = _snap_cell_size(problem, h)
     check_budget(
         _MESH_DOUBLES_PER_NODE * (nx + 1) * (ny + 1), resolve_memory_budget(), "mesh"
@@ -620,10 +624,8 @@ def assemble_operator(
 
 @dataclass(frozen=True)
 class FomTrajectory:
-    """Columns u^1 .. u^N of nodal coefficients (the initial state excluded).
-
-    A trajectory marched as a block of k columns has states (M, N, k).
-    """
+    """Columns u^1 .. u^N of nodal coefficients (the initial state
+    excluded), shape (M, N)."""
 
     states: np.ndarray
 
@@ -641,20 +643,18 @@ def check_pivots(pivots: np.ndarray, what: str) -> None:
 def backward_euler_solve(
     mass: sp.spmatrix,
     op: sp.spmatrix,
-    load: np.ndarray | Callable[[float], np.ndarray],
+    load: np.ndarray,
     u0: np.ndarray,
     tg: TimeGrid,
-    out: np.ndarray | None = None,
-) -> FomTrajectory:
-    """March (M + dt A) u^n = M u^{n-1} + dt g(t_n) for n = 1..N.
+    out: np.ndarray,
+) -> None:
+    """March (M + dt A) u^n = M u^{n-1} + dt g for n = 1..N into ``out``.
 
-    ``u0`` is one state (M,) or a block of k states (M, k) that share the
-    operator; the time-step matrix is factored once and every step solves
-    for the whole block. ``load`` is a fixed (M,) vector shared by every
-    column, a fixed (M, k) block, or a callable t -> (M,) vector (the hook
-    used by manufactured-solution tests). The states go to ``out`` when
-    given, shape (M, N) or (M, N, k) (a view into a larger array works),
-    and to a new Fortran array otherwise.
+    ``u0`` is a block of k start states (M, k) that share the operator and
+    ``load`` a fixed (M, k) block, one load per column; the time-step
+    matrix is factored once and every step solves for the whole block.
+    u^n goes to ``out[:, n - 1]``, shape (M, N, k); a view into a larger
+    array works.
 
     The march runs in node order on a banded LAPACK factor of half-bandwidth
     bw = max |i - j| over the stored entries. :func:`build_mesh` numbers
@@ -674,6 +674,12 @@ def backward_euler_solve(
     dt = tg.dt
     mass, op = mass.tocsr(), op.tocsr()
     m = mass.shape[0]
+    k = out.shape[-1]
+    want, shapes = ((m, k), (m, k), (m, tg.steps, k)), (u0.shape, load.shape, out.shape)
+    if shapes != want:
+        raise SolverError(
+            f"march needs start, load, states of shapes {want}, got {shapes}"
+        )
     mass_rows, mass_cols = _csr_entries(mass)
     op_rows, op_cols = _csr_entries(op)
     rows = np.concatenate([mass_rows, op_rows])
@@ -697,28 +703,16 @@ def backward_euler_solve(
     if info != 0:
         raise SolverError(f"time-step system factorization failed (LAPACK info {info})")
     check_pivots(pivots, "time-step system")
-    u = np.asarray(u0, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[0] != m:
-        raise SolverError("initial state has wrong dimension")
-    shape = (m, tg.steps, *u.shape[1:])
-    states = np.empty(shape, order="F") if out is None else out
-    if states.shape != shape:
-        raise SolverError(f"state array has shape {states.shape}, expected {shape}")
-    # Every step writes one (M, k) block, k = 1 for a single state.
-    u = u.reshape(m, -1)
-    columns = states if states.ndim == 3 else states[:, :, None]
-    time_dependent = callable(load)
-    if not time_dependent:
-        scaled = dt * np.asarray(load, dtype=float).reshape(m, -1)
-    for n, t in enumerate(tg.times()):
+    scaled = dt * load
+    u = u0
+    for n in range(tg.steps):
         rhs = mass @ u
-        rhs += dt * np.reshape(load(t), (m, -1)) if time_dependent else scaled
+        rhs += scaled
         if symmetric:
             u, _ = dpbtrs(factor, rhs, overwrite_b=1)
         else:
             u, _ = dgbtrs(factor, bw, bw, rhs, ipiv, overwrite_b=1)
-        columns[:, n] = u
-    return FomTrajectory(states=states)
+        out[:, n] = u
 
 
 def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
@@ -765,15 +759,12 @@ def solve_fom_batch(
         if len(cols) == 1:
             j = cols[0]
             load = terms.load(alphas[j])[:, None]
-            backward_euler_solve(
-                mass, op, load, u0[:, None], tg, out=out[:, :, j : j + 1]
-            )
+            backward_euler_solve(mass, op, load, u0[:, None], tg, out[:, :, j : j + 1])
             _check_finite(out[:, :, j], alphas[j])
             continue
         loads = terms.load_terms.T  # (M, P)
-        modes = backward_euler_solve(
-            mass, op, loads, np.zeros(loads.shape), tg
-        ).states
+        modes = np.empty((m, tg.steps, loads.shape[1]), order="F")
+        backward_euler_solve(mass, op, loads, np.zeros(loads.shape), tg, modes)
         for j in cols:
             phi = terms.phi(alphas[j])
             col = out[:, :, j]

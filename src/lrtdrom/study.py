@@ -196,8 +196,8 @@ def _parse_test_set(block, d: int) -> TestSetSpec:
         _check_keys(block, {"mode", "count", "seed"}, where)
         count = _as_positive_int(_require(block, "count", where), "test_set.count")
         seed = _require(block, "seed", where)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("test_set.seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError("test_set.seed must be a non-negative integer")
         return TestSetSpec(mode="random", count=count, seed=seed)
     if mode == "explicit":
         _check_keys(block, {"mode", "points"}, where)
@@ -667,8 +667,8 @@ class SlopeFit:
 def slope_fit(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     """Least-squares line through (log x, log y).
 
-    Needs at least three strictly positive pairs. A constant y gives
-    slope 0 with R^2 defined as 1.
+    Needs at least three strictly positive pairs whose x values are not
+    all equal. A constant y gives slope 0 with R^2 defined as 1.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -678,6 +678,8 @@ def slope_fit(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
         raise ValueError("need at least three points for a slope fit")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("slope fit needs strictly positive values")
+    if np.all(xs == xs[0]):
+        raise ValueError("slope fit needs x values that are not all equal")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

@@ -335,7 +335,8 @@ def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
 def tt_svd(
     tensor: np.ndarray, eps_tilde: float, memo: dict | None = None
 ) -> tuple[TTTensor, CompressionReport]:
-    """Tensor-train decomposition with relative Frobenius tolerance.
+    """Tensor-train decomposition, with relative Frobenius tolerance, of a
+    tensor of at least two modes (``ValueError`` otherwise).
 
     Sequential truncated SVDs of the unfoldings, each allowed a discarded
     energy of (eps_tilde * |tensor|_F)^2 / (d - 1), which guarantees
@@ -365,18 +366,12 @@ def tt_svd(
     if eps_tilde < 0:
         raise ValueError("tolerance must be non-negative")
     tensor = np.asarray(tensor, dtype=np.float64)
+    if tensor.ndim < 2:
+        raise ValueError("a tensor train needs a tensor of at least two modes")
     _bind_memo(memo, tensor)
     d = tensor.ndim
     dims = tensor.shape
     norm = _memoized(memo, "fro", lambda: frobenius_norm(tensor))
-    if d == 1:
-        core = tensor.reshape(1, dims[0], 1, order="F")
-        return TTTensor(cores=(core,)), CompressionReport(
-            eps_tilde=eps_tilde,
-            tensor_norm=norm,
-            ranks=(),
-            discarded_energy=(),
-        )
     budget = eps_tilde * norm / np.sqrt(d - 1)
 
     cores: list[np.ndarray] = []

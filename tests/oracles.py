@@ -150,20 +150,15 @@ def grid_spacings(grid: ParameterGrid) -> tuple[float, ...]:
 
 
 def superlu_march(
-    mass: sp.spmatrix, op: sp.spmatrix, load, u0: np.ndarray, tg
+    mass: sp.spmatrix, op: sp.spmatrix, load: np.ndarray, u0: np.ndarray, tg
 ) -> np.ndarray:
     """Backward Euler on a SuperLU factor of (mass + dt op) in node order:
-    the states (M, N) or (M, N, k) of ``u0`` of shape (M,) or (M, k).
-
-    ``load`` is an (M,) vector, an (M, k) block or a callable t -> (M,).
-    """
-    dt = tg.dt
-    lu = splu((mass + dt * op).tocsc())
-    m = mass.shape[0]
-    u = np.asarray(u0, dtype=float).reshape(m, -1)
-    states = np.empty((m, tg.steps, u.shape[1]), order="F")
-    for n, t in enumerate(tg.times()):
-        g = load(t) if callable(load) else load
-        u = lu.solve(mass @ u + dt * np.reshape(g, (m, -1)))
+    the states (M, N, k) of a start block ``u0`` and a fixed load block
+    ``load``, both (M, k)."""
+    lu = splu((mass + tg.dt * op).tocsc())
+    (m, k), u = u0.shape, u0
+    states = np.empty((m, tg.steps, k), order="F")
+    for n in range(tg.steps):
+        u = lu.solve(mass @ u + tg.dt * load)
         states[:, n] = u
-    return states.reshape(m, tg.steps, *np.shape(u0)[1:])
+    return states

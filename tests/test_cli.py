@@ -135,8 +135,10 @@ def test_bad_config_reports_error(tmp_path, capsys):
             "sweep": {"variable": "delta", "values": [0.25, 1e-320]},
         },
         {"test_set": {"mode": "explicit", "points": [[0.2, 0.3], [0.1]]}},
+        {"test_set": {"mode": "random", "count": 2, "seed": -1}},
     ],
-    ids=["non-object-block", "null-output-dir", "over-fine-delta", "ragged-explicit-points"],
+    ids=["non-object-block", "null-output-dir", "over-fine-delta", "ragged-explicit-points",
+         "negative-seed"],
 )
 def test_malformed_study_config_reports_error(tmp_path, capsys, changes):
     path = tmp_path / "study.json"
@@ -219,6 +221,12 @@ def test_study_huge_grid_test_set_reports_error(tmp_path, capsys):
             ["--floor-factor", "nan"],
             "must be a finite",
             id="nan-floor-factor",
+        ),
+        pytest.param(
+            "eps,delta_max,E_max\n0.1,0.5,0.3\n0.01,0.5,0.03\n0.001,0.5,0.003\n",
+            ["--var", "delta"],
+            "cannot fit a slope",
+            id="constant-x",
         ),
     ],
 )
@@ -458,13 +466,32 @@ def test_non_finite_stored_file_reports_error(
 
 @pytest.mark.parametrize("command", ["snapshots", "study"])
 def test_tiny_mesh_size_reports_error(tmp_path, capsys, command):
+    # At 3e-308 and below, width / h overflows to inf.
     path = tmp_path / "study.json"
-    path.write_text(json.dumps(CONFIG | {"mesh": {"h": 1e-5}}), encoding="utf-8")
+    for h in (1e-5, 3e-308, 5e-324):
+        path.write_text(json.dumps(CONFIG | {"mesh": {"h": h}}), encoding="utf-8")
+        capsys.readouterr()
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh needs ") and "Traceback" not in err
+
+
+def test_study_writes_to_the_config_output_dir(tmp_path):
+    out = tmp_path / "from_config"
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(CONFIG | {"output": {"dir": str(out)}}), encoding="utf-8")
+    assert main(["study", "--config", str(path)]) == 0
+    assert (out / "results.csv").exists() and (out / "summary.json").exists()
+
+
+def test_study_without_output_dir_reports_error(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 1
+    assert main(["study", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: mesh needs ") and "Traceback" not in err
+    assert err.startswith("error: no output directory given") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.json"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -45,6 +45,20 @@ from oracles import advection_field, boundary_mass, superlu_march
 SQ2 = np.sqrt(2.0) / 2.0
 
 
+def march(mass, op, load, u0, tg) -> np.ndarray:
+    """The states (M, N, k) that :func:`backward_euler_solve` marches from
+    a start block ``u0`` (M, k) under a fixed load block (M, k)."""
+    out = np.empty((u0.shape[0], tg.steps, u0.shape[1]), order="F")
+    backward_euler_solve(mass, op, load, u0, tg, out)
+    return out
+
+
+def zero_march(mass, op, tg) -> np.ndarray:
+    """March a one-column zero start under a zero load."""
+    zero = np.zeros((mass.shape[0], 1))
+    return march(mass, op, zero, zero, tg)
+
+
 def centroid_rule_advdiff(mesh, problem, alpha):
     """Advection-diffusion operator and load assembled directly at one alpha.
 
@@ -158,6 +172,11 @@ class TestMesh:
         # counts its nodes before the 373 GiB cell mask is allocated.
         with pytest.raises(BudgetError, match="mesh needs"):
             build_mesh(heat, 1e-5)
+        # At these sizes width / h overflows, and the count reads inf
+        # before any snapping.
+        for h in (3e-308, 1e-310, 5e-324):
+            with pytest.raises(BudgetError, match="mesh needs inf GiB"):
+                build_mesh(heat, h)
 
     def test_hole_outside_domain_rejected(self):
         bad = ProblemSpec(
@@ -459,36 +478,44 @@ class TestTimeStepping:
         stiff = assemble_stiffness(unit_mesh)
         tg = TimeGrid(1.0, 12)
         c = 3.25
-        u0 = np.full(unit_mesh.nodes.shape[0], c)
-        traj = backward_euler_solve(mass, stiff, np.zeros_like(u0), u0, tg)
-        assert np.abs(traj.states - c).max() <= 1e-12
+        u0 = np.full((unit_mesh.nodes.shape[0], 1), c)
+        states = march(mass, stiff, np.zeros_like(u0), u0, tg)
+        assert np.abs(states - c).max() <= 1e-12
 
     def test_energy_decay_without_forcing(self, heat, heat_mesh, rng):
         mass = assemble_mass(heat_mesh)
         op, _ = assemble_operator(heat_mesh, heat, (0.3, 0.0))
         tg = TimeGrid(heat.final_time, 25)
         u0 = rng.uniform(0.5, 1.5, size=heat_mesh.nodes.shape[0])
-        traj = backward_euler_solve(mass, op, np.zeros_like(u0), u0, tg)
+        states = march(mass, op, np.zeros((u0.size, 1)), u0[:, None], tg)
         energy = [float(u0 @ (mass @ u0))]
-        energy += [float(u @ (mass @ u)) for u in traj.states.T]
+        energy += [float(u @ (mass @ u)) for u in states[:, :, 0].T]
         energy = np.array(energy)
         assert np.all(np.diff(energy) <= 1e-12 * energy[0])
         assert energy.max() == pytest.approx(energy[0])
 
-    def test_callable_load_matches_vector(self, unit_mesh, rng):
-        mass = assemble_mass(unit_mesh)
-        stiff = assemble_stiffness(unit_mesh)
-        tg = TimeGrid(1.0, 6)
-        g = rng.normal(size=unit_mesh.nodes.shape[0])
-        u0 = np.zeros_like(g)
-        a = backward_euler_solve(mass, stiff, g, u0, tg)
-        b = backward_euler_solve(mass, stiff, lambda t: g, u0, tg)
-        np.testing.assert_array_equal(a.states, b.states)
-
     def test_singular_system_raises(self):
         zero = sp.csr_matrix((4, 4))
         with pytest.raises(SolverError):
-            backward_euler_solve(zero, zero, np.zeros(4), np.zeros(4), TimeGrid(1.0, 2))
+            zero_march(zero, zero, TimeGrid(1.0, 2))
+
+    @pytest.mark.parametrize(
+        "u0, load, out",
+        [
+            ((4,), (4, 1), (4, 2, 1)),  # a 1-D start
+            ((4, 1), (4,), (4, 2, 1)),  # a 1-D load
+            ((4, 1), (4, 1), (4, 2)),  # 2-D states
+            ((4, 2), (4, 2), (4, 2, 1)),  # a start wider than the states
+            ((4, 1), (4, 1), (4, 3, 1)),  # more states than steps
+        ],
+        ids=["1d-start", "1d-load", "2d-states", "wide-start", "extra-steps"],
+    )
+    def test_march_shapes_must_agree(self, u0, load, out):
+        mass = sp.identity(4, format="csr")
+        with pytest.raises(SolverError, match="march needs"):
+            backward_euler_solve(
+                mass, mass, np.zeros(load), np.zeros(u0), TimeGrid(1.0, 2), np.empty(out)
+            )
 
     def test_states_layout(self, heat, heat_mesh):
         tg = TimeGrid(heat.final_time, 7)
@@ -557,30 +584,25 @@ class TestBandedMarch:
     @pytest.mark.parametrize("width", [1, 2])
     def test_matches_superlu(self, kind, width, rng):
         mass, op, load, tg = self.system(kind)
-        m = mass.shape[0]
-        if width == 1:
-            u0 = rng.normal(size=m)
-        else:
-            u0 = rng.normal(size=(m, width))
-            load = np.column_stack([load, -2.0 * load])
-        got = backward_euler_solve(mass, op, load, u0, tg).states
+        u0 = rng.normal(size=(mass.shape[0], width))
+        load = np.column_stack([load, -2.0 * load][:width])
+        got = march(mass, op, load, u0, tg)
         ref = superlu_march(mass, op, load, u0, tg)
         assert got.shape == ref.shape
         assert relative_error(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["heat", "advdiff"])
-    def test_callable_load_into_a_view_matches_superlu(self, kind, rng):
+    def test_block_into_a_view_matches_superlu(self, kind, rng):
         mass, op, load, tg = self.system(kind)
         m = mass.shape[0]
         u0 = rng.normal(size=(m, 2))
-        forcing = lambda t: np.cos(t) * load  # noqa: E731
+        loads = np.column_stack([load, np.cos(1.0) * load])
         big = np.full((m, tg.steps, 4), np.nan, order="F")
-        traj = backward_euler_solve(mass, op, forcing, u0, tg, out=big[:, :, 1:3])
-        assert np.shares_memory(traj.states, big)
-        ref = superlu_march(mass, op, forcing, u0, tg)
+        backward_euler_solve(mass, op, loads, u0, tg, big[:, :, 1:3])
+        ref = superlu_march(mass, op, loads, u0, tg)
         assert relative_error(big[:, :, 1:3], ref) <= 1e-12
         assert np.isnan(big[:, :, [0, 3]]).all()
-        backward_euler_solve(mass, op, forcing, u0[:, 0], tg, out=big[:, :, 3])
+        backward_euler_solve(mass, op, loads[:, :1], u0[:, :1], tg, big[:, :, 3:])
         assert relative_error(big[:, :, 3], ref[:, :, 0]) <= 1e-12
 
     @pytest.mark.parametrize("kind, routine", [("heat", "dpbtrf"), ("advdiff", "dgbtrf")])
@@ -593,7 +615,7 @@ class TestBandedMarch:
             monkeypatch.setattr(
                 fem, name, lambda *a, _f=factor, _n=name, **k: calls.append(_n) or _f(*a, **k)
             )
-        backward_euler_solve(mass, op, load, np.zeros(mass.shape[0]), tg)
+        march(mass, op, load[:, None], np.zeros((mass.shape[0], 1)), tg)
         assert calls == [routine]
 
     def test_symmetric_indefinite_system_raises(self):
@@ -602,20 +624,20 @@ class TestBandedMarch:
         mass = sp.identity(4, format="csr")
         op = sp.diags([0.0, -4.0, 0.0, -4.0], format="csr")
         with pytest.raises(SolverError, match="factorization failed"):
-            backward_euler_solve(mass, op, np.zeros(4), np.zeros(4), TimeGrid(1.0, 2))
+            zero_march(mass, op, TimeGrid(1.0, 2))
 
     def test_nonsymmetric_singular_system_raises(self):
         # [[2, 1], [4, 2]] has an exactly zero second pivot.
         zero = sp.csr_matrix((2, 2))
         op = sp.csr_matrix(np.array([[2.0, 1.0], [4.0, 2.0]]))
         with pytest.raises(SolverError, match="factorization failed"):
-            backward_euler_solve(zero, op, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+            zero_march(zero, op, TimeGrid(1.0, 1))
 
     def test_tiny_pivot_ratio_raises(self):
         mass = sp.diags([1.0, 1e-16], format="csr")
         zero = sp.csr_matrix((2, 2))
         with pytest.raises(SolverError, match="numerically singular"):
-            backward_euler_solve(mass, zero, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+            zero_march(mass, zero, TimeGrid(1.0, 1))
 
     def test_nan_pivot_raises(self):
         # A NaN entry gives LU (info 0) a NaN pivot, which no ratio test
@@ -623,7 +645,7 @@ class TestBandedMarch:
         zero = sp.csr_matrix((2, 2))
         op = sp.csr_matrix(np.array([[np.nan, 1.0], [0.0, 1.0]]))
         with pytest.raises(SolverError, match="numerically singular: pivot ratio nan"):
-            backward_euler_solve(zero, op, np.zeros(2), np.zeros(2), TimeGrid(1.0, 1))
+            zero_march(zero, op, TimeGrid(1.0, 1))
 
     @pytest.mark.parametrize(
         "pivots",
@@ -657,9 +679,9 @@ class TestBandedMarch:
         mass, op, load, tg = self.system("heat")
         perm = np.random.default_rng(7).permutation(mass.shape[0])
         mass, op = mass[perm][:, perm], op[perm][:, perm]
-        u0 = rng.normal(size=mass.shape[0])
-        got = backward_euler_solve(mass, op, load[perm], u0, tg).states
-        ref = superlu_march(mass, op, load[perm], u0, tg)
+        u0 = rng.normal(size=(mass.shape[0], 1))
+        got = march(mass, op, load[perm, None], u0, tg)
+        ref = superlu_march(mass, op, load[perm, None], u0, tg)
         assert relative_error(got, ref) <= 1e-12
 
 

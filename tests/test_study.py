@@ -323,6 +323,9 @@ class TestParseConfig:
         data["test_set"] = {"mode": "random", "count": 7, "seed": True}
         with pytest.raises(ConfigError, match="seed"):
             parse_config(data)
+        data["test_set"] = {"mode": "random", "count": 7, "seed": -1}
+        with pytest.raises(ConfigError, match="test_set.seed must be a non-negative integer"):
+            parse_config(data)
         data["test_set"] = {"mode": "teleport"}
         with pytest.raises(ConfigError, match="mode"):
             parse_config(data)
@@ -348,7 +351,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("base", sorted(substitution_bases()))
     def test_substituted_values_parse_or_raise_config_error(self, base):
         # Each key path of the config holds each substitute in turn: the
-        # parser returns a config or raises ConfigError, never another type.
+        # parser returns a config that builds its test set (so a negative
+        # seed is rejected), or raises ConfigError, never another type.
         data = substitution_bases()[base]
         parse_config(data)
         escaped = []
@@ -360,7 +364,8 @@ class TestParseConfig:
                     node = node[key]
                 node[path[-1]] = value
                 try:
-                    parse_config(changed)
+                    config = parse_config(changed)
+                    config.test_set.build(config.problem.box)
                 except ConfigError:
                     pass
                 except Exception as exc:
@@ -636,9 +641,9 @@ class TestRunStudy:
         widths = []
         march = fem_module.backward_euler_solve
 
-        def counted(mass, op, load, u0, tg, *args, **kwargs):
-            widths.append(np.shape(u0)[1:])
-            return march(mass, op, load, u0, tg, *args, **kwargs)
+        def counted(mass, op, load, u0, tg, out):
+            widths.append(u0.shape[1:])
+            march(mass, op, load, u0, tg, out)
 
         monkeypatch.setattr(fem_module, "backward_euler_solve", counted)
         config = parse_config(data)
@@ -684,12 +689,11 @@ class TestRunStudy:
         march = fem_module.backward_euler_solve
         poisoned = []
 
-        def poison_first_grid_march(mass, op, load, u0, tg, *args, **kwargs):
-            traj = march(mass, op, load, u0, tg, *args, **kwargs)
-            if np.shape(u0)[1:] == (2,) and not poisoned:
-                traj.states[0, -1, 1] = np.nan
+        def poison_first_grid_march(mass, op, load, u0, tg, out):
+            march(mass, op, load, u0, tg, out)
+            if u0.shape[1:] == (2,) and not poisoned:
+                out[0, -1, 1] = np.nan
                 poisoned.append(True)
-            return traj
 
         monkeypatch.setattr(fem_module, "backward_euler_solve", poison_first_grid_march)
         result = run_study(parse_config(base_config()), out_dir=tmp_path / "bad")
@@ -1027,6 +1031,8 @@ class TestSlopeFit:
             slope_fit([1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
         with pytest.raises(ValueError, match="equal length"):
             slope_fit([1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="not all equal"):
+            slope_fit([0.1] * 3, [0.3, 0.03, 0.003])
 
 
 class TestExcludePlateau:

@@ -114,10 +114,9 @@ class TestTTSvd:
             assert np.abs(gram - np.eye(r)).max() <= 1e-12
 
     def test_order_one_tensor(self, rng):
-        t = np.asfortranarray(rng.normal(size=7))
-        tt, _ = tt_svd(t, 0.0)
-        assert tt.order == 1
-        np.testing.assert_allclose(tt_to_full(tt), t, rtol=0, atol=1e-14)
+        # Every snapshot tensor has a space and a time mode at least.
+        with pytest.raises(ValueError, match="at least two modes"):
+            tt_svd(rng.normal(size=7), 0.0)
 
     def test_rank_monotone_in_tolerance(self, heat_desk):
         ranks = []
