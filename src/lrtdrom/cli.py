@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LrtdRomError, resolve_memory_budget
+from .errors import ConfigError, LrtdRomError
 from .fem import (
     Mesh2D,
     ProblemSpec,
@@ -105,9 +105,9 @@ def _load_snapshots(directory: Path) -> np.ndarray:
 
 def _cmd_snapshots(args: argparse.Namespace) -> int:
     stored = _Stored.of(load_config(args.config))
+    tensor = generate_snapshots(stored.problem, stored.mesh, stored.tg, stored.scheme.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tensor = generate_snapshots(stored.problem, stored.mesh, stored.tg, stored.scheme.grid)
     save_tensor(out / "snapshots.lrt", tensor)
     (out / "meta.json").write_bytes(Path(args.config).read_bytes())
     print(f"wrote {out / 'snapshots.lrt'} shape {tensor.shape}")
@@ -121,7 +121,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     stored = _load_meta(directory)
     m, *rest = stored.shape
-    check_compression_budget(m, math.prod(rest), resolve_memory_budget())
+    check_compression_budget(m, math.prod(rest))
     tensor = _load_snapshots(directory)
     stored.check_shape(directory / "snapshots.lrt", tensor.shape)
     mass = assemble_mass(stored.mesh)
@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LrtdRomError as exc:
+    except (LrtdRomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,16 +50,16 @@ def resolve_memory_budget() -> float:
     return budget
 
 
-def check_budget(n_doubles: float, budget_gb: float, what: str) -> None:
-    """Raise BudgetError when ``n_doubles`` float64 values exceed the budget.
+def check_budget(n_doubles: float, what: str) -> None:
+    """Raise BudgetError when ``n_doubles`` float64 values exceed the budget
+    of :func:`resolve_memory_budget`, read at each check.
 
     ``n_doubles`` may be an integer beyond the float range (a grid of
     astronomically many points) or an overflowed float count (a mesh
     size far below the domain's width); the message then reads ``inf`` GiB.
     """
+    budget = resolve_memory_budget()
     need = 8 * n_doubles
-    if need > budget_gb * 2**30:
+    if need > budget * 2**30:
         gib = need / 2**30 if need < 2**1000 else math.inf
-        raise BudgetError(
-            f"{what} needs {gib:.2f} GiB, budget is {budget_gb:.2f} GiB"
-        )
+        raise BudgetError(f"{what} needs {gib:.2f} GiB, budget is {budget:.2f} GiB")

@@ -31,7 +31,6 @@ from .errors import (
     GeometryError,
     SolverError,
     check_budget,
-    resolve_memory_budget,
 )
 
 Rect = tuple[float, float, float, float]
@@ -133,10 +132,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.final_time / self.steps
 
-    def times(self) -> np.ndarray:
-        """Time levels t_1 .. t_N (the initial time 0 is not included)."""
-        return np.arange(1, self.steps + 1) * self.dt
-
 
 @dataclass(frozen=True)
 class Mesh2D:
@@ -219,11 +214,9 @@ def build_mesh(problem: ProblemSpec, h: float) -> Mesh2D:
     # Snapping only shrinks the cell, so the nodes at size h are a lower
     # bound; it reads inf where width / h overflows, before any snapping.
     nodes_at_h = ((x1 - x0) / float(h) + 1) * ((y1 - y0) / float(h) + 1)
-    check_budget(_MESH_DOUBLES_PER_NODE * nodes_at_h, resolve_memory_budget(), "mesh")
+    check_budget(_MESH_DOUBLES_PER_NODE * nodes_at_h, "mesh")
     c, nx, ny = _snap_cell_size(problem, h)
-    check_budget(
-        _MESH_DOUBLES_PER_NODE * (nx + 1) * (ny + 1), resolve_memory_budget(), "mesh"
-    )
+    check_budget(_MESH_DOUBLES_PER_NODE * (nx + 1) * (ny + 1), "mesh")
 
     # Hole footprints in cell-index space (exact integers by construction).
     hole_cells = []
@@ -359,17 +352,13 @@ def assemble_h1_gram(mesh: Mesh2D) -> sp.csr_matrix:
     return (assemble_stiffness(mesh) + assemble_mass(mesh)).tocsr()
 
 
-def _selected_edges(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
-    mask = np.isin(mesh.edge_tags, list(tags))
-    return mesh.boundary_edges[mask]
-
-
 def _edge_mass_entries(
-    mesh: Mesh2D, tags: set[int]
+    mesh: Mesh2D, tag: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the edge mass blocks over boundary edges
-    carrying one of ``tags``: (length/6) * [[2,1],[1,2]] per edge."""
-    edges = _selected_edges(mesh, tags)
+    carrying the :class:`BoundaryTag` ``tag``: (length/6) * [[2,1],[1,2]]
+    per edge."""
+    edges = mesh.boundary_edges[mesh.edge_tags == tag]
     length = np.linalg.norm(
         mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
     )
@@ -380,12 +369,13 @@ def _edge_mass_entries(
     return rows, cols, local.reshape(-1)
 
 
-def boundary_load(mesh: Mesh2D, tags: set[int]) -> np.ndarray:
-    """Load vector of a unit boundary source on edges carrying ``tags``.
+def boundary_load(mesh: Mesh2D, tag: int) -> np.ndarray:
+    """Load vector of a unit boundary source on edges carrying the
+    :class:`BoundaryTag` ``tag``.
 
     Exact for P1: each endpoint of an edge receives length/2.
     """
-    edges = _selected_edges(mesh, tags)
+    edges = mesh.boundary_edges[mesh.edge_tags == tag]
     g = np.zeros(mesh.n_nodes)
     length = np.linalg.norm(
         mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1
@@ -579,8 +569,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
         return np.bincount(at, weights=values, minlength=keys.size)
 
     if problem.kind == "heat":
-        holes = {BoundaryTag.HOLE}
-        robin = {BoundaryTag.OUTER_ROBIN}
+        holes, robin = BoundaryTag.HOLE, BoundaryTag.OUTER_ROBIN
         op_terms = [
             stiffness.data,
             on_pattern(*_edge_mass_entries(mesh, robin)),
@@ -787,12 +776,10 @@ def solve_fom(
     mesh: Mesh2D,
     tg: TimeGrid,
     alpha: Sequence[float],
-    mass: sp.spmatrix | None = None,
+    mass: sp.spmatrix,
 ) -> FomTrajectory:
     """Assemble and time-step the full-order model at one parameter value
-    (a batch of one)."""
-    if mass is None:
-        mass = assemble_mass(mesh)
+    (a batch of one), with ``mass`` the mesh's :func:`assemble_mass`."""
     states = np.empty((mesh.n_nodes, tg.steps, 1), order="F")
     solve_fom_batch(affine_operator(mesh, problem), mass, tg, [alpha], states)
     return FomTrajectory(states=states[:, :, 0])

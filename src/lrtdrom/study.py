@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_budget, resolve_memory_budget
+from .errors import ConfigError, check_budget
 from .fem import (
     AffineOperator,
     ProblemSpec,
@@ -537,13 +537,14 @@ def run_study(
     points are built or any run compressed (a :class:`BudgetError` here
     ends the study), and each grid's tensor and first-unfolding SVD
     alone, from the run's node counts before the grid is built (a
-    :class:`BudgetError` row).
+    :class:`BudgetError` row). The output directory and its FOM cache are
+    made after the mesh is built and the test trajectories fit, so a study
+    that fails either check leaves no directory behind, and before any
+    compression, so a cache that cannot be made fails first.
     """
     if out_dir is None and config.out_dir is None:
         raise ConfigError("no output directory given (config output.dir or --out)")
     out = Path(config.out_dir if out_dir is None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    budget = resolve_memory_budget()
 
     problem, tg = config.problem, config.tg
     mesh = build_mesh(problem, config.h)
@@ -552,7 +553,9 @@ def run_study(
     terms = affine_operator(mesh, problem)
     u0 = initial_state(problem, mesh)
     n_test = config.test_set.n_points(problem.n_params)
-    check_budget(mesh.n_nodes * tg.steps * n_test, budget, "test trajectories")
+    check_budget(mesh.n_nodes * tg.steps * n_test, "test trajectories")
+    out.mkdir(parents=True, exist_ok=True)
+    cache = FomCache(out / "fom_cache")
     test_points = config.test_set.build(problem.box)
 
     compressed = []  # per run: (grid, train, error, seconds)
@@ -563,7 +566,7 @@ def run_study(
             if grid is None or grid.counts != run.counts:
                 grid = tensor = memo = tt = None
                 cols = tg.steps * math.prod(run.counts)
-                check_compression_budget(mesh.n_nodes, cols, budget)
+                check_compression_budget(mesh.n_nodes, cols)
                 new_grid = uniform_grid(problem.box, run.counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, new_grid)
@@ -582,9 +585,7 @@ def run_study(
         compressed.append((*done, time.perf_counter() - start))
     tensor = memo = None
 
-    test_states = _solve_test_foms(
-        terms, mass, tg, test_points, FomCache(out / "fom_cache")
-    )
+    test_states = _solve_test_foms(terms, mass, tg, test_points, cache)
     spectra = [correlation_spectrum(states, mass) for states in test_states]
 
     rows: list[StudyRow] = []

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, FormatError, check_budget, resolve_memory_budget
+from .errors import DomainError, FormatError, check_budget
 from .fem import (
     Mesh2D,
     ProblemSpec,
@@ -101,7 +101,7 @@ def generate_snapshots(
             f"grid has {grid.n_params} axes, problem has {problem.n_params} parameters"
         )
     m, n = mesh.n_nodes, tg.steps
-    check_budget(m * n * grid.n_points, resolve_memory_budget(), "snapshot tensor")
+    check_budget(m * n * grid.n_points, "snapshot tensor")
 
     tensor = np.empty((m, n, *grid.counts), order="F")
     solve_fom_batch(

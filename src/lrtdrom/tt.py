@@ -155,10 +155,11 @@ def frobenius_tolerance(
 
     None of the three norms depends on eps. A caller converting several
     tolerances for one tensor passes the same ``memo`` dict each time: the
-    first call stores the norms in it and later calls read them, so every
-    result is bit-identical to a call without a memo. A memo serves one
-    tensor with one ``mass`` and ``dt`` (and may be shared with
-    :func:`tt_svd` on that tensor); the caller drops it with the tensor.
+    first call stores the two tensor norms in it and later calls read them,
+    so every result is bit-identical to a call without a memo; |mass| is
+    cheap and recomputed. A memo serves one tensor with one ``mass`` and
+    ``dt`` (and may be shared with :func:`tt_svd` on that tensor); the
+    caller drops it with the tensor.
     """
     if eps < 0:
         raise ValueError("tolerance must be non-negative")
@@ -169,13 +170,10 @@ def frobenius_tolerance(
     if eps == 0.0:
         return 0.0
     norm0 = _memoized(memo, "norm0", lambda: max_trajectory_norm(tensor, mass, dt))
-    mass_norm = _memoized(memo, "mass_norm", lambda: spectral_norm(mass))
-    return eps * norm0 / (np.sqrt(mass_norm * dt) * fro)
+    return eps * norm0 / (np.sqrt(spectral_norm(mass) * dt) * fro)
 
 
-def _select_rank(
-    s: np.ndarray, budget: float, residual: float = 0.0
-) -> tuple[int, float]:
+def _select_rank(s: np.ndarray, budget: float, residual: float) -> tuple[int, float]:
     """Smallest kept rank whose discarded tail energy stays under budget^2.
 
     ``residual`` is energy the factorization already left out; it counts
@@ -286,7 +284,7 @@ class _RangeFinder:
 
 
 def _first_unfolding_svd(
-    w: np.ndarray, norm: float, budget: float = 0.0, memo: dict | None = None
+    w: np.ndarray, norm: float, budget: float, memo: dict | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Thin SVD of the first unfolding up to a measured residual.
 
@@ -312,7 +310,7 @@ def _first_unfolding_svd(
     return _memoized(memo, "first_svd", lambda: (*_thin_svd(w), 0.0))
 
 
-def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
+def check_compression_budget(rows: int, cols: int) -> None:
     """Raise BudgetError unless compressing a snapshot tensor whose first
     unfolding is rows x cols fits the budget: the peak memory model.
 
@@ -327,9 +325,7 @@ def check_compression_budget(rows: int, cols: int, budget_gb: float) -> None:
     """
     k = min(rows, cols)
     svd = rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
-    check_budget(
-        rows * cols + svd, budget_gb, "snapshot tensor and its first-unfolding SVD"
-    )
+    check_budget(rows * cols + svd, "snapshot tensor and its first-unfolding SVD")
 
 
 def tt_svd(

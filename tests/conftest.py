@@ -6,10 +6,12 @@ few seconds in total; every fixture is deterministic.
 
 from __future__ import annotations
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 
 from lrtdrom import (
     TimeGrid,
@@ -21,6 +23,23 @@ from lrtdrom import (
     heat_problem,
     uniform_grid,
 )
+
+
+def pytest_report_header(config):
+    """Library versions and BLAS thread settings: wall times in a test log
+    (the acceptance criteria report theirs) depend on the thread count."""
+    threads = " ".join(
+        f"{name}={os.environ.get(name, 'unset')}"
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, {threads}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header; print it at the end of a quiet log instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.section("environment")
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ unoptimized form of a quantity the package computes another way: the
 full tensor of a train, a mode product, a scalar interpolant, a POD basis
 from the snapshot Gram matrix, an assembled edge mass matrix, the
 advection velocity as a field, the multi-indices, nodes and box of a
-parameter grid, and a backward-Euler march on a sparse LU factor.
+parameter grid, the time levels of a time grid, and a backward-Euler
+march on a sparse LU factor.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from lrtdrom import (
     InterpolationScheme,
     Mesh2D,
     ParameterGrid,
+    TimeGrid,
     TTTensor,
     interpolate_coefficients,
     weight_vectors,
 )
+from lrtdrom.errors import check_budget
 from lrtdrom.fem import _advection_modes, _edge_mass_entries
 from lrtdrom.rom import _RANK_CUTOFF
-from lrtdrom.tensors import check_budget, resolve_memory_budget
 
 
 def mode_product(tensor: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
@@ -51,7 +53,7 @@ def tt_to_full(tt: TTTensor) -> np.ndarray:
     """Contract all cores back into the full tensor (Fortran layout), after
     checking it and its last partial product against the memory budget."""
     n_entries = int(np.prod(tt.dims))
-    check_budget(2 * n_entries, resolve_memory_budget(), "tensor-train expansion")
+    check_budget(2 * n_entries, "tensor-train expansion")
     w = np.ones((1, 1))
     for core in tt.cores:
         r_prev, n, r = core.shape
@@ -100,12 +102,12 @@ def pod_basis(states: np.ndarray, mass: sp.spmatrix, ell: int) -> np.ndarray:
     return (u @ vecs[:, :ell]) / np.sqrt(vals[:ell])
 
 
-def boundary_mass(mesh: Mesh2D, tags: set[int]) -> sp.csr_matrix:
-    """Edge mass matrix over boundary edges carrying one of ``tags``.
+def boundary_mass(mesh: Mesh2D, tag: int) -> sp.csr_matrix:
+    """Edge mass matrix over boundary edges carrying ``tag``.
 
     Exact P1 edge rule: (length/6) * [[2,1],[1,2]] per edge.
     """
-    rows, cols, values = _edge_mass_entries(mesh, tags)
+    rows, cols, values = _edge_mass_entries(mesh, tag)
     n = mesh.n_nodes
     return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -147,6 +149,11 @@ def grid_spacings(grid: ParameterGrid) -> tuple[float, ...]:
     return tuple(
         float(a[-1] - a[0]) / (a.size - 1) if a.size > 1 else 0.0 for a in grid.axes
     )
+
+
+def time_levels(tg: TimeGrid) -> np.ndarray:
+    """Time levels t_1 .. t_N (the initial time 0 is not included)."""
+    return np.arange(1, tg.steps + 1) * tg.dt
 
 
 def superlu_march(

@@ -41,7 +41,13 @@ from lrtdrom import (
     uniform_grid,
     weight_vectors,
 )
-from oracles import grid_point, interpolate_snapshots, mode_product, tt_to_full
+from oracles import (
+    grid_point,
+    interpolate_snapshots,
+    mode_product,
+    time_levels,
+    tt_to_full,
+)
 
 def report(n: int, ok: bool, detail: str, wall: float, budget_s: float) -> None:
     status = "PASS" if ok and wall < budget_s else "FAIL"
@@ -133,7 +139,7 @@ def test_criterion_03_galerkin_reproduction():
     worst = 0.0
     for alpha in ((0.1, 0.2), (0.3, 0.7), (0.45, 0.05)):
         alpha = np.asarray(alpha)
-        fom = solve_fom(problem, mesh, tg, alpha)
+        fom = solve_fom(problem, mesh, tg, alpha, mass)
         u0 = initial_state(problem, mesh)
         u, s, _ = np.linalg.svd(
             np.column_stack([u0, fom.states]), full_matrices=False
@@ -252,7 +258,7 @@ def test_criterion_07_fom_convergence_order():
         gram = assemble_h1_gram(mesh)
         g = assemble_load(mesh, exact_profile)
         u0 = exact_profile(mesh.nodes)
-        traj = np.column_stack([np.exp(-t) * u0 for t in tg.times()])
+        traj = np.column_stack([np.exp(-t) * u0 for t in time_levels(tg)])
         growth = np.exp(tg.dt)
         v = np.empty((mesh.n_nodes, steps, 1), order="F")
         backward_euler_solve(
@@ -263,7 +269,7 @@ def test_criterion_07_fom_convergence_order():
             tg,
             v,
         )
-        solved = np.exp(-tg.times()) * v[:, :, 0]
+        solved = np.exp(-time_levels(tg)) * v[:, :, 0]
         errors.append(np.sqrt(trajectory_error_sq(solved, traj, gram, tg.dt)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     wall = time.perf_counter() - start

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+import lrtdrom.study as study_module
 from lrtdrom import cli, generate_snapshots, load_config, load_tensor, load_tt
 from lrtdrom.cli import _load_meta, main
 
@@ -187,7 +188,20 @@ def test_study_over_budget_test_trajectories_reports_error(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "test trajectories" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshots_over_budget_tensor_reports_error(tmp_path, capsys, monkeypatch):
+    # 1000 steps on the 3x3 grid (M=186) make a 12.8 MiB tensor, over a
+    # 1 MiB budget that holds the mesh.
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(CONFIG | {"time": {"N": 1000}}), encoding="utf-8")
+    monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", "0.001")
+    capsys.readouterr()
+    rc = main(["snapshots", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: snapshot tensor needs ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_study_huge_grid_test_set_reports_error(tmp_path, capsys):
@@ -256,6 +270,7 @@ def compressed(tmp_path_factory):
     [
         ("0.2,x", "4", "--alpha must be comma-separated numbers"),
         ("0.2,0.3", "999", "basis size 999"),
+        ("0.2,0.3,0.4", "4", "expected 2 parameters"),
     ],
 )
 def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message):
@@ -264,6 +279,25 @@ def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_rom_train_selection(compressed, tmp_path, capsys):
+    # One stored train needs no --eps; with two, --eps picks one.
+    for name in ("meta.json", "tt_eps0.001.lrtt"):
+        shutil.copy(compressed / name, tmp_path)
+    shutil.copy(tmp_path / "tt_eps0.001.lrtt", tmp_path / "tt_eps0.01.lrtt")
+    rom = ["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(tmp_path)]
+    capsys.readouterr()
+    assert main(rom) == 1
+    assert capsys.readouterr().err == (
+        f"error: 2 compressed tensors in {tmp_path}; pass --eps to pick one\n"
+    )
+    assert main([*rom, "--eps", "1e-5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'tt_eps1e-05.lrtt'} not found; "
+        "run `lrtdrom compress --eps 1e-05`\n"
+    )
+    assert main([*rom, "--eps", "1e-2"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -475,6 +509,45 @@ def test_tiny_mesh_size_reports_error(tmp_path, capsys, command):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: mesh needs ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["snapshots", "study"])
+def test_output_path_that_is_a_file_reports_error(tmp_path, config_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
+def test_fom_cache_path_that_is_a_file_reports_error(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    # The cache is made before any compression, so the study fails first.
+    built = []
+    monkeypatch.setattr(study_module, "generate_snapshots", lambda *a: built.append(a))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "fom_cache").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["study", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fom_cache" in err and "Traceback" not in err
+    assert built == []
+
+
+def test_compress_report_path_that_is_a_directory_reports_error(
+    compressed, tmp_path, capsys
+):
+    for name in ("meta.json", "snapshots.lrt"):
+        shutil.copy(compressed / name, tmp_path)
+    (tmp_path / "tt_eps0.01.json").mkdir()
+    capsys.readouterr()
+    assert main(["compress", "--eps", "1e-2", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tt_eps0.01.json" in err and "Traceback" not in err
 
 
 def test_study_writes_to_the_config_output_dir(tmp_path):

@@ -40,7 +40,7 @@ from lrtdrom import (
     source_values,
 )
 from lrtdrom.fem import _SOURCE_CENTER, _SOURCE_WIDTH
-from oracles import advection_field, boundary_mass, superlu_march
+from oracles import advection_field, boundary_mass, superlu_march, time_levels
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -268,15 +268,14 @@ class TestAssembly:
         from lrtdrom import boundary_load
 
         op, load = assemble_operator(heat_mesh, heat, (0.0, 0.0))
-        holes = {BoundaryTag.HOLE}
         expected = assemble_stiffness(heat_mesh) + 0.5 * boundary_mass(
-            heat_mesh, holes
+            heat_mesh, BoundaryTag.HOLE
         )
         assert np.abs((op - expected).toarray()).max() <= 1e-14
         assert np.all(load == 0.0)
         # Robin load enters through alpha_1 only.
         _, load1 = assemble_operator(heat_mesh, heat, (0.2, 0.0))
-        robin = boundary_load(heat_mesh, {BoundaryTag.OUTER_ROBIN})
+        robin = boundary_load(heat_mesh, BoundaryTag.OUTER_ROBIN)
         np.testing.assert_allclose(load1, 0.2 * robin, rtol=0, atol=1e-15)
 
     def test_heat_operator_general_alpha(self, heat, heat_mesh):
@@ -284,16 +283,17 @@ class TestAssembly:
 
         alpha = (0.3, 0.7)
         op, load = assemble_operator(heat_mesh, heat, alpha)
-        holes = {BoundaryTag.HOLE}
+        robin, holes = BoundaryTag.OUTER_ROBIN, BoundaryTag.HOLE
         expected = (
             assemble_stiffness(heat_mesh)
-            + 0.3 * boundary_mass(heat_mesh, {BoundaryTag.OUTER_ROBIN})
+            + 0.3 * boundary_mass(heat_mesh, robin)
             + 0.5 * boundary_mass(heat_mesh, holes)
         )
         assert np.abs((op - expected).toarray()).max() <= 1e-14
-        expected_load = 0.3 * boundary_load(
-            heat_mesh, {BoundaryTag.OUTER_ROBIN}
-        ) + 0.5 * 0.7 * boundary_load(heat_mesh, holes)
+        expected_load = (
+            0.3 * boundary_load(heat_mesh, robin)
+            + 0.5 * 0.7 * boundary_load(heat_mesh, holes)
+        )
         np.testing.assert_allclose(load, expected_load, rtol=0, atol=1e-15)
 
     def test_advdiff_operator_matches_centroid_rule_oracle(self, advdiff, rng):
@@ -467,7 +467,7 @@ class TestTimeStepping:
     def test_time_grid(self):
         tg = TimeGrid(20.0, 8)
         assert tg.dt == pytest.approx(2.5)
-        np.testing.assert_allclose(tg.times(), 2.5 * np.arange(1, 9))
+        np.testing.assert_allclose(time_levels(tg), 2.5 * np.arange(1, 9))
         with pytest.raises(ValueError):
             TimeGrid(20.0, 0)
         with pytest.raises(ValueError):
@@ -517,9 +517,9 @@ class TestTimeStepping:
                 mass, mass, np.zeros(load), np.zeros(u0), TimeGrid(1.0, 2), np.empty(out)
             )
 
-    def test_states_layout(self, heat, heat_mesh):
+    def test_states_layout(self, heat, heat_mesh, heat_mass):
         tg = TimeGrid(heat.final_time, 7)
-        traj = solve_fom(heat, heat_mesh, tg, (0.25, 0.5))
+        traj = solve_fom(heat, heat_mesh, tg, (0.25, 0.5), heat_mass)
         assert traj.states.shape == (heat_mesh.nodes.shape[0], 7)
         assert traj.states.flags.f_contiguous
         assert np.all(np.isfinite(traj.states))
@@ -536,7 +536,7 @@ class TestTimeStepping:
         mass = assemble_mass(heat_mesh)
         solve_fom_batch(affine_operator(heat_mesh, heat), mass, tg, alphas, out)
         for j, alpha in enumerate(alphas):
-            ref = solve_fom(heat, heat_mesh, tg, alpha, mass=mass).states
+            ref = solve_fom(heat, heat_mesh, tg, alpha, mass).states
             assert np.abs(out[:, :, j] - ref).max() <= 1e-12 * np.abs(ref).max(), j
 
     @pytest.mark.parametrize("alphas", [[(0.1, 0.2)], [(0.1, 0.2), (0.1, 0.5)]])

@@ -45,6 +45,11 @@ def lu_solve_march(basis, mass, op, load, u0, tg):
     return coeffs
 
 
+def desk_fom(desk, alpha):
+    """The full-order trajectory of the heat desk at ``alpha``."""
+    return solve_fom(desk.problem, desk.mesh, desk.tg, alpha, desk.mass)
+
+
 @pytest.fixture(scope="module")
 def tt_exact(heat_desk):
     tt, _ = tt_svd(heat_desk.tensor, 0.0)
@@ -63,10 +68,7 @@ def test_trajectories(heat_desk):
     alphas = np.column_stack(
         [rng.uniform(lo, hi, size=4) for lo, hi in heat_desk.problem.box]
     )
-    states = [
-        solve_fom(heat_desk.problem, heat_desk.mesh, heat_desk.tg, a).states
-        for a in alphas
-    ]
+    states = [desk_fom(heat_desk, a).states for a in alphas]
     return alphas, states
 
 
@@ -138,7 +140,7 @@ class TestRomSolve:
         # A basis containing the initial state and the whole trajectory
         # makes the ROM agree with the FOM.
         alpha = np.array([0.25, 0.3])
-        fom = solve_fom(heat_desk.problem, heat_desk.mesh, heat_desk.tg, alpha)
+        fom = desk_fom(heat_desk, alpha)
         u0 = initial_state(heat_desk.problem, heat_desk.mesh)
         span = np.column_stack([u0, fom.states])
         u, s, _ = np.linalg.svd(span, full_matrices=False)
@@ -161,7 +163,7 @@ class TestRomSolve:
         op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
         u0 = initial_state(heat_desk.problem, heat_desk.mesh)
         rom = rom_solve(basis, heat_desk.mass, op, load, u0, heat_desk.tg)
-        fom = solve_fom(heat_desk.problem, heat_desk.mesh, heat_desk.tg, alpha)
+        fom = desk_fom(heat_desk, alpha)
         scale = np.abs(fom.states).max()
         assert np.abs(rom.lift() - fom.states).max() <= 1e-10 * scale
 
@@ -172,7 +174,7 @@ class TestRomSolve:
         tt, _ = tt_svd(heat_desk.tensor, eps_tilde)
         alpha = np.array([0.5, 0.9])
         weights = weight_vectors(alpha, scheme)
-        fom = solve_fom(heat_desk.problem, heat_desk.mesh, heat_desk.tg, alpha)
+        fom = desk_fom(heat_desk, alpha)
         op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
         u0 = initial_state(heat_desk.problem, heat_desk.mesh)
         errors = []

@@ -27,6 +27,7 @@ from lrtdrom import (
     TestSetSpec,
     TimeGrid,
     advdiff_problem,
+    assemble_mass,
     build_mesh,
     exclude_plateau,
     grid_counts_for_delta,
@@ -38,7 +39,8 @@ from lrtdrom import (
     solve_fom,
 )
 from lrtdrom.study import SweepRun
-from lrtdrom.tensors import check_budget, uniform_grid
+from lrtdrom.errors import check_budget
+from lrtdrom.tensors import uniform_grid
 from oracles import grid_spacings
 
 
@@ -651,10 +653,11 @@ class TestRunStudy:
         monkeypatch.undo()
         assert all(row.error is None for row in result.rows)
         mesh = build_mesh(config.problem, config.h)
+        mass = assemble_mass(mesh)
         for alpha in config.test_set.build(config.problem.box):
             key = FomCache.key(config.problem, mesh.cell, config.tg, alpha)
             cached = np.load(tmp_path / "fom_cache" / f"{key}.npy")
-            ref = solve_fom(config.problem, mesh, config.tg, alpha).states
+            ref = solve_fom(config.problem, mesh, config.tg, alpha, mass).states
             assert np.abs(cached - ref).max() <= 1e-12 * np.abs(ref).max()
         return widths
 
@@ -821,9 +824,8 @@ class TestCompressionReuse:
         # A budget that holds the snapshot tensor but not the SVD factors
         # and gesdd's copy of the first unfolding next to it.
         tensor_doubles = build_mesh(heat_problem(), 0.5).n_nodes * 10 * 9
-        budget_gb = 1.5 * 8 * tensor_doubles / 2**30
-        check_budget(tensor_doubles, budget_gb, "snapshot tensor")  # the old estimate fits
-        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(1.5 * 8 * tensor_doubles / 2**30))
+        check_budget(tensor_doubles, "snapshot tensor")  # the old estimate fits
         result = run_study(parse_config(base_config()), out_dir=tmp_path)
         for row in result.rows:
             assert row.error is not None and "BudgetError" in row.error
@@ -867,11 +869,12 @@ class TestCompressionReuse:
         m = build_mesh(heat_problem(), 0.5).n_nodes
         held = m * 10 * 50
         budget_gb = 1.0 / 1024
-        check_budget(held, budget_gb, "test trajectories")
-        tt_module.check_compression_budget(m, 10 * 9, budget_gb)
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb - 8 * held / 2**30))
         with pytest.raises(BudgetError):
-            tt_module.check_compression_budget(m, 10 * 9, budget_gb - 8 * held / 2**30)
+            tt_module.check_compression_budget(m, 10 * 9)
         monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
+        check_budget(held, "test trajectories")
+        tt_module.check_compression_budget(m, 10 * 9)
         result = run_study(parse_config(self.random_test_set(50)), out_dir=tmp_path)
         assert [row.error for row in result.rows] == [None, None]
 

@@ -82,12 +82,12 @@ class TestParameterGrid:
 
 
 class TestSnapshots:
-    def test_single_point_grid_equals_fom(self, heat, heat_mesh):
+    def test_single_point_grid_equals_fom(self, heat, heat_mesh, heat_mass):
         tg = TimeGrid(heat.final_time, 10)
         grid = ParameterGrid(axes=(np.array([0.3]), np.array([0.5])))
         tensor = generate_snapshots(heat, heat_mesh, tg, grid)
         assert tensor.shape == (heat_mesh.nodes.shape[0], 10, 1, 1)
-        ref = solve_fom(heat, heat_mesh, tg, (0.3, 0.5))
+        ref = solve_fom(heat, heat_mesh, tg, (0.3, 0.5), heat_mass)
         np.testing.assert_array_equal(tensor[:, :, 0, 0], ref.states)
 
     def test_slice_matches_independent_rerun(self, heat):
@@ -100,8 +100,9 @@ class TestSnapshots:
         tensor = generate_snapshots(heat, mesh, tg, grid)
         assert tensor.shape == (mesh.nodes.shape[0], 100, 5, 5)
         assert np.all(np.isfinite(tensor))
+        mass = assemble_mass(mesh)
         for idx in grid_indices(grid):
-            rerun = solve_fom(heat, mesh, tg, grid_point(grid, idx)).states
+            rerun = solve_fom(heat, mesh, tg, grid_point(grid, idx), mass).states
             got = tensor[(slice(None), slice(None), *idx)]
             assert np.abs(got - rerun).max() <= 1e-12 * np.abs(rerun).max(), idx
 
@@ -109,8 +110,9 @@ class TestSnapshots:
         tg = TimeGrid(advdiff.final_time, 8)
         grid = uniform_grid(advdiff.box, (2, 1, 2, 1, 2))
         tensor = generate_snapshots(advdiff, unit_mesh, tg, grid)
+        mass = assemble_mass(unit_mesh)
         for idx in grid_indices(grid):
-            rerun = solve_fom(advdiff, unit_mesh, tg, grid_point(grid, idx)).states
+            rerun = solve_fom(advdiff, unit_mesh, tg, grid_point(grid, idx), mass).states
             got = tensor[(slice(None), slice(None), *idx)]
             assert np.abs(got - rerun).max() <= 1e-12 * np.abs(rerun).max(), idx
 
