@@ -53,7 +53,8 @@ def local_basis(
     """Reduced basis of size ``ell`` at the parameter value behind ``weights``.
 
     Left singular vectors of the interpolated coefficient matrix, lifted
-    through the (orthonormal) first core. ``ell`` may not exceed the
+    through the (orthonormal) first core, which :func:`universal_basis`
+    checks on the train's first query only. ``ell`` may not exceed the
     first rank or the number of time steps.
     """
     coeff = interpolate_coefficients(tt, weights)

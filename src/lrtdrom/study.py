@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import tempfile
 import time
 import dataclasses
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from .errors import ConfigError, check_budget
 from .fem import (
@@ -64,7 +66,7 @@ from .tt import check_compression_budget, frobenius_tolerance, tt_svd
 # (file column name, StudyRow attribute, text format) of every results
 # column, in file order. results.csv has them all; results.dat drops the
 # sweep variable and the wall clock; summary.json rows drop the sweep
-# variable and add the error string.
+# variable and add the test point of E_max and the error string.
 ROW_COLUMNS = (
     ("sweep_var", "sweep_var", "s"),
     ("value", "value", ".17g"),
@@ -390,7 +392,8 @@ def grid_counts_for_delta(
 @dataclass(frozen=True, kw_only=True)
 class StudyRow:
     """One CSV record of a sweep; a failed run keeps the defaults of the
-    measured columns and carries its ``error``."""
+    measured columns and carries its ``error``. ``e_max_alpha``, the test
+    point whose error is E_max, goes to summary.json only."""
 
     sweep_var: str
     value: float
@@ -402,6 +405,7 @@ class StudyRow:
     e_mean: float = math.nan
     r1: int = 0
     wall_s: float
+    e_max_alpha: tuple[float, ...] | None = None
     error: str | None = None
 
     def formatted(self, columns=ROW_COLUMNS) -> list[str]:
@@ -500,6 +504,23 @@ def _solve_test_foms(
             states[j] = block[:, :, c]
             cache.store(keys[j], states[j])
     return states
+
+
+def _environment() -> dict:
+    """Python, numpy, scipy and BLAS versions, and the BLAS thread
+    variables (``"unset"`` when absent): the wall times of a run depend
+    on them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {
+            name: os.environ.get(name, "unset")
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
+    }
 
 
 def _check_disjoint(test_points: np.ndarray, grid: ParameterGrid) -> None:
@@ -606,12 +627,14 @@ def run_study(
                     errors.append(
                         trajectory_error_sq(fom_states, rom_traj.lift(), gram, tg.dt)
                     )
+                worst = max(range(len(errors)), key=errors.__getitem__)
                 measured = {
                     "ell": ell,
                     "r1": int(r1),
                     "lambda_tail": tail_energy(spectra, ell),
-                    "e_max": float(np.sqrt(max(errors))),
+                    "e_max": float(np.sqrt(errors[worst])),
                     "e_mean": float(np.sqrt(np.mean(errors))),
+                    "e_max_alpha": tuple(test_points[worst].tolist()),
                 }
             except Exception as exc:  # record the failure, keep sweeping
                 measured["error"] = f"{type(exc).__name__}: {exc}"
@@ -645,9 +668,10 @@ def run_study(
         "sweep_variable": config.sweep_variable,
         "n_test": test_points.shape[0],
         "mesh_nodes": mesh.n_nodes,
+        "env": _environment(),
         "rows": [
             {name: getattr(row, attr) for name, attr, _ in _SUMMARY_COLUMNS}
-            | {"error": row.error}
+            | {"e_max_alpha": row.e_max_alpha, "error": row.error}
             for row in rows
         ],
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +64,11 @@ _ORTHONORMAL_TOL = 1e-13
 
 @dataclass(frozen=True)
 class TTTensor:
-    """Tensor train: cores[k] has shape (ranks[k-1], dims[k], ranks[k])."""
+    """Tensor train: cores[k] has shape (ranks[k-1], dims[k], ranks[k]).
+
+    The cores must not be edited after the train's first query:
+    :func:`universal_basis` checks the first core once and keeps the result.
+    """
 
     cores: tuple[np.ndarray, ...]
 
@@ -94,6 +99,16 @@ class TTTensor:
     def ranks(self) -> tuple[int, ...]:
         """Interior ranks r_1 .. r_{d-1}."""
         return tuple(core.shape[2] for core in self.cores[:-1])
+
+    @cached_property
+    def _checked_basis(self) -> np.ndarray:
+        # Kept only when the check passes: a raise leaves nothing cached.
+        u = self.cores[0][0]
+        gram = u.T @ u
+        defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        if not defect <= _ORTHONORMAL_TOL:
+            raise ValueError(f"first core is not left-orthogonal (defect {defect:.3e})")
+        return u
 
 
 @dataclass(frozen=True)
@@ -386,7 +401,8 @@ def tt_svd(
         discarded.append(dropped)
         w = s[:r, None] * vt[:r]
         r_prev = r
-    cores.append(w.reshape(r_prev, dims[-1], 1, order="F"))
+    # Fortran order like the other cores, so a query reads it without a copy.
+    cores.append(np.asfortranarray(w).reshape(r_prev, dims[-1], 1, order="F"))
     tt = TTTensor(cores=tuple(cores))
     report = CompressionReport(
         eps_tilde=eps_tilde,
@@ -400,16 +416,15 @@ def tt_svd(
 def universal_basis(tt: TTTensor) -> np.ndarray:
     """First core as an orthonormal basis of the joint snapshot space.
 
-    Shape (dim_0, r_1). Raises ValueError when the core's columns are not
-    orthonormal to within _ORTHONORMAL_TOL (the train was not built
-    left-orthogonal, or holds a NaN).
+    Shape (dim_0, r_1), a view of the first core. Raises ValueError when
+    the core's columns are not orthonormal to within _ORTHONORMAL_TOL (the
+    train was not built left-orthogonal, or holds a NaN). The O(dim_0 r_1^2)
+    check runs once per train: the first call that passes keeps the view
+    on ``tt`` and later calls return it unchecked, so the train's cores
+    must not be edited after its first query. A train that fails raises
+    on every call.
     """
-    u = tt.cores[0][0]
-    gram = u.T @ u
-    defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    if not defect <= _ORTHONORMAL_TOL:
-        raise ValueError(f"first core is not left-orthogonal (defect {defect:.3e})")
-    return u
+    return tt._checked_basis
 
 
 def interpolate_coefficients(
@@ -420,8 +435,14 @@ def interpolate_coefficients(
     Cores 2..d-1 are collapsed with one weight vector each, last core
     first; the result applied to core 1 gives the matrix. Columns are
     time steps; the interpolated trajectory is the first core applied to
-    this matrix. The cost depends on the ranks and the stencil sizes
-    only, never on the full grid size.
+    this matrix.
+
+    Each core is read as the Fortran-order matrix (r_{k-1} dim_k, r_k): a
+    view of a Fortran-contiguous core, as :func:`tt_svd` and :func:`load_tt`
+    build them, and a copy of any other. The weights are zero off the
+    stencil, but every product runs over all dim_k nodes of its axis, so a
+    call costs sum_k r_{k-1} dim_k r_k multiply-adds over the parameter
+    cores plus r_1 dim_1 r_2 for core 1.
     """
     d = tt.order
     if d < 3:
@@ -437,9 +458,14 @@ def interpolate_coefficients(
                 f"weight vector {k - 2} has shape {chi.shape}, "
                 f"axis has {core.shape[1]} nodes"
             )
-        # Collapse the mode, then absorb everything to the right.
-        v = np.tensordot(core, chi, axes=([1], [0])) @ v
-    return np.tensordot(tt.cores[1], v, axes=([2], [0]))
+        r_prev, n, r_next = core.shape
+        # Absorb everything to the right, then collapse the mode.
+        v = (core.reshape(r_prev * n, r_next, order="F") @ v).reshape(
+            r_prev, n, order="F"
+        ) @ chi
+    r1, n, r2 = tt.cores[1].shape
+    coeff = tt.cores[1].reshape(r1 * n, r2, order="F") @ v
+    return coeff.reshape(r1, n, order="F")
 
 
 def save_tt(path: str | os.PathLike, tt: TTTensor) -> None:

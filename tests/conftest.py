@@ -6,12 +6,10 @@ few seconds in total; every fixture is deterministic.
 
 from __future__ import annotations
 
-import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 
 from lrtdrom import (
     TimeGrid,
@@ -23,16 +21,19 @@ from lrtdrom import (
     heat_problem,
     uniform_grid,
 )
+from lrtdrom.study import _environment
 
 
 def pytest_report_header(config):
-    """Library versions and BLAS thread settings: wall times in a test log
-    (the acceptance criteria report theirs) depend on the thread count."""
-    threads = " ".join(
-        f"{name}={os.environ.get(name, 'unset')}"
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    """The environment a study records in summary.json: wall times in a
+    test log (the acceptance criteria report theirs) depend on the BLAS
+    thread count."""
+    env = _environment()
+    threads = " ".join(f"{name}={value}" for name, value in env["threads"].items())
+    return (
+        f"python {env['python']}, numpy {env['numpy']}, scipy {env['scipy']}, "
+        f"{env['blas']}, {threads}"
     )
-    return f"numpy {np.__version__}, scipy {scipy.__version__}, {threads}"
 
 
 def pytest_terminal_summary(terminalreporter, config):

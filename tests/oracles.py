@@ -2,7 +2,8 @@
 
 None of these runs in the package's pipeline. Each is the direct,
 unoptimized form of a quantity the package computes another way: the
-full tensor of a train, a mode product, a scalar interpolant, a POD basis
+full tensor of a train, a mode product, the coefficient contraction of a
+train by ``tensordot``, a scalar interpolant, a POD basis
 from the snapshot Gram matrix, an assembled edge mass matrix, the
 advection velocity as a field, the multi-indices, nodes and box of a
 parameter grid, the time levels of a time grid, and a backward-Euler
@@ -60,6 +61,16 @@ def tt_to_full(tt: TTTensor) -> np.ndarray:
         w = w @ core.reshape(r_prev, n * r, order="F")
         w = w.reshape(-1, r, order="F")
     return w.reshape(tt.dims, order="F")
+
+
+def tensordot_coefficients(tt: TTTensor, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """Local coefficient matrix (r_1, dim_1) by ``tensordot``, which copies
+    each core into C order: collapse each parameter mode, last core first,
+    absorb everything to the right, then contract core 1 with the result."""
+    v = np.ones(1)
+    for k in range(tt.order - 1, 1, -1):
+        v = np.tensordot(tt.cores[k], weights[k - 2], axes=([1], [0])) @ v
+    return np.tensordot(tt.cores[1], v, axes=([2], [0]))
 
 
 def interpolate_snapshots(tt: TTTensor, weights: Sequence[np.ndarray]) -> np.ndarray:

@@ -38,7 +38,7 @@ from lrtdrom import (
     slope_fit,
     solve_fom,
 )
-from lrtdrom.study import SweepRun
+from lrtdrom.study import SweepRun, _environment
 from lrtdrom.errors import check_budget
 from lrtdrom.tensors import uniform_grid
 from oracles import grid_spacings
@@ -512,6 +512,26 @@ class TestRunStudy:
         assert summary["n_test"] == 1
         assert len(summary["rows"]) == 2
         assert summary["rows"][0]["E_max"] == result.rows[0].e_max
+        assert summary["env"] == _environment()
+        threads = summary["env"]["threads"]
+        assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        for row in summary["rows"]:
+            assert row["e_max_alpha"] == [0.2, 0.3]
+
+    def test_e_max_alpha_names_the_worst_test_point(self, tmp_path):
+        points = [[0.2, 0.3], [0.45, 0.15], [0.05, 0.9]]
+        data = base_config()
+        data["test_set"]["points"] = points
+        rows = run_study(parse_config(data), out_dir=tmp_path / "all").rows
+        for k, point in enumerate(points):
+            data["test_set"]["points"] = [point]
+            alone = run_study(parse_config(data), out_dir=tmp_path / str(k)).rows
+            for row, single in zip(rows, alone):
+                assert single.e_max_alpha == tuple(point)
+                if row.e_max_alpha == tuple(point):
+                    assert single.e_max == pytest.approx(row.e_max, rel=1e-10)
+                else:
+                    assert single.e_max <= row.e_max * (1 + 1e-10)
 
     def test_all_outputs_agree_with_rows(self, smoke):
         result, _ = smoke
@@ -749,6 +769,8 @@ class TestRunStudy:
         assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
         summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
         assert summary["rows"][0]["error"] == first.error
+        assert summary["rows"][0]["e_max_alpha"] is None
+        assert summary["rows"][1]["e_max_alpha"] == [0.2, 0.3]
 
 
 def numeric_columns(result) -> list[str]:

@@ -22,6 +22,7 @@ from lrtdrom import (
     generate_snapshots,
     interpolate_coefficients,
     load_tt,
+    local_basis,
     max_trajectory_norm,
     save_tt,
     tt_svd,
@@ -36,6 +37,7 @@ from oracles import (
     grid_point,
     interpolate_snapshots,
     mode_product,
+    tensordot_coefficients,
     tt_to_full,
 )
 
@@ -375,7 +377,7 @@ class TestCertificate:
         again, again_report = tt_svd(t, eps_tilde)
         assert_same_train(tt, again)
         assert again_report == report
-        assert tt.cores[0].flags.f_contiguous
+        assert all(core.flags.f_contiguous for core in tt.cores)
         universal_basis(tt)
 
         monkeypatch.setattr(tt_module, "_SKETCH_MIN_BLOCKS", 10**9)  # dense only
@@ -507,15 +509,30 @@ class TestUniversalBasis:
 
     def test_rejects_non_left_orthogonal(self, rng):
         tt = random_tt(rng, (6, 5, 4), (3, 2))
-        with pytest.raises(ValueError):
-            universal_basis(tt)
+        for _ in range(2):  # a failed check is not kept
+            with pytest.raises(ValueError):
+                universal_basis(tt)
 
     def test_rejects_nan(self, rng):
         tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
         cores = [core.copy() for core in tt.cores]
         cores[0][0, 2, 0] = np.nan
-        with pytest.raises(ValueError, match="left-orthogonal"):
-            universal_basis(TTTensor(cores=tuple(cores)))
+        bad = TTTensor(cores=tuple(cores))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="left-orthogonal"):
+                universal_basis(bad)
+
+    def test_checked_once_per_train(self, rng, monkeypatch, tmp_path):
+        tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
+        weights = [np.array([0.2, 0.3, 0.5])]
+        first = local_basis(tt, weights, 2).basis
+        monkeypatch.setattr(tt_module, "_ORTHONORMAL_TOL", -1.0)  # every check fails
+        np.testing.assert_array_equal(local_basis(tt, weights, 2).basis, first)
+        path = tmp_path / "t.lrtt"
+        save_tt(path, tt)
+        for fresh in (TTTensor(cores=tt.cores), load_tt(path)):
+            with pytest.raises(ValueError, match="left-orthogonal"):
+                local_basis(fresh, weights, 2)
 
     def test_range_matches_unfolding(self, rng):
         t = np.asfortranarray(rng.normal(size=(6, 4, 3, 2)))
@@ -605,6 +622,62 @@ class TestExtraction:
         coeffs = interpolate_coefficients(tt, weights)
         stored = heat_desk.tensor[:, :, idx[0], idx[1]]
         np.testing.assert_allclose(coeffs, basis.T @ stored, rtol=0, atol=1e-11)
+
+
+def laid_out(core: np.ndarray, layout: str) -> np.ndarray:
+    """``core`` in Fortran order, C order, or as a non-contiguous view
+    (every other node of a larger array)."""
+    if layout == "F":
+        return np.asfortranarray(core)
+    if layout == "C":
+        return np.ascontiguousarray(core)
+    r_prev, n, r = core.shape
+    padded = np.zeros((r_prev, 2 * n, r), order="F")
+    padded[:, ::2] = core
+    return padded[:, ::2]
+
+
+class TestContraction:
+    """interpolate_coefficients against the tensordot oracle, whatever the
+    layout of the cores, and without copying a Fortran-ordered core."""
+
+    @pytest.mark.parametrize(
+        "layouts", [("F",), ("C",), ("sliced",), ("F", "C", "sliced")]
+    )
+    @pytest.mark.parametrize("order", [3, 4, 5, 6, 7])
+    def test_matches_tensordot(self, rng, order, layouts):
+        dims = tuple(int(n) for n in rng.integers(2, 7, size=order))
+        drawn = tuple(int(r) for r in rng.integers(1, 6, size=order - 1))
+        for ranks in (drawn, (1,) * (order - 1)):
+            full = (1, *ranks, 1)
+            cores = (
+                rng.normal(size=(full[k], dims[k], full[k + 1])) for k in range(order)
+            )
+            tt = TTTensor(
+                cores=tuple(
+                    laid_out(core, layouts[k % len(layouts)])
+                    for k, core in enumerate(cores)
+                )
+            )
+            weights = [rng.normal(size=n) for n in dims[2:]]
+            got = interpolate_coefficients(tt, weights)
+            want = tensordot_coefficients(tt, weights)
+            assert got.shape == want.shape == (ranks[0], dims[1])
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_copies_no_core(self, rng):
+        # An 8 MiB core 1, Fortran-ordered as tt_svd and load_tt build it.
+        tt = random_tt(rng, (4, 128, 5, 6), (64, 128, 3))
+        assert tt.cores[1].nbytes >= 8 * 2**20
+        weights = [rng.normal(size=5), rng.normal(size=6)]
+        tracemalloc.start()
+        try:
+            coeff = interpolate_coefficients(tt, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeff.shape == (64, 128)
+        assert peak < tt.cores[1].nbytes / 10
 
 
 def test_mirsky_perturbation_bound(rng):
