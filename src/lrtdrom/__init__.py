@@ -5,6 +5,12 @@ snapshot tensor; a tensor-train decomposition compresses it; Lagrange
 weight vectors contracted with the parameter cores interpolate local
 coefficient matrices at out-of-sample parameters; their singular vectors
 span parameter-specific reduced bases for Galerkin time stepping.
+
+The package namespace holds that pipeline, the types it returns, its
+storage formats and its errors. Building blocks such as the affine
+operator terms, the tensor norms and the coefficient contraction are
+imported from their modules (``lrtdrom.fem``, ``lrtdrom.tensors``,
+``lrtdrom.tt`` and so on).
 """
 
 from .errors import (
@@ -16,55 +22,36 @@ from .errors import (
     GeometryError,
     LrtdRomError,
     SolverError,
-    resolve_memory_budget,
 )
 from .fem import (
-    AffineOperator,
-    BoundaryTag,
     FomTrajectory,
     Mesh2D,
     ProblemSpec,
     TimeGrid,
     advdiff_problem,
-    affine_operator,
     assemble_h1_gram,
-    assemble_load,
     assemble_mass,
     assemble_operator,
-    assemble_stiffness,
     backward_euler_solve,
-    boundary_load,
     build_mesh,
     heat_problem,
     initial_state,
     solve_fom,
-    solve_fom_batch,
-    source_values,
 )
-from .interp import (
-    InterpolationScheme,
-    lagrange_weights,
-    weight_vectors,
-)
+from .interp import InterpolationScheme, weight_vectors
 from .rom import (
-    LocalBasis,
     RomTrajectory,
     correlation_spectrum,
     local_basis,
     rom_solve,
-    tail_energy,
     trajectory_error_sq,
 )
 from .study import (
-    CSV_HEADER,
-    FomCache,
     SlopeFit,
     StudyConfig,
     StudyResult,
     StudyRow,
-    TestSetSpec,
     exclude_plateau,
-    grid_counts_for_delta,
     load_config,
     parse_config,
     run_study,
@@ -72,24 +59,18 @@ from .study import (
 )
 from .tensors import (
     ParameterGrid,
-    frobenius_norm,
     generate_snapshots,
     load_tensor,
-    max_trajectory_norm,
     save_tensor,
-    spectral_norm,
-    unfold_first_mode,
     uniform_grid,
 )
 from .tt import (
     CompressionReport,
     TTTensor,
     frobenius_tolerance,
-    interpolate_coefficients,
     load_tt,
     save_tt,
     tt_svd,
-    universal_basis,
 )
 
 __version__ = "0.1.0"
@@ -103,67 +84,45 @@ __all__ = [
     "GeometryError",
     "LrtdRomError",
     "SolverError",
-    "AffineOperator",
-    "BoundaryTag",
     "FomTrajectory",
     "Mesh2D",
     "ProblemSpec",
     "TimeGrid",
     "advdiff_problem",
-    "affine_operator",
     "assemble_h1_gram",
-    "assemble_load",
     "assemble_mass",
     "assemble_operator",
-    "assemble_stiffness",
     "backward_euler_solve",
-    "boundary_load",
     "build_mesh",
     "heat_problem",
     "initial_state",
     "solve_fom",
-    "solve_fom_batch",
-    "source_values",
     "InterpolationScheme",
-    "lagrange_weights",
     "weight_vectors",
-    "LocalBasis",
     "RomTrajectory",
     "correlation_spectrum",
     "local_basis",
     "rom_solve",
-    "tail_energy",
     "trajectory_error_sq",
-    "CSV_HEADER",
-    "FomCache",
     "SlopeFit",
     "StudyConfig",
     "StudyResult",
     "StudyRow",
-    "TestSetSpec",
     "exclude_plateau",
-    "grid_counts_for_delta",
     "load_config",
     "parse_config",
     "run_study",
     "slope_fit",
     "ParameterGrid",
-    "frobenius_norm",
     "generate_snapshots",
     "load_tensor",
-    "max_trajectory_norm",
-    "resolve_memory_budget",
     "save_tensor",
-    "spectral_norm",
-    "unfold_first_mode",
     "uniform_grid",
     "CompressionReport",
     "TTTensor",
     "frobenius_tolerance",
-    "interpolate_coefficients",
     "load_tt",
     "save_tt",
     "tt_svd",
-    "universal_basis",
     "__version__",
 ]

@@ -180,7 +180,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     problem, mesh, tg = stored.problem, stored.mesh, stored.tg
     weights = weight_vectors(alpha, stored.scheme)
     try:
-        basis = local_basis(tt, weights, args.ell, alpha=alpha)
+        basis = local_basis(tt, weights, args.ell)
     except ValueError as exc:
         raise ConfigError(f"cannot build the reduced basis: {exc}") from exc
     mass = assemble_mass(mesh)
@@ -192,7 +192,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
         alpha=alpha,
         ell=args.ell,
         coefficients=traj.coefficients,
-        basis=basis.basis,
+        basis=basis,
     )
     final = traj.lift()[:, -1]
     print(f"wrote {out_path}")

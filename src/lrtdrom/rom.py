@@ -25,23 +25,16 @@ _RANK_CUTOFF = 1e-14
 
 
 @dataclass(frozen=True)
-class LocalBasis:
-    """Orthonormal reduced basis attached to one parameter value."""
-
-    basis: np.ndarray
-    alpha: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class RomTrajectory:
-    """Reduced coefficients c^1 .. c^N, one column per time step."""
+    """Reduced coefficients c^1 .. c^N, one column per time step, in the
+    (M, ell) orthonormal ``basis`` they were marched in."""
 
     coefficients: np.ndarray
-    basis: LocalBasis
+    basis: np.ndarray
 
     def lift(self) -> np.ndarray:
         """States in the full space, shape (M, N)."""
-        return self.basis.basis @ self.coefficients
+        return self.basis @ self.coefficients
 
 
 def local_basis(
@@ -49,13 +42,14 @@ def local_basis(
     weights: Sequence[np.ndarray],
     ell: int,
     alpha: np.ndarray | None = None,
-) -> LocalBasis:
-    """Reduced basis of size ``ell`` at the parameter value behind ``weights``.
+) -> np.ndarray:
+    """(M, ell) orthonormal reduced basis at the parameter value behind ``weights``.
 
     Left singular vectors of the interpolated coefficient matrix, lifted
     through the (orthonormal) first core, which :func:`universal_basis`
     checks on the train's first query only. ``ell`` may not exceed the
-    first rank or the number of time steps.
+    first rank or the number of time steps. ``alpha`` is accepted and not
+    read.
     """
     coeff = interpolate_coefficients(tt, weights)
     r1, n = coeff.shape
@@ -65,27 +59,26 @@ def local_basis(
             f"(first rank {r1}, {n} time steps)"
         )
     u, _, _ = sla.svd(coeff, full_matrices=False, check_finite=False)
-    return LocalBasis(basis=universal_basis(tt) @ u[:, :ell], alpha=alpha)
+    return universal_basis(tt) @ u[:, :ell]
 
 
 def rom_solve(
-    basis: LocalBasis,
+    basis: np.ndarray,
     mass: sp.spmatrix,
     op: sp.spmatrix,
     load: np.ndarray,
     u0: np.ndarray,
     tg: TimeGrid,
 ) -> RomTrajectory:
-    """Galerkin projection of the implicit Euler march onto the basis.
+    """Galerkin projection of the implicit Euler march onto the (M, ell) basis.
 
     ``load`` is a fixed (M,) vector. The initial coefficient vector is the
     mass-weighted projection of ``u0``. The reduced time-step and mass
     matrices are factored once (dense LU), and a factor that fails the
     full-order march's :func:`check_pivots` raises :class:`SolverError`.
     """
-    s = basis.basis
-    mass_r = s.T @ (mass @ s)
-    system = mass_r + tg.dt * (s.T @ (op @ s))
+    mass_r = basis.T @ (mass @ basis)
+    system = mass_r + tg.dt * (basis.T @ (op @ basis))
     # LAPACK bound once: the lu_factor/lu_solve wrappers cost more than the
     # solves themselves at these sizes, and compute the same thing.
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (system,))
@@ -93,9 +86,9 @@ def rom_solve(
     check_pivots(np.abs(np.diag(lu)), "reduced time-step system")
     mass_lu, mass_piv, _ = getrf(mass_r)
     check_pivots(np.abs(np.diag(mass_lu)), "reduced mass matrix")
-    c, _ = getrs(mass_lu, mass_piv, s.T @ (mass @ np.asarray(u0, dtype=float)))
-    load_r = tg.dt * (s.T @ np.asarray(load, dtype=float))
-    coeffs = np.empty((s.shape[1], tg.steps), order="F")
+    c, _ = getrs(mass_lu, mass_piv, basis.T @ (mass @ np.asarray(u0, dtype=float)))
+    load_r = tg.dt * (basis.T @ np.asarray(load, dtype=float))
+    coeffs = np.empty((basis.shape[1], tg.steps), order="F")
     for n in range(tg.steps):
         c, info = getrs(lu, piv, mass_r @ c + load_r)
         if info != 0:

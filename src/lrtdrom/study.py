@@ -621,7 +621,7 @@ def run_study(
                 errors = []
                 for alpha, fom_states in zip(test_points, test_states):
                     weights = weight_vectors(alpha, scheme)
-                    basis = local_basis(tt, weights, ell, alpha=alpha)
+                    basis = local_basis(tt, weights, ell)
                     op, load = terms(alpha)
                     rom_traj = rom_solve(basis, mass, op, load, u0, tg)
                     errors.append(

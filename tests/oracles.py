@@ -25,12 +25,12 @@ from lrtdrom import (
     ParameterGrid,
     TimeGrid,
     TTTensor,
-    interpolate_coefficients,
     weight_vectors,
 )
 from lrtdrom.errors import check_budget
 from lrtdrom.fem import _advection_modes, _edge_mass_entries
 from lrtdrom.rom import _RANK_CUTOFF
+from lrtdrom.tt import interpolate_coefficients
 
 
 def mode_product(tensor: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:

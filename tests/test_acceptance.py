@@ -14,23 +14,18 @@ import numpy as np
 
 from lrtdrom import (
     InterpolationScheme,
-    LocalBasis,
     TimeGrid,
     advdiff_problem,
     assemble_h1_gram,
-    assemble_load,
     assemble_mass,
     assemble_operator,
-    assemble_stiffness,
     backward_euler_solve,
     build_mesh,
     exclude_plateau,
-    frobenius_norm,
     frobenius_tolerance,
     generate_snapshots,
     heat_problem,
     initial_state,
-    max_trajectory_norm,
     parse_config,
     rom_solve,
     run_study,
@@ -41,6 +36,8 @@ from lrtdrom import (
     uniform_grid,
     weight_vectors,
 )
+from lrtdrom.fem import assemble_load, assemble_stiffness
+from lrtdrom.tensors import frobenius_norm, max_trajectory_norm
 from oracles import (
     grid_point,
     interpolate_snapshots,
@@ -145,7 +142,7 @@ def test_criterion_03_galerkin_reproduction():
             np.column_stack([u0, fom.states]), full_matrices=False
         )
         keep = s > 1e-12 * s[0]
-        basis = LocalBasis(basis=u[:, keep], alpha=alpha)
+        basis = u[:, keep]
         op, load = assemble_operator(mesh, problem, alpha)
         rom = rom_solve(basis, mass, op, load, u0, tg)
         num = trajectory_error_sq(fom.states, rom.lift(), gram, tg.dt)

@@ -16,7 +16,6 @@ import scipy.sparse.linalg as spla
 
 from lrtdrom import fem
 from lrtdrom import (
-    BoundaryTag,
     BudgetError,
     DomainError,
     GeometryError,
@@ -25,21 +24,26 @@ from lrtdrom import (
     SolverError,
     TimeGrid,
     advdiff_problem,
-    affine_operator,
     assemble_h1_gram,
-    assemble_load,
     assemble_mass,
     assemble_operator,
-    assemble_stiffness,
     backward_euler_solve,
     build_mesh,
     heat_problem,
     initial_state,
     solve_fom,
+)
+from lrtdrom.fem import (
+    BoundaryTag,
+    affine_operator,
+    assemble_load,
+    assemble_stiffness,
+    boundary_load,
     solve_fom_batch,
     source_values,
+    _SOURCE_CENTER,
+    _SOURCE_WIDTH,
 )
-from lrtdrom.fem import _SOURCE_CENTER, _SOURCE_WIDTH
 from oracles import advection_field, boundary_mass, superlu_march, time_levels
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -265,8 +269,6 @@ class TestAssembly:
         assert load.sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_heat_operator_zero_alpha(self, heat, heat_mesh):
-        from lrtdrom import boundary_load
-
         op, load = assemble_operator(heat_mesh, heat, (0.0, 0.0))
         expected = assemble_stiffness(heat_mesh) + 0.5 * boundary_mass(
             heat_mesh, BoundaryTag.HOLE
@@ -279,8 +281,6 @@ class TestAssembly:
         np.testing.assert_allclose(load1, 0.2 * robin, rtol=0, atol=1e-15)
 
     def test_heat_operator_general_alpha(self, heat, heat_mesh):
-        from lrtdrom import boundary_load
-
         alpha = (0.3, 0.7)
         op, load = assemble_operator(heat_mesh, heat, alpha)
         robin, holes = BoundaryTag.OUTER_ROBIN, BoundaryTag.HOLE

@@ -8,10 +8,10 @@ import pytest
 from lrtdrom import (
     DomainError,
     InterpolationScheme,
-    lagrange_weights,
     uniform_grid,
     weight_vectors,
 )
+from lrtdrom.interp import lagrange_weights
 from oracles import grid_indices, grid_point, interpolate
 
 

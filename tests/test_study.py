@@ -18,19 +18,15 @@ import lrtdrom.fem as fem_module
 import lrtdrom.study as study_module
 import lrtdrom.tt as tt_module
 from lrtdrom import (
-    CSV_HEADER,
     BudgetError,
     ConfigError,
-    FomCache,
     ProblemSpec,
     SolverError,
-    TestSetSpec,
     TimeGrid,
     advdiff_problem,
     assemble_mass,
     build_mesh,
     exclude_plateau,
-    grid_counts_for_delta,
     heat_problem,
     load_config,
     parse_config,
@@ -38,7 +34,14 @@ from lrtdrom import (
     slope_fit,
     solve_fom,
 )
-from lrtdrom.study import SweepRun, _environment
+from lrtdrom.study import (
+    CSV_HEADER,
+    FomCache,
+    SweepRun,
+    TestSetSpec,
+    _environment,
+    grid_counts_for_delta,
+)
 from lrtdrom.errors import check_budget
 from lrtdrom.tensors import uniform_grid
 from oracles import grid_spacings

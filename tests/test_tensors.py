@@ -17,16 +17,18 @@ from lrtdrom import (
     TimeGrid,
     assemble_mass,
     build_mesh,
-    frobenius_norm,
     generate_snapshots,
     load_tensor,
-    max_trajectory_norm,
-    resolve_memory_budget,
     save_tensor,
     solve_fom,
+    uniform_grid,
+)
+from lrtdrom.errors import resolve_memory_budget
+from lrtdrom.tensors import (
+    frobenius_norm,
+    max_trajectory_norm,
     spectral_norm,
     unfold_first_mode,
-    uniform_grid,
 )
 from oracles import grid_box, grid_indices, grid_point, grid_spacings, mode_product
 

@@ -17,20 +17,17 @@ from lrtdrom import (
     InterpolationScheme,
     TimeGrid,
     TTTensor,
-    frobenius_norm,
     frobenius_tolerance,
     generate_snapshots,
-    interpolate_coefficients,
     load_tt,
     local_basis,
-    max_trajectory_norm,
     save_tt,
     tt_svd,
-    unfold_first_mode,
     uniform_grid,
-    universal_basis,
     weight_vectors,
 )
+from lrtdrom.tensors import frobenius_norm, max_trajectory_norm, unfold_first_mode
+from lrtdrom.tt import interpolate_coefficients, universal_basis
 from oracles import (
     grid_box,
     grid_indices,
@@ -525,9 +522,9 @@ class TestUniversalBasis:
     def test_checked_once_per_train(self, rng, monkeypatch, tmp_path):
         tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
         weights = [np.array([0.2, 0.3, 0.5])]
-        first = local_basis(tt, weights, 2).basis
+        first = local_basis(tt, weights, 2)
         monkeypatch.setattr(tt_module, "_ORTHONORMAL_TOL", -1.0)  # every check fails
-        np.testing.assert_array_equal(local_basis(tt, weights, 2).basis, first)
+        np.testing.assert_array_equal(local_basis(tt, weights, 2), first)
         path = tmp_path / "t.lrtt"
         save_tt(path, tt)
         for fresh in (TTTensor(cores=tt.cores), load_tt(path)):
