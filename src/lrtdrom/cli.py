@@ -91,6 +91,13 @@ def _load_meta(directory: Path) -> _Stored:
         raise ConfigError(f"{path}: {exc}; rerun `lrtdrom snapshots`") from exc
 
 
+def _tag(value: float) -> str:
+    """A float as file names spell it: its ``:g`` text when that reads
+    back as the same float (``0.001``), else its ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _load_snapshots(directory: Path) -> np.ndarray:
     path = directory / "snapshots.lrt"
     try:
@@ -127,22 +134,12 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     mass = assemble_mass(stored.mesh)
     eps_tilde = frobenius_tolerance(args.eps, tensor, mass, stored.tg.dt)
     tt, report = tt_svd(tensor, eps_tilde)
-    tt_path = directory / f"tt_eps{args.eps:g}.lrtt"
+    tt_path = directory / f"tt_eps{_tag(args.eps)}.lrtt"
     save_tt(tt_path, tt)
-    report_path = directory / f"tt_eps{args.eps:g}.json"
+    report_path = tt_path.with_suffix(".json")
     with open(report_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "eps": args.eps,
-                "eps_tilde": report.eps_tilde,
-                "tensor_norm": report.tensor_norm,
-                "ranks": list(report.ranks),
-                "discarded_energy": list(report.discarded_energy),
-                "error_bound": report.error_bound,
-            },
-            f,
-            indent=2,
-        )
+        fields = dataclasses.asdict(report)
+        json.dump({"eps": args.eps, **fields, "error_bound": report.error_bound}, f, indent=2)
     print(f"wrote {tt_path} ranks {tt.ranks}")
     print(f"wrote {report_path}")
     return 0
@@ -150,9 +147,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 def _find_tt(directory: Path, eps: float | None) -> Path:
     if eps is not None:
-        path = directory / f"tt_eps{eps:g}.lrtt"
+        tag = _tag(eps)
+        path = directory / f"tt_eps{tag}.lrtt"
         if not path.exists():
-            raise ConfigError(f"{path} not found; run `lrtdrom compress --eps {eps:g}`")
+            raise ConfigError(f"{path} not found; run `lrtdrom compress --eps {tag}`")
         return path
     candidates = sorted(directory.glob("tt_eps*.lrtt"))
     if len(candidates) != 1:
@@ -186,7 +184,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     mass = assemble_mass(mesh)
     op, load = assemble_operator(mesh, problem, alpha)
     traj = rom_solve(basis, mass, op, load, initial_state(problem, mesh), tg)
-    out_path = directory / ("rom_" + "_".join(f"{v:g}" for v in alpha) + ".npz")
+    out_path = directory / ("rom_" + "_".join(_tag(v) for v in alpha) + ".npz")
     np.savez(
         out_path,
         alpha=alpha,
@@ -247,8 +245,17 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
         if np.isfinite(x) and np.isfinite(y):
             xs.append(x)
             ys.append(y)
+    # A log-log fit reads positive pairs only. Drop the others before the
+    # plateau rule, whose floor a zero (a clipped lambda_tail) would set.
+    xs, ys = np.array(xs), np.array(ys)
+    positive = (xs > 0) & (ys > 0)
+    if not positive.all():
+        print(
+            f"left out {np.count_nonzero(~positive)} of {xs.size} rows "
+            f"with a non-positive {x_col} or E_max"
+        )
     try:
-        xk, yk = exclude_plateau(xs, ys, factor=args.floor_factor)
+        xk, yk = exclude_plateau(xs[positive], ys[positive], factor=args.floor_factor)
         fit = slope_fit(xk, yk)
     except ValueError as exc:
         raise ConfigError(f"cannot fit a slope to {args.csv}: {exc}") from exc

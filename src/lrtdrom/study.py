@@ -548,10 +548,16 @@ def run_study(
     and memo are released before the next grid is built (or after a
     failed compression), the last ones after the last compression. Then
     the full-order test trajectories are solved, cached under the output
-    directory so a rerun reproduces every numeric column, and each run's
-    reduced model is solved at every test point, rows outer. A row's ``wall_s`` is its
-    compression time plus its evaluation time. A failed run records its
-    error in a row with its own eps, requested ell and ``delta_max``.
+    directory so that a rerun there skips those solves, and each run's
+    reduced model is solved at every test point, rows outer. A row's
+    ``wall_s`` is its compression time plus its evaluation time. A failed
+    run records its error in a row with its own eps, requested ell and
+    ``delta_max``.
+
+    The numeric columns reproduce bit for bit at one BLAS thread setting,
+    with or without the cache: a fresh directory gives the same rows.
+    Between thread settings the compression and the reduced solves may
+    move them at round-off; the full-order trajectories do not move.
 
     The memory budget is checked before anything it covers is allocated:
     the test trajectories from the test set's point count, before its

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import lrtdrom.study as study_module
-from lrtdrom import cli, generate_snapshots, load_config, load_tensor, load_tt
+from lrtdrom import (
+    assemble_mass,
+    cli,
+    frobenius_tolerance,
+    generate_snapshots,
+    load_config,
+    load_tensor,
+    load_tt,
+    tt_svd,
+)
 from lrtdrom.cli import _load_meta, main
 
 
@@ -254,6 +263,30 @@ def test_bad_slopes_csv_reports_error(tmp_path, capsys, content, extra, message)
     assert err.startswith("error: ") and message in err
 
 
+# Criterion 6's ell sweep (heat, h 0.2, N 100, 9x9 grid, eps 1e-6, one BLAS
+# thread). The ell-12 tail is clipped to 0.
+ELL_SWEEP_CSV = """sweep_var,value,eps,delta_max,ell,lambda_tail,E_max,E_mean,R1,wall_s
+ell,2,1e-06,0.0625,2,4.559e-3,0.6667,0.3,40,1.0
+ell,4,1e-06,0.0625,4,2.039e-5,0.06308,0.03,40,1.0
+ell,6,1e-06,0.0625,6,1.711e-7,0.02309,0.01,40,1.0
+ell,8,1e-06,0.0625,8,5.929e-10,0.01520,0.01,40,1.0
+ell,10,1e-06,0.0625,10,1.471e-12,0.01492,0.01,40,1.0
+ell,12,1e-06,0.0625,12,0,0.01005,0.005,40,1.0
+"""
+
+
+def test_slopes_leaves_out_non_positive_rows_before_the_plateau_rule(tmp_path, capsys):
+    # A zero tail would set the plateau floor and keep the ell-8 row: the
+    # fit must read what acceptance criterion 6 reads on the same rows.
+    path = tmp_path / "results.csv"
+    path.write_text(ELL_SWEEP_CSV, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["slopes", "--csv", str(path), "--var", "ell"]) == 0
+    printed = capsys.readouterr().out
+    assert "left out 1 of 6 rows with a non-positive lambda_tail or E_max" in printed
+    assert "slope=0.3323 " in printed and "points=3/6" in printed
+
+
 @pytest.fixture(scope="module")
 def compressed(tmp_path_factory):
     """Snapshots and one compressed tensor of CONFIG, ready for `rom`."""
@@ -263,6 +296,25 @@ def compressed(tmp_path_factory):
     assert main(["snapshots", "--config", str(config), "--out", str(work)]) == 0
     assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
     return work
+
+
+def test_compress_report_bytes(compressed):
+    # The report is the CompressionReport plus eps and error_bound, in the
+    # key order and layout of the hand-listed schema it replaced.
+    tensor = load_tensor(compressed / "snapshots.lrt")
+    stored = _load_meta(compressed)
+    eps_tilde = frobenius_tolerance(1e-3, tensor, assemble_mass(stored.mesh), stored.tg.dt)
+    _, report = tt_svd(tensor, eps_tilde)
+    listed = {
+        "eps": 1e-3,
+        "eps_tilde": report.eps_tilde,
+        "tensor_norm": report.tensor_norm,
+        "ranks": list(report.ranks),
+        "discarded_energy": list(report.discarded_energy),
+        "error_bound": report.error_bound,
+    }
+    written = (compressed / "tt_eps0.001.json").read_bytes()
+    assert written == json.dumps(listed, indent=2).encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -298,6 +350,28 @@ def test_rom_train_selection(compressed, tmp_path, capsys):
         "run `lrtdrom compress --eps 1e-05`\n"
     )
     assert main([*rom, "--eps", "1e-2"]) == 0
+
+
+def test_nearly_equal_tolerances_keep_their_own_trains(
+    compressed, tmp_path, monkeypatch, capsys
+):
+    # 0.01 and 0.0100000004 print alike with six significant digits. Each
+    # gets its own train and report, and `rom --eps` reads the one it names.
+    for name in ("meta.json", "snapshots.lrt"):
+        shutil.copy(compressed / name, tmp_path)
+    tolerances = ("0.01", "0.0100000004")
+    for eps in tolerances:
+        assert main(["compress", "--eps", eps, "--dir", str(tmp_path)]) == 0
+    for eps in tolerances:
+        report = json.loads((tmp_path / f"tt_eps{eps}.json").read_text(encoding="utf-8"))
+        assert report["eps"] == float(eps)
+    assert len(list(tmp_path.glob("tt_eps*.lrtt"))) == 2
+    loaded = []
+    monkeypatch.setattr(cli, "load_tt", lambda path: loaded.append(path.name) or load_tt(path))
+    rom = ["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(tmp_path)]
+    for eps in tolerances:
+        assert main([*rom, "--eps", eps]) == 0
+    assert loaded == [f"tt_eps{eps}.lrtt" for eps in tolerances]
 
 
 @pytest.mark.parametrize(

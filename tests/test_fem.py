@@ -8,6 +8,10 @@ hole cells removed) and pinned.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,3 +705,48 @@ def test_problem_factories():
     assert adv.nu == pytest.approx(1.0 / 30.0)
     assert adv.holes == ()
     assert adv.box == tuple(((-0.1, 0.1),) * 5)
+
+
+# Hashes the full-order blocks of 8 random points and of a 3^d snapshot
+# grid, on heat (h 0.2, N 100) and advdiff (h 0.1, N 60).
+_MARCH_DIGEST = """
+import hashlib
+import numpy as np
+from lrtdrom import TimeGrid, assemble_mass, build_mesh, generate_snapshots, uniform_grid
+from lrtdrom import advdiff_problem, heat_problem
+from lrtdrom.fem import affine_operator, solve_fom_batch
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(11)
+for problem, h, steps in ((heat_problem(), 0.2, 100), (advdiff_problem(), 0.1, 60)):
+    mesh = build_mesh(problem, h)
+    mass = assemble_mass(mesh)
+    tg = TimeGrid(problem.final_time, steps)
+    lo, hi = np.array(problem.box).T
+    points = rng.uniform(lo, hi, size=(8, lo.size))
+    out = np.empty((mesh.n_nodes, steps, len(points)), order="F")
+    solve_fom_batch(affine_operator(mesh, problem), mass, tg, points, out)
+    digest.update(out.tobytes(order="F"))
+    grid = uniform_grid(problem.box, (3,) * lo.size)
+    digest.update(generate_snapshots(problem, mesh, tg, grid).tobytes(order="F"))
+print(digest.hexdigest())
+"""
+
+
+def test_full_order_march_does_not_depend_on_blas_threads():
+    # The FOM cache keys no thread setting, so a cached trajectory must be
+    # the same bytes whatever OPENBLAS_NUM_THREADS the solve ran under.
+    src = str(Path(fem.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _MARCH_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
