@@ -93,7 +93,9 @@ def _load_meta(directory: Path) -> _Stored:
 
 def _tag(value: float) -> str:
     """A float as file names spell it: its ``:g`` text when that reads
-    back as the same float (``0.001``), else its ``repr``."""
+    back as the same float (``0.001``), else its ``repr``. Adding 0.0
+    turns -0.0 into 0.0, so equal values get one name."""
+    value = value + 0.0
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
 
@@ -220,8 +222,6 @@ _X_COLUMN = {"eps": "eps", "delta": "delta_max", "ell": "lambda_tail"}
 
 
 def _cmd_slopes(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.floor_factor):
-        raise ConfigError(f"--floor-factor must be a finite number, got {args.floor_factor}")
     try:
         with open(args.csv, "r", encoding="utf-8") as f:
             lines = [line.strip() for line in f if line.strip()]
@@ -255,7 +255,7 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
             f"with a non-positive {x_col} or E_max"
         )
     try:
-        xk, yk = exclude_plateau(xs[positive], ys[positive], factor=args.floor_factor)
+        xk, yk = exclude_plateau(xs[positive], ys[positive])
         fit = slope_fit(xk, yk)
     except ValueError as exc:
         raise ConfigError(f"cannot fit a slope to {args.csv}: {exc}") from exc
@@ -298,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slopes", help="log-log slope fit over a results CSV")
     p.add_argument("--csv", required=True, help="results.csv from a study")
     p.add_argument("--var", required=True, choices=sorted(_X_COLUMN), help="swept variable")
-    p.add_argument(
-        "--floor-factor",
-        type=float,
-        default=2.0,
-        help="plateau exclusion factor (0 disables)",
-    )
     p.set_defaults(func=_cmd_slopes)
     return parser
 

@@ -12,8 +12,8 @@ equation on a 10 x 4 plate with three square holes, with a Robin exchange
 condition on part of the outer boundary (coefficient alpha_1, exterior
 value 1) and on the hole boundaries (coefficient 1/2, exterior value
 alpha_2). ``advdiff`` is an advection-diffusion equation on the unit
-square with a fixed Gaussian source and a five-parameter divergence-free
-velocity field.
+square with diffusion coefficient 1/30, a fixed Gaussian source and a
+five-parameter divergence-free velocity field.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ class BoundaryTag:
 
 
 # The advection-diffusion source density: a unit-mass Gaussian with this
-# centre and width (see :func:`source_values`).
+# centre and width (see :func:`source_values`), and the problem's
+# diffusion coefficient.
 _SOURCE_CENTER = (0.25, 0.25)
 _SOURCE_WIDTH = 0.05
+_ADVDIFF_NU = 1.0 / 30.0
 
 # Peak float64 values per grid node of :func:`build_mesh` and the mesh's
 # assembly, with a margin: 611-618 bytes were measured on heat at
@@ -61,7 +63,7 @@ _MESH_DOUBLES_PER_NODE = 80
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Geometry, coefficients, and parameter box of one parametric problem.
+    """Geometry, horizon and parameter box of one parametric problem.
 
     ``box`` lists one (min, max) pair per parameter. ``robin_side`` names
     the outer-rectangle side carrying the Robin condition ("left", "right",
@@ -73,7 +75,6 @@ class ProblemSpec:
     holes: tuple[Rect, ...]
     box: tuple[tuple[float, float], ...]
     final_time: float
-    nu: float = 1.0
     robin_side: str | None = None
 
     def __post_init__(self) -> None:
@@ -82,8 +83,6 @@ class ProblemSpec:
         for lo, hi in self.box:
             if not lo < hi:
                 raise ValueError("parameter box sides must have positive length")
-        if self.kind == "advdiff" and not self.nu > 0:
-            raise ValueError("diffusion coefficient must be positive")
 
     @property
     def n_params(self) -> int:
@@ -111,7 +110,6 @@ def advdiff_problem() -> ProblemSpec:
         holes=(),
         box=((-0.1, 0.1),) * 5,
         final_time=1.0,
-        nu=1.0 / 30.0,
     )
 
 
@@ -546,7 +544,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
                  + 1/2 * hole edge mass;
              g = alpha_1 * outer Robin edge load
                  + 1/2 * alpha_2 * hole edge load.
-    advdiff: A = nu * stiffness + C_0 + sum_i alpha_i * C_i, where C_i is
+    advdiff: A = 1/30 * stiffness + C_0 + sum_i alpha_i * C_i, where C_i is
              the centroid-rule advection matrix of the i-th velocity
              field of :func:`_advection_modes` (C_0 the drift);
              g = Gaussian source load (centroid rule).
@@ -586,7 +584,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
             for eta in _advection_modes(p.mean(axis=1))
         ]
         op_terms = [stiffness.data, *advection]
-        op_coeffs = np.vstack([problem.nu * np.eye(1, 6), np.eye(6)])
+        op_coeffs = np.vstack([_ADVDIFF_NU * np.eye(1, 6), np.eye(6)])
         load_terms = [assemble_load(mesh, source_values)]
         load_coeffs = np.eye(1, 6)
     terms = AffineOperator(

@@ -72,10 +72,11 @@ def rom_solve(
 ) -> RomTrajectory:
     """Galerkin projection of the implicit Euler march onto the (M, ell) basis.
 
-    ``load`` is a fixed (M,) vector. The initial coefficient vector is the
-    mass-weighted projection of ``u0``. The reduced time-step and mass
-    matrices are factored once (dense LU), and a factor that fails the
-    full-order march's :func:`check_pivots` raises :class:`SolverError`.
+    ``load`` is a fixed (M,) vector. The march starts from the
+    mass-weighted projection of ``u0`` (first right-hand side basis' mass u0).
+    The reduced time-step matrix is factored once (dense LU), and a factor
+    that fails the full-order march's :func:`check_pivots` raises
+    :class:`SolverError`.
     """
     mass_r = basis.T @ (mass @ basis)
     system = mass_r + tg.dt * (basis.T @ (op @ basis))
@@ -84,16 +85,15 @@ def rom_solve(
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (system,))
     lu, piv, _ = getrf(system, overwrite_a=1)
     check_pivots(np.abs(np.diag(lu)), "reduced time-step system")
-    mass_lu, mass_piv, _ = getrf(mass_r)
-    check_pivots(np.abs(np.diag(mass_lu)), "reduced mass matrix")
-    c, _ = getrs(mass_lu, mass_piv, basis.T @ (mass @ np.asarray(u0, dtype=float)))
+    rhs = basis.T @ (mass @ np.asarray(u0, dtype=float))
     load_r = tg.dt * (basis.T @ np.asarray(load, dtype=float))
     coeffs = np.empty((basis.shape[1], tg.steps), order="F")
     for n in range(tg.steps):
-        c, info = getrs(lu, piv, mass_r @ c + load_r)
+        c, info = getrs(lu, piv, rhs + load_r)
         if info != 0:
             raise SolverError(f"reduced time-step solve failed (getrs info {info})")
         coeffs[:, n] = c
+        rhs = mass_r @ c
     return RomTrajectory(coefficients=coeffs, basis=basis)
 
 

@@ -250,20 +250,14 @@ class StudyConfig:
 
 def parse_problem(block) -> ProblemSpec:
     """The problem of a ``problem`` block: ``{"kind": "heat"}`` or
-    ``{"kind": "advdiff"}`` with an optional positive ``nu``."""
-    _object(block, "problem", {"kind", "nu"})
+    ``{"kind": "advdiff"}``."""
+    _object(block, "problem", {"kind"})
     kind = _require(block, "kind", "problem")
     if kind == "heat":
-        if "nu" in block:
-            raise ConfigError("problem.nu applies to advdiff only")
         return heat_problem()
     if kind != "advdiff":
         raise ConfigError(f"unknown problem.kind {kind!r}")
-    problem = advdiff_problem()
-    if "nu" in block:
-        nu = _as_positive_float(block["nu"], "problem.nu")
-        problem = dataclasses.replace(problem, nu=nu)
-    return problem
+    return advdiff_problem()
 
 
 def parse_config(data: dict) -> StudyConfig:
@@ -285,9 +279,7 @@ def parse_config(data: dict) -> StudyConfig:
 
     problem = parse_problem(_require(data, "problem", "config root"))
     h = _as_positive_float(_require(block("mesh", {"h"}), "h", "mesh"), "mesh.h")
-    time_block = block("time", {"N", "T"})
-    steps = _as_positive_int(_require(time_block, "N", "time"), "time.N")
-    final_time = _as_positive_float(time_block.get("T", problem.final_time), "time.T")
+    steps = _as_positive_int(_require(block("time", {"N"}), "N", "time"), "time.N")
     p = _as_positive_int(
         _require(block("interpolation", {"p"}), "p", "interpolation"), "interpolation.p"
     )
@@ -353,7 +345,7 @@ def parse_config(data: dict) -> StudyConfig:
     return StudyConfig(
         problem=problem,
         h=h,
-        tg=TimeGrid(final_time=final_time, steps=steps),
+        tg=TimeGrid(problem.final_time, steps),
         p=p,
         test_set=test_set,
         sweep_variable=variable,
@@ -426,7 +418,9 @@ class StudyResult:
 
 
 # Part of every FOM-cache key: raise it when a change to the full-order
-# solver alters its output, so entries it wrote earlier stop matching.
+# solver or to a problem constant of ``fem`` (the source, the advdiff
+# diffusion coefficient), which the key does not carry, alters its
+# output, so entries it wrote earlier stop matching.
 _FOM_SOLVER_VERSION = 5
 
 
@@ -721,27 +715,27 @@ def slope_fit(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
 
 
 def exclude_plateau(
-    xs: Sequence[float], ys: Sequence[float], factor: float = 2.0
+    xs: Sequence[float], ys: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the plateau tail before a slope fit.
 
     The plateau is the maximal small-x run of points with
-    y <= factor * min(y). All of it is dropped except its largest-x
-    member: that knee point sits on the decay line as much as on the
-    plateau, and keeping it means a monotone dataset with no plateau
-    loses nothing. A non-positive factor disables the exclusion.
+    y <= 2 * min(y). All of it is dropped except its largest-x member:
+    that knee point sits on the decay line as much as on the plateau,
+    and keeping it means a monotone dataset with no plateau loses
+    nothing.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
-    if factor <= 0 or xs.size == 0:
+    if xs.size == 0:
         return xs, ys
     order = np.argsort(xs, kind="stable")
     floor = float(np.min(ys))
     run = []
     for k in order:
-        if ys[k] <= factor * floor:
+        if ys[k] <= 2.0 * floor:
             run.append(k)
         else:
             break

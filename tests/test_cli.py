@@ -10,6 +10,7 @@ import pytest
 
 import lrtdrom.study as study_module
 from lrtdrom import (
+    assemble_h1_gram,
     assemble_mass,
     cli,
     frobenius_tolerance,
@@ -17,6 +18,9 @@ from lrtdrom import (
     load_config,
     load_tensor,
     load_tt,
+    run_study,
+    solve_fom,
+    trajectory_error_sq,
     tt_svd,
 )
 from lrtdrom.cli import _load_meta, main
@@ -60,18 +64,19 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     assert saved["coefficients"].shape == (4, 10)
     assert saved["basis"].shape[1] == 4
 
+    # At ell 4 the eps 1e-3 row sits on a plateau that leaves slopes two
+    # points; ell 10, clamped to each row's R1, decays over all three.
+    study = tmp_path / "full_rank.json"
+    study.write_text(json.dumps(dict(CONFIG, rom={"ell": [10]})), encoding="utf-8")
     out = tmp_path / "study_out"
-    assert main(["study", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["study", "--config", str(study), "--out", str(out)]) == 0
     csv = out / "results.csv"
     assert csv.exists() and (out / "summary.json").exists()
 
     capsys.readouterr()
-    rc = main(
-        ["slopes", "--csv", str(csv), "--var", "eps", "--floor-factor", "0"]
-    )
-    assert rc == 0
+    assert main(["slopes", "--csv", str(csv), "--var", "eps"]) == 0
     printed = capsys.readouterr().out
-    assert "slope=" in printed and "r2=" in printed
+    assert "slope=" in printed and "r2=" in printed and "points=3/3" in printed
 
 
 def test_compress_without_snapshots_fails(compressed, tmp_path, capsys):
@@ -240,12 +245,6 @@ def test_study_huge_grid_test_set_reports_error(tmp_path, capsys):
             id="sweep_var,value,eps,E_max\neps,0.1,0.1\n-malformed row",
         ),
         pytest.param(
-            "eps,E_max\n1,1\n0.1,0.1\n0.01,0.01\n",
-            ["--floor-factor", "nan"],
-            "must be a finite",
-            id="nan-floor-factor",
-        ),
-        pytest.param(
             "eps,delta_max,E_max\n0.1,0.5,0.3\n0.01,0.5,0.03\n0.001,0.5,0.003\n",
             ["--var", "delta"],
             "cannot fit a slope",
@@ -374,6 +373,42 @@ def test_nearly_equal_tolerances_keep_their_own_trains(
     assert loaded == [f"tt_eps{eps}.lrtt" for eps in tolerances]
 
 
+def test_negative_zero_names_the_same_files_as_zero(compressed, tmp_path):
+    # -0 and 0 are one tolerance and one coordinate: one train, one npz.
+    for name in ("meta.json", "snapshots.lrt"):
+        shutil.copy(compressed / name, tmp_path)
+    assert main(["compress", "--eps", "-0", "--dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("tt_eps*")) == ["tt_eps0.json", "tt_eps0.lrtt"]
+    rom = ["rom", "--ell", "4", "--dir", str(tmp_path), "--eps", "0"]
+    assert main([*rom, "--alpha", "0.2,-0"]) == 0
+    assert main([*rom, "--alpha", "0.2,0"]) == 0
+    assert [p.name for p in tmp_path.glob("rom_*")] == ["rom_0.2_0.npz"]
+
+
+def test_rom_answers_a_query_as_the_study_does(tmp_path):
+    # The same train, basis size and query through `lrtdrom rom` and
+    # through run_study give the study's E_max bit for bit.
+    path = tmp_path / "study.json"
+    path.write_text(
+        json.dumps(dict(CONFIG, sweep={"variable": "eps", "values": [1e-3]})),
+        encoding="utf-8",
+    )
+    [row] = run_study(load_config(path), out_dir=tmp_path / "out").rows
+    work = tmp_path / "work"
+    assert main(["snapshots", "--config", str(path), "--out", str(work)]) == 0
+    assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
+    rom = ["rom", "--alpha", "0.2,0.3", "--ell", str(row.ell), "--dir", str(work)]
+    assert main(rom) == 0
+    saved = np.load(work / "rom_0.2_0.3.npz")
+    stored = _load_meta(work)
+    mass = assemble_mass(stored.mesh)
+    fom = solve_fom(stored.problem, stored.mesh, stored.tg, [0.2, 0.3], mass)
+    lifted = saved["basis"] @ saved["coefficients"]
+    gram = assemble_h1_gram(stored.mesh)
+    error = float(np.sqrt(trajectory_error_sq(fom.states, lifted, gram, stored.tg.dt)))
+    assert error.hex() == row.e_max.hex()
+
+
 @pytest.mark.parametrize(
     "command, change, message",
     [
@@ -387,12 +422,21 @@ def test_nearly_equal_tolerances_keep_their_own_trains(
         ("rom", {"interpolation": {"p": 2.9}}, "interpolation.p must be an integer"),
         ("rom", {"interpolation": {"p": True}}, "interpolation.p must be an integer"),
         ("rom", {"mesh": {"h": float("inf")}}, "mesh.h must be a finite number"),
-        ("compress", {"time": {"N": 10, "T": float("inf")}}, "time.T must be a finite number"),
-        ("compress", {"time": {"N": 10, "T": float("nan")}}, "time.T must be a finite number"),
+        # time.T and problem.nu are no longer keys, whatever their value.
+        (
+            "compress",
+            {"time": {"N": 10, "T": float("inf")}},
+            "unknown keys ['T'] in time; rerun `lrtdrom snapshots`",
+        ),
+        (
+            "compress",
+            {"time": {"N": 10, "T": float("nan")}},
+            "unknown keys ['T'] in time; rerun `lrtdrom snapshots`",
+        ),
         (
             "compress",
             {"problem": {"kind": "advdiff", "nu": float("inf")}},
-            "problem.nu must be a finite number",
+            "unknown keys ['nu'] in problem; rerun `lrtdrom snapshots`",
         ),
         # The stored tensors are heat at h 0.5, N 10 on a 3x3 grid.
         (
@@ -438,8 +482,8 @@ def test_bad_meta_values_report_error(
 
 @pytest.mark.parametrize(
     "problem",
-    [{"kind": "heat"}, {"kind": "advdiff", "nu": 0.05}],
-    ids=["heat", "advdiff-nu"],
+    [{"kind": "heat"}, {"kind": "advdiff"}],
+    ids=["heat", "advdiff"],
 )
 def test_meta_round_trips_the_problem(tmp_path, problem):
     config, alpha = dict(CONFIG, problem=problem), "0.2,0.3"
@@ -644,6 +688,17 @@ def test_study_without_output_dir_reports_error(tmp_path, config_path, capsys, m
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])
+    assert excinfo.value.code == 2
+
+
+def test_slopes_takes_no_floor_factor(tmp_path, capsys):
+    # The plateau factor is fixed at 2, as the acceptance criteria read it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["slopes", "--help"])
+    assert excinfo.value.code == 0
+    assert "--floor-factor" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["slopes", "--csv", str(tmp_path / "r.csv"), "--var", "eps", "--floor-factor", "0"])
     assert excinfo.value.code == 2
 
 

@@ -45,6 +45,7 @@ from lrtdrom.fem import (
     boundary_load,
     solve_fom_batch,
     source_values,
+    _ADVDIFF_NU,
     _SOURCE_CENTER,
     _SOURCE_WIDTH,
 )
@@ -93,7 +94,7 @@ def centroid_rule_advdiff(mesh, problem, alpha):
     n = mesh.n_nodes
     rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
     advection = sp.coo_matrix((local, (rows, cols)), shape=(n, n)).tocsr()
-    op = problem.nu * assemble_stiffness(mesh) + advection
+    op = _ADVDIFF_NU * assemble_stiffness(mesh) + advection
     (sx, sy), w = _SOURCE_CENTER, _SOURCE_WIDTH
     f = np.exp(-((x1 - sx) ** 2 + (x2 - sy) ** 2) / (2 * w**2)) / (2 * np.pi * w**2)
     load = np.zeros(n)
@@ -386,14 +387,15 @@ class TestHeldTerms:
     def test_other_problem_replaces_held_terms(
         self, advdiff, unit_mesh, stiffness_calls
     ):
+        # A heat problem on the advdiff square: pure diffusion, since the
+        # square has no Robin side and no holes.
         mesh = dataclasses.replace(unit_mesh)
-        thick = dataclasses.replace(advdiff, nu=0.5)
-        alpha = np.zeros(5)
-        thin_op, _ = assemble_operator(mesh, advdiff, alpha)
-        thick_op, _ = assemble_operator(mesh, thick, alpha)
-        assert abs(thick_op - thin_op).max() > 0
-        assert mesh._terms.problem == thick
-        assemble_operator(mesh, advdiff, alpha)
+        diffusion = dataclasses.replace(advdiff, kind="heat", box=advdiff.box[:2])
+        advdiff_op, _ = assemble_operator(mesh, advdiff, np.zeros(5))
+        diffusion_op, _ = assemble_operator(mesh, diffusion, np.zeros(2))
+        assert abs(diffusion_op - advdiff_op).max() > 0
+        assert mesh._terms.problem == diffusion
+        assemble_operator(mesh, advdiff, np.zeros(5))
         assert len(stiffness_calls) == 3
 
     def test_mesh_and_held_terms_are_read_only(self, heat, heat_mesh):
@@ -702,7 +704,7 @@ def test_problem_factories():
     assert adv.kind == "advdiff"
     assert adv.n_params == 5
     assert adv.final_time == 1.0
-    assert adv.nu == pytest.approx(1.0 / 30.0)
+    assert _ADVDIFF_NU == 1.0 / 30.0
     assert adv.holes == ()
     assert adv.box == tuple(((-0.1, 0.1),) * 5)
 

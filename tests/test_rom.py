@@ -32,13 +32,13 @@ def lu_solve_march(s, mass, op, load, u0, tg):
     """Reduced implicit Euler march through scipy's lu_solve, step by step."""
     mass_r = s.T @ (mass @ s)
     factor = sla.lu_factor(mass_r + tg.dt * (s.T @ (op @ s)), check_finite=False)
-    c = sla.lu_solve(sla.lu_factor(mass_r, check_finite=False), s.T @ (mass @ u0))
+    rhs = s.T @ (mass @ u0)
     coeffs = np.empty((s.shape[1], tg.steps), order="F")
     for n in range(tg.steps):
-        rhs = mass_r @ c
         rhs += tg.dt * (s.T @ load)
         c = sla.lu_solve(factor, rhs, check_finite=False)
         coeffs[:, n] = c
+        rhs = mass_r @ c
     return coeffs
 
 
@@ -219,9 +219,9 @@ class TestRomSolve:
     def test_singular_basis_raises_without_warning(
         self, heat_desk, tt_exact, scheme, defect
     ):
-        # Both reduced factors go through the full-order march's pivot
-        # rule: a NaN pivot fails it, and an exact zero pivot fails it
-        # before LAPACK's info (or scipy's LinAlgWarning) is consulted.
+        # The reduced time-step factor goes through the full-order march's
+        # pivot rule: a NaN pivot fails it, and an exact zero pivot fails
+        # it before LAPACK's info (or scipy's LinAlgWarning) is consulted.
         alpha = np.array([0.35, 0.6])
         s = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=4)
         if defect == "nan":

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import shutil
 import threading
 import weakref
@@ -114,6 +115,24 @@ def key_paths(node, prefix=()):
         yield from key_paths(child, prefix + (key,))
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "configs").glob("*.json")), ids=lambda path: path.name
+)
+def test_shipped_config_parses(path):
+    load_config(path)
+
+
+def test_readme_configs_parse():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block))
+
+
 class TestParseConfig:
     def test_happy_path(self):
         cfg = parse_config(base_config())
@@ -128,11 +147,6 @@ class TestParseConfig:
             SweepRun(value=1e-3, counts=(3, 3), eps=1e-3, ell=4),
         )
         assert cfg.out_dir is None
-
-    def test_explicit_time_horizon(self):
-        data = base_config()
-        data["time"]["T"] = 3.5
-        assert parse_config(data).tg.final_time == 3.5
 
     def test_unknown_keys_rejected(self):
         data = base_config()
@@ -178,16 +192,17 @@ class TestParseConfig:
             parse_config(data)
 
     def test_nu_only_for_advdiff(self):
+        # The diffusion coefficient is a constant of fem: no kind takes it.
         data = base_config()
         data["problem"]["nu"] = 0.01
-        with pytest.raises(ConfigError, match="advdiff"):
+        with pytest.raises(ConfigError, match=r"unknown keys \['nu'\] in problem"):
             parse_config(data)
         data = base_config()
-        data["problem"] = {"kind": "advdiff", "nu": 0.025}
+        data["problem"] = {"kind": "advdiff", "nu": 1.0 / 30.0}
         data["grid"]["K"] = [3, 3, 3, 3, 3]
         data["test_set"]["points"] = [[0.05] * 5]
-        cfg = parse_config(data)
-        assert cfg.problem.nu == 0.025
+        with pytest.raises(ConfigError, match=r"unknown keys \['nu'\] in problem"):
+            parse_config(data)
 
     def test_grid_counts_validation(self):
         data = base_config()
@@ -241,28 +256,43 @@ class TestParseConfig:
             parse_config(data)
 
     @pytest.mark.parametrize(
-        "changes",
+        "changes, removed",
         [
-            {"mesh": {"h": "X"}},
-            {"time": {"N": 10, "T": "X"}},
-            {"sweep": {"variable": "eps", "values": ["X", 1e-2]}},
-            {
-                "sweep": {"variable": "ell", "values": [2, 4]},
-                "compression": {"eps": ["X"]},
-                "rom": None,
-            },
-            {
-                "problem": {"kind": "advdiff", "nu": "X"},
-                "grid": {"K": [3] * 5},
-                "test_set": {"mode": "random", "count": 2, "seed": 0},
-            },
-            {"test_set": {"mode": "explicit", "points": [[0.2, "X"]]}},
+            pytest.param({"mesh": {"h": "X"}}, None, id="mesh.h"),
+            # time.T and problem.nu are no longer keys: any value is rejected.
+            pytest.param(
+                {"time": {"N": 10, "T": "X"}}, r"unknown keys \['T'\] in time", id="time.T"
+            ),
+            pytest.param(
+                {"sweep": {"variable": "eps", "values": ["X", 1e-2]}}, None, id="sweep.values"
+            ),
+            pytest.param(
+                {
+                    "sweep": {"variable": "ell", "values": [2, 4]},
+                    "compression": {"eps": ["X"]},
+                    "rom": None,
+                },
+                None,
+                id="compression.eps",
+            ),
+            pytest.param(
+                {
+                    "problem": {"kind": "advdiff", "nu": "X"},
+                    "grid": {"K": [3] * 5},
+                    "test_set": {"mode": "random", "count": 2, "seed": 0},
+                },
+                r"unknown keys \['nu'\] in problem",
+                id="problem.nu",
+            ),
+            pytest.param(
+                {"test_set": {"mode": "explicit", "points": [[0.2, "X"]]}},
+                None,
+                id="test_set.points",
+            ),
         ],
-        ids=["mesh.h", "time.T", "sweep.values", "compression.eps", "problem.nu",
-             "test_set.points"],
     )
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
-    def test_non_finite_numbers_rejected(self, changes, literal):
+    def test_non_finite_numbers_rejected(self, changes, removed, literal):
         # Python's json module reads these literals as floats.
         data = base_config()
         for block, value in changes.items():
@@ -270,9 +300,16 @@ class TestParseConfig:
                 del data[block]
             else:
                 data[block] = value
-        parse_config(json.loads(json.dumps(data).replace('"X"', "1")))
+        finite = json.loads(json.dumps(data).replace('"X"', "1"))
+        non_finite = json.loads(json.dumps(data).replace('"X"', literal))
+        if removed is not None:
+            for parsed in (finite, non_finite):
+                with pytest.raises(ConfigError, match=removed):
+                    parse_config(parsed)
+            return
+        parse_config(finite)
         with pytest.raises(ConfigError, match="finite number|lists of numbers"):
-            parse_config(json.loads(json.dumps(data).replace('"X"', literal)))
+            parse_config(non_finite)
 
     def test_workers_key_rejected(self):
         data = base_config()
@@ -968,7 +1005,6 @@ class TestFomCache:
             "holes": problem.holes[:2],
             "box": ((0.01, 0.501), (0.0, 0.8)),
             "final_time": 21.0,
-            "nu": 0.5,
             "robin_side": "right",
         }
         assert set(changes) == {f.name for f in dataclasses.fields(ProblemSpec)}
@@ -1090,8 +1126,3 @@ class TestExcludePlateau:
         np.testing.assert_array_equal(kept_x, [1e-2, 1e-1, 1e-3])
         np.testing.assert_array_equal(kept_y, [4.6e-2, 3.4e-1, 4.3e-3])
 
-    def test_zero_factor_disables(self):
-        xs = [1e-4, 1e-3, 1e-2]
-        ys = [1.0e-3, 1.1e-3, 5e-2]
-        kept_x, _ = exclude_plateau(xs, ys, factor=0.0)
-        np.testing.assert_array_equal(kept_x, xs)
