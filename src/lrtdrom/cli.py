@@ -147,19 +147,20 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_tt(directory: Path, eps: float | None) -> Path:
+def _find_tt(directory: Path, eps: float | None) -> tuple[Path, str]:
+    """The train that ``--eps`` names, or the only one, and its file's tag."""
     if eps is not None:
         tag = _tag(eps)
         path = directory / f"tt_eps{tag}.lrtt"
         if not path.exists():
             raise ConfigError(f"{path} not found; run `lrtdrom compress --eps {tag}`")
-        return path
+        return path, tag
     candidates = sorted(directory.glob("tt_eps*.lrtt"))
     if len(candidates) != 1:
         raise ConfigError(
             f"{len(candidates)} compressed tensors in {directory}; pass --eps to pick one"
         )
-    return candidates[0]
+    return candidates[0], candidates[0].stem[len("tt_eps") :]
 
 
 def _cmd_rom(args: argparse.Namespace) -> int:
@@ -171,10 +172,10 @@ def _cmd_rom(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--alpha must be comma-separated numbers, got {args.alpha!r}"
         ) from exc
-    path = _find_tt(directory, args.eps)
+    path, tag = _find_tt(directory, args.eps)
     try:
-        tt = load_tt(path)
-    except OSError as exc:
+        eps, tt = float(tag), load_tt(path)  # a tag that is no float names no train
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     stored.check_shape(path, tt.dims)
     problem, mesh, tg = stored.problem, stored.mesh, stored.tg
@@ -186,10 +187,12 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     mass = assemble_mass(mesh)
     op, load = assemble_operator(mesh, problem, alpha)
     traj = rom_solve(basis, mass, op, load, initial_state(problem, mesh), tg)
-    out_path = directory / ("rom_" + "_".join(_tag(v) for v in alpha) + ".npz")
+    name = "_".join([f"rom_eps{tag}", f"ell{args.ell}", *(_tag(v) for v in alpha)])
+    out_path = directory / f"{name}.npz"
     np.savez(
         out_path,
         alpha=alpha,
+        eps=eps,
         ell=args.ell,
         coefficients=traj.coefficients,
         basis=basis,

@@ -465,13 +465,15 @@ def _csr_entries(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return rows, matrix.indices.astype(np.int64)
 
 
-def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_q weights[q] * terms[q], added term by term in order.
+def _weighted_sum(
+    weights: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_q weights[q] * terms[q], added term by term in order, into ``out`` if given.
 
     Each product is rounded before it is added (no fused multiply-add),
     so a sum reproduces the same sum written out with sparse matrices.
     """
-    total = weights[0] * terms[0]
+    total = np.multiply(weights[0], terms[0], out=out)
     for w, term in zip(weights[1:], terms[1:]):
         total += w * term
     return total
@@ -722,7 +724,8 @@ def solve_fom_batch(
     one marches its own load straight into ``out``. A larger group
     marches the P load terms g_p of ``terms`` instead, as one (M, N, P)
     block from a zero start, and writes each point's trajectory as the
-    combination sum_p phi_p(alpha) U_p. The march is linear in the load,
+    combination sum_p phi_p(alpha) U_p, summed by :func:`_weighted_sum` as
+    the load g(alpha) = sum_p phi_p g_p is. The march is linear in the load,
     so this is exact (up to round-off) because every supported problem
     starts from a zero :func:`initial_state`. On a heat grid, where
     alpha_2 enters only the load, each alpha_1 node costs a 2-column
@@ -753,11 +756,8 @@ def solve_fom_batch(
         modes = np.empty((m, tg.steps, loads.shape[1]), order="F")
         backward_euler_solve(mass, op, loads, np.zeros(loads.shape), tg, modes)
         for j in cols:
-            phi = terms.phi(alphas[j])
             col = out[:, :, j]
-            np.multiply(modes[:, :, 0], phi[0], out=col)
-            for p in range(1, phi.size):
-                col += phi[p] * modes[:, :, p]
+            _weighted_sum(terms.phi(alphas[j]), modes.transpose(2, 0, 1), out=col)
             _check_finite(col, alphas[j])
 
 

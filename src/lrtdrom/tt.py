@@ -54,7 +54,8 @@ _SKETCH_SEED = 20110217
 # is larger), so it spends at most 1/256 of the budget's energy.
 _BUDGET_FRACTION = 1.0 / 16.0
 
-# Float64 values per column chunk over which |W - QB|_F is measured.
+# Float64 values (1 MiB) per column chunk of W over which the range finder
+# forms B's new rows and measures |W - QB|_F.
 _CHUNK_DOUBLES = 1 << 17
 
 # Largest entry of |U^T U - I| for which the first core counts as
@@ -133,22 +134,19 @@ class CompressionReport:
         return float(np.sqrt(sum(self.discarded_energy)))
 
 
-def _memoized(memo: dict | None, key: str, compute):
-    """``compute()``, or the value a caller-owned memo holds for ``key``."""
-    if memo is None:
-        return compute()
+def _memoized(memo: dict, key: str, compute):
+    """The value ``memo`` holds for ``key``, computed on first use."""
     if key not in memo:
         memo[key] = compute()
     return memo[key]
 
 
-def _bind_memo(memo: dict | None, tensor: np.ndarray) -> None:
-    """Tie a memo to the first tensor it sees; another shape or dtype is an error."""
-    if memo is None:
-        return
-    owner = (tensor.shape, tensor.dtype.str)
-    if memo.setdefault("owner", owner) != owner:
-        raise ValueError(f"memo belongs to a tensor {memo['owner']}, got {owner}")
+def _bind_memo(memo: dict | None, tensor) -> dict:
+    """``memo`` (a fresh one for None), tied to the first tensor it serves."""
+    memo = {} if memo is None else memo
+    if memo.setdefault("tensor", tensor) is not tensor:
+        raise ValueError("memo belongs to another tensor")
+    return memo
 
 
 def frobenius_tolerance(
@@ -171,20 +169,24 @@ def frobenius_tolerance(
     None of the three norms depends on eps. A caller converting several
     tolerances for one tensor passes the same ``memo`` dict each time: the
     first call stores the two tensor norms in it and later calls read them,
-    so every result is bit-identical to a call without a memo; |mass| is
-    cheap and recomputed. A memo serves one tensor with one ``mass`` and
-    ``dt`` (and may be shared with :func:`tt_svd` on that tensor); the
-    caller drops it with the tensor.
+    so every result is bit-identical to a fresh call (``memo=None``); |mass|
+    is cheap and recomputed. A memo is bound to its tensor and ``mass`` by
+    identity and to its ``dt`` by value (any other raises ``ValueError``),
+    and it keeps the tensor; :func:`tt_svd` may share it, and the caller drops both.
     """
     if eps < 0:
         raise ValueError("tolerance must be non-negative")
-    _bind_memo(memo, tensor)
+    memo = _bind_memo(memo, tensor)
     fro = _memoized(memo, "fro", lambda: frobenius_norm(tensor))
     if fro == 0.0:
         raise DomainError("tolerance conversion undefined for a zero tensor")
     if eps == 0.0:
         return 0.0
-    norm0 = _memoized(memo, "norm0", lambda: max_trajectory_norm(tensor, mass, dt))
+    held_mass, held_dt, norm0 = _memoized(
+        memo, "norm0", lambda: (mass, dt, max_trajectory_norm(tensor, mass, dt))
+    )
+    if held_mass is not mass or held_dt != dt:
+        raise ValueError("memo belongs to another mass or dt")
     return eps * norm0 / (np.sqrt(spectral_norm(mass) * dt) * fro)
 
 
@@ -221,26 +223,6 @@ def _orthonormal(y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
-def _residual_norm(w: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
-    """|W - QB|_F, measured one column chunk of W at a time.
-
-    Each chunk's energy is numpy's own einsum loop, not BLAS ``ddot``
-    (``np.linalg.norm``): with more than one BLAS thread, a threaded
-    ``ddot`` after every threaded ``dgemm`` made the pass about 15 times
-    slower, while one thread runs both at the same speed.
-    """
-    rows, cols = w.shape
-    step = max(1, _CHUNK_DOUBLES // rows)
-    energy = 0.0
-    for j in range(0, cols, step):
-        # dgemm subtracts from a copy of the chunk, so W is not touched.
-        chunk = blas.dgemm(-1.0, q, b[:, j : j + step], beta=1.0, c=w[:, j : j + step])
-        flat = chunk.ravel(order="F")  # a view of the Fortran-ordered chunk
-        energy += float(np.einsum("i,i->", flat, flat))
-        del chunk, flat  # one chunk alive at a time
-    return float(np.sqrt(energy))
-
-
 class _RangeFinder:
     """Blocked adaptive range finder for one first unfolding W.
 
@@ -249,8 +231,10 @@ class _RangeFinder:
     draws Gaussian columns, takes one orthonormalized power step on the
     residual and is orthogonalized against the earlier blocks; residual
     products are taken as W x - Q(B x) and W^T y - B^T(Q^T y), so W - QB
-    is never formed. A memo keeps the finder, so that a tighter target
-    extends its blocks and a looser one reuses a prefix of them.
+    is never formed. One pass over W's column chunks then forms B's new
+    rows and measures |W - QB|_F, so a block reads W four times. A memo
+    keeps the finder, so that a tighter target extends its blocks and a
+    looser one reuses a prefix of them.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -293,13 +277,27 @@ class _RangeFinder:
         y = _orthonormal(self._apply(w, omega))
         z = _orthonormal(w.T @ y - self.b.T @ (self.q.T @ y))
         q_new = _orthonormal(self._apply(w, z), self.q if self.q.shape[1] else None)
-        self.q = np.concatenate([self.q, q_new], axis=1)
-        self.b = np.concatenate([self.b, blas.dgemm(1.0, q_new, w, trans_a=True)])
-        self.residuals.append(_residual_norm(w, self.q, self.b))
+        q = np.concatenate([self.q, q_new], axis=1)
+        b = np.empty((q.shape[1], w.shape[1]))
+        b[: self.b.shape[0]] = self.b
+        step = max(1, _CHUNK_DOUBLES // w.shape[0])
+        energy = 0.0
+        for j in range(0, w.shape[1], step):
+            cut = slice(j, j + step)
+            b[self.b.shape[0] :, cut] = blas.dgemm(1.0, q_new, w[:, cut], trans_a=True)
+            # dgemm subtracts from a copy of the chunk, so W is not touched.
+            chunk = blas.dgemm(-1.0, q, b[:, cut], beta=1.0, c=w[:, cut])
+            flat = chunk.ravel(order="F")  # a view of the Fortran-ordered chunk
+            # numpy's own loop: a threaded BLAS ddot after each threaded
+            # dgemm made the pass about 15 times slower.
+            energy += float(np.einsum("i,i->", flat, flat))
+            del chunk, flat  # one chunk alive at a time
+        self.q, self.b = q, b
+        self.residuals.append(float(np.sqrt(energy)))
 
 
 def _first_unfolding_svd(
-    w: np.ndarray, norm: float, budget: float, memo: dict | None
+    w: np.ndarray, norm: float, budget: float, memo: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Thin SVD of the first unfolding up to a measured residual.
 
@@ -308,10 +306,9 @@ def _first_unfolding_svd(
     unfolding goes through :class:`_RangeFinder` until sqrt(r2) <= target
     = max(``budget`` / 16, roundoff floor of ``norm`` = |W|_F), then a
     dense SVD of the small B. A short side or a finder that does not
-    converge takes the dense SVD of W with r2 = 0.
-
-    With a ``memo`` the finder's blocks and the dense factors are kept in
-    it; the result depends on W and the target alone, memo or not.
+    converge takes the dense SVD of W with r2 = 0. The finder's blocks and
+    the dense factors are kept in ``memo``; the result depends on W and
+    the target alone.
     """
     target = max(_BUDGET_FRACTION * budget, _ROUNDOFF_FLOOR * norm)
     if min(w.shape) >= _SKETCH_MIN_BLOCKS * _SKETCH_BLOCK:
@@ -365,21 +362,20 @@ def tt_svd(
     on both paths.
 
     A caller compressing one tensor at several tolerances passes the same
-    ``memo`` dict each time: the first call stores |tensor|_F and the
-    finder's blocks (or the dense factors) of the first unfolding in it,
-    and a later call reuses them, adding blocks when its tighter budget
-    needs more. Every later SVD still runs per call, since its input
-    depends on the kept rank. Results depend on the tensor and eps_tilde
-    alone and are bit-identical to a call without a memo, in any order of
-    tolerances. A memo serves one tensor only and may hold factors as
-    large as the tensor, so the caller drops it with the tensor.
+    ``memo`` dict each time (``memo=None`` is a fresh one): it keeps
+    |tensor|_F and the first unfolding's finder blocks or dense factors,
+    and a tighter budget adds blocks. Later SVDs run per call, since their
+    input depends on the kept rank. Results depend on the tensor and
+    eps_tilde alone, in any order of tolerances. A memo is bound to its
+    tensor by identity (another raises ``ValueError``) and holds it and
+    factors as large as it, so the caller drops both together.
     """
     if eps_tilde < 0:
         raise ValueError("tolerance must be non-negative")
+    memo = _bind_memo(memo, tensor)
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim < 2:
         raise ValueError("a tensor train needs a tensor of at least two modes")
-    _bind_memo(memo, tensor)
     d = tensor.ndim
     dims = tensor.shape
     norm = _memoized(memo, "fro", lambda: frobenius_norm(tensor))

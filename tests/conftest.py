@@ -6,6 +6,7 @@ few seconds in total; every fixture is deterministic.
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,24 +24,30 @@ from lrtdrom import (
 )
 from lrtdrom.study import _environment
 
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "lrtdrom"
+
 
 def pytest_report_header(config):
     """The environment a study records in summary.json: wall times in a
     test log (the acceptance criteria report theirs) depend on the BLAS
-    thread count."""
+    thread count. Then the package's size, counted as
+    ``wc -l src/lrtdrom/*.py`` counts it."""
     env = _environment()
     threads = " ".join(f"{name}={value}" for name, value in env["threads"].items())
-    return (
+    lines = sum(path.read_bytes().count(b"\n") for path in SOURCE.glob("*.py"))
+    return [
         f"python {env['python']}, numpy {env['numpy']}, scipy {env['scipy']}, "
-        f"{env['blas']}, {threads}"
-    )
+        f"{env['blas']}, {threads}",
+        f"src/lrtdrom: {lines} lines",
+    ]
 
 
 def pytest_terminal_summary(terminalreporter, config):
     # -q drops the header; print it at the end of a quiet log instead.
     if config.get_verbosity() < 0:
         terminalreporter.section("environment")
-        terminalreporter.write_line(pytest_report_header(config))
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

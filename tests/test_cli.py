@@ -60,7 +60,7 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     assert report["eps"] == 1e-3 and report["ranks"][0] == tt.ranks[0]
 
     assert main(["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(work)]) == 0
-    saved = np.load(work / "rom_0.2_0.3.npz")
+    saved = np.load(work / "rom_eps0.001_ell4_0.2_0.3.npz")
     assert saved["coefficients"].shape == (4, 10)
     assert saved["basis"].shape[1] == 4
 
@@ -373,6 +373,36 @@ def test_nearly_equal_tolerances_keep_their_own_trains(
     assert loaded == [f"tt_eps{eps}.lrtt" for eps in tolerances]
 
 
+def test_rom_names_its_output_by_train_and_ell(compressed, tmp_path):
+    # Two basis sizes from each of two nearly equal trains at one alpha
+    # leave four files, and each names and stores the train and ell it used.
+    for name in ("meta.json", "snapshots.lrt"):
+        shutil.copy(compressed / name, tmp_path)
+    tolerances, ells = ("0.01", "0.0100000004"), (3, 4)
+    for eps in tolerances:
+        assert main(["compress", "--eps", eps, "--dir", str(tmp_path)]) == 0
+        for ell in ells:
+            rom = ["rom", "--alpha", "0.2,0.3", "--ell", str(ell), "--eps", eps]
+            assert main([*rom, "--dir", str(tmp_path)]) == 0
+    names = {f"rom_eps{eps}_ell{ell}_0.2_0.3.npz": (eps, ell) for eps in tolerances for ell in ells}
+    assert sorted(p.name for p in tmp_path.glob("rom_*")) == sorted(names)
+    for name, (eps, ell) in names.items():
+        saved = np.load(tmp_path / name)
+        assert saved["eps"] == float(eps) and saved["ell"] == ell
+        assert saved["basis"].shape[1] == ell
+
+
+def test_rom_rejects_a_train_name_without_a_tolerance(compressed, tmp_path, capsys):
+    shutil.copy(compressed / "meta.json", tmp_path)
+    shutil.copy(compressed / "tt_eps0.001.lrtt", tmp_path / "tt_epsx.lrtt")
+    capsys.readouterr()
+    assert main(["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {tmp_path / 'tt_epsx.lrtt'}: "
+        "could not convert string to float: 'x'\n"
+    )
+
+
 def test_negative_zero_names_the_same_files_as_zero(compressed, tmp_path):
     # -0 and 0 are one tolerance and one coordinate: one train, one npz.
     for name in ("meta.json", "snapshots.lrt"):
@@ -382,7 +412,7 @@ def test_negative_zero_names_the_same_files_as_zero(compressed, tmp_path):
     rom = ["rom", "--ell", "4", "--dir", str(tmp_path), "--eps", "0"]
     assert main([*rom, "--alpha", "0.2,-0"]) == 0
     assert main([*rom, "--alpha", "0.2,0"]) == 0
-    assert [p.name for p in tmp_path.glob("rom_*")] == ["rom_0.2_0.npz"]
+    assert [p.name for p in tmp_path.glob("rom_*")] == ["rom_eps0_ell4_0.2_0.npz"]
 
 
 def test_rom_answers_a_query_as_the_study_does(tmp_path):
@@ -399,7 +429,7 @@ def test_rom_answers_a_query_as_the_study_does(tmp_path):
     assert main(["compress", "--eps", "1e-3", "--dir", str(work)]) == 0
     rom = ["rom", "--alpha", "0.2,0.3", "--ell", str(row.ell), "--dir", str(work)]
     assert main(rom) == 0
-    saved = np.load(work / "rom_0.2_0.3.npz")
+    saved = np.load(work / f"rom_eps0.001_ell{row.ell}_0.2_0.3.npz")
     stored = _load_meta(work)
     mass = assemble_mass(stored.mesh)
     fom = solve_fom(stored.problem, stored.mesh, stored.tg, [0.2, 0.3], mass)

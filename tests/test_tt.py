@@ -246,7 +246,11 @@ class TestCompressionMemo:
         memo = {}
         for eps in (0.0, 1e-1, 1e-3, 0.0, 1e-5):
             assert frobenius_tolerance(eps, *args, memo=memo) == frobenius_tolerance(eps, *args)
-        assert set(memo) == {"owner", "fro", "norm0"}
+        # The memo holds its tensor, and norm0 beside the mass and dt it used.
+        assert set(memo) == {"tensor", "fro", "norm0"}
+        assert memo["tensor"] is heat_desk.tensor
+        held_mass, held_dt, _ = memo["norm0"]
+        assert held_mass is heat_desk.mass and held_dt == heat_desk.tg.dt
 
     def test_shared_memo_matches_separate_calls(self, heat_desk):
         # The study's pattern: one memo per tensor for both functions.
@@ -269,6 +273,27 @@ class TestCompressionMemo:
             frobenius_tolerance(
                 0.1, np.ones((4, 3, 2), dtype=np.float32), sp.identity(4), 1.0, memo=memo
             )
+
+    def test_memo_rejects_another_tensor_mass_or_dt(self, rng):
+        # Same shape and dtype, other values: a memo must not serve them.
+        a = rng.standard_normal((200, 10, 3, 3))
+        b = 5.0 * rng.standard_normal((200, 10, 3, 3))
+        mass = sp.identity(200, format="csr")
+        memo = {}
+        eps_tilde = frobenius_tolerance(0.1, a, mass, 1.0, memo=memo)
+        tt_svd(a, eps_tilde, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            tt_svd(b, eps_tilde, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            frobenius_tolerance(0.1, b, mass, 1.0, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            frobenius_tolerance(0.1, a, 2 * mass, 0.5, memo=memo)
+        with pytest.raises(ValueError, match="memo belongs"):
+            frobenius_tolerance(0.1, a, mass, 0.5, memo=memo)
+        # An equal copy of the tensor is another tensor too.
+        with pytest.raises(ValueError, match="memo belongs"):
+            tt_svd(a.copy(), eps_tilde, memo=memo)
+        assert frobenius_tolerance(0.1, a, mass, 1.0, memo=memo) == eps_tilde
 
 
 def certificate_tensor(rng, kind):
@@ -352,7 +377,7 @@ class TestCertificate:
     def test_kernel_path(self, rng, kind):
         t = certificate_tensor(rng, kind)
         w = unfold_first_mode(t)
-        u, s, vt, r2 = tt_module._first_unfolding_svd(w, frobenius_norm(t), 0.0, None)
+        u, s, vt, r2 = tt_module._first_unfolding_svd(w, frobenius_norm(t), 0.0, {})
         assert (s.size < min(w.shape)) == (kind in self.FINDER)
         assert u.flags.f_contiguous
         assert r2 <= (tt_module._ROUNDOFF_FLOOR * frobenius_norm(t)) ** 2
@@ -367,7 +392,7 @@ class TestCertificate:
         tt, report = tt_svd(t, eps_tilde)
         err = frobenius_norm(t - tt_to_full(tt))
         assert err <= report.error_bound + 1e-12 * norm
-        r2 = tt_module._first_unfolding_svd(unfold_first_mode(t), norm, 0.0, None)[3]
+        r2 = tt_module._first_unfolding_svd(unfold_first_mode(t), norm, 0.0, {})[3]
         assert report.discarded_energy[0] >= r2
         if eps_tilde > 0:
             assert report.error_bound <= eps_tilde * norm
@@ -408,7 +433,7 @@ class TestBudgetTarget:
         budget = eps_tilde * norm / np.sqrt(t.ndim - 1)
         target = max(budget / 16, tt_module._ROUNDOFF_FLOOR * norm)
         w = unfold_first_mode(t)
-        return tt_module._first_unfolding_svd(w, norm, budget, None), target
+        return tt_module._first_unfolding_svd(w, norm, budget, {}), target
 
     def test_block_count_follows_budget(self, rng):
         t = graded_tensor(rng)
@@ -431,12 +456,15 @@ class TestBudgetTarget:
 
     def test_chunked_residual_matches_the_direct_norm(self, rng):
         # 300 rows put 436 columns in a chunk: four full chunks and a part.
+        # The second block's pass runs with the first block's Q and B.
         w = np.asfortranarray(rng.standard_normal((300, 2000)))
-        q = np.linalg.qr(rng.standard_normal((300, 40)))[0]
-        b = np.asfortranarray(q.T @ w)
-        direct = np.linalg.norm(w - q @ b)
-        measured = tt_module._residual_norm(w, np.asfortranarray(q), b)
-        assert measured == pytest.approx(direct, rel=1e-12)
+        finder = tt_module._RangeFinder(w.shape)
+        for n in (1, 2):
+            finder._add_block(w)
+            assert finder.q.shape == (300, 32 * n) and finder.b.shape == (32 * n, 2000)
+            np.testing.assert_allclose(finder.b, finder.q.T @ w, rtol=0, atol=1e-12)
+            direct = np.linalg.norm(w - finder.q @ finder.b)
+            assert finder.residuals[-1] == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize(
         "order",
