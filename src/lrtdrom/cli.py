@@ -211,12 +211,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
     result = run_study(config, out_dir=args.out)
     for row in result.rows:
         status = f"  [{row.error}]" if row.error else ""
+        fixed = "".join(
+            f"{name}={getattr(row, name):g} " for name in ("eps", "ell") if name != row.sweep_var
+        )
         print(
-            f"{row.sweep_var}={row.value:g} eps={row.eps:g} ell={row.ell} "
+            f"{row.sweep_var}={row.value:g} {fixed}"
             f"E_max={row.e_max:.6g} E_mean={row.e_mean:.6g} R1={row.r1}{status}"
         )
     print(f"wrote {result.csv_path}")
-    print(f"wrote {result.dat_path}")
     print(f"wrote {result.summary_path}")
     return 0
 

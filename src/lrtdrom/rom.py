@@ -73,7 +73,8 @@ def rom_solve(
     """Galerkin projection of the implicit Euler march onto the (M, ell) basis.
 
     ``load`` is a fixed (M,) vector. The march starts from the
-    mass-weighted projection of ``u0`` (first right-hand side basis' mass u0).
+    mass-weighted projection of ``u0``: the first step's right-hand side
+    is ``basis.T @ mass @ u0`` plus the reduced load.
     The reduced time-step matrix is factored once (dense LU), and a factor
     that fails the full-order march's :func:`check_pivots` raises
     :class:`SolverError`.

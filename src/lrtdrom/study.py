@@ -5,8 +5,8 @@ A study sweeps exactly one of three knobs: the compression tolerance
 ``ell``. It first compresses the snapshot tensor of every sweep value
 (built or reused), then solves the reduced model of each at every test
 parameter and records the worst and mean space-time H1 errors against
-cached full-order runs. Results go to a CSV file with a fixed header, a
-gnuplot-friendly ``.dat`` twin, and a JSON summary.
+cached full-order runs. Results go to a CSV file with a fixed header and
+a JSON summary whose rows carry the same columns.
 
 Configs are JSON with a strict schema: every block is an object, and
 unknown keys anywhere are rejected. The swept variable's values live in
@@ -24,6 +24,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import tempfile
 import time
 import dataclasses
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .errors import ConfigError, check_budget
+from .errors import ConfigError, FormatError, check_budget
 from .fem import (
     AffineOperator,
     ProblemSpec,
@@ -59,14 +60,15 @@ from .rom import (
 from .tensors import (
     ParameterGrid,
     generate_snapshots,
+    load_tensor,
+    save_tensor,
     uniform_grid,
 )
 from .tt import check_compression_budget, frobenius_tolerance, tt_svd
 
 # (file column name, StudyRow attribute, text format) of every results
-# column, in file order. results.csv has them all; results.dat drops the
-# sweep variable and the wall clock; summary.json rows drop the sweep
-# variable and add the test point of E_max and the error string.
+# column, in file order: the header of results.csv and the keys of a
+# summary.json row, which adds the test point of E_max and the error string.
 ROW_COLUMNS = (
     ("sweep_var", "sweep_var", "s"),
     ("value", "value", ".17g"),
@@ -79,8 +81,6 @@ ROW_COLUMNS = (
     ("R1", "r1", "d"),
     ("wall_s", "wall_s", ".3f"),
 )
-_DAT_COLUMNS = ROW_COLUMNS[1:-1]
-_SUMMARY_COLUMNS = ROW_COLUMNS[1:]
 CSV_HEADER = ",".join(name for name, _, _ in ROW_COLUMNS)
 
 _SWEEP_VARIABLES = ("eps", "delta", "ell")
@@ -400,11 +400,17 @@ class StudyRow:
     e_max_alpha: tuple[float, ...] | None = None
     error: str | None = None
 
-    def formatted(self, columns=ROW_COLUMNS) -> list[str]:
-        return [format(getattr(self, attr), fmt) for _, attr, fmt in columns]
-
     def csv_line(self) -> str:
-        return ",".join(self.formatted())
+        return ",".join(format(getattr(self, attr), fmt) for _, attr, fmt in ROW_COLUMNS)
+
+    def summary(self) -> dict:
+        """The summary.json record: every column under its file name, a
+        non-finite value as None (JSON null), then e_max_alpha and error."""
+        values = {name: getattr(self, attr) for name, attr, _ in ROW_COLUMNS}
+        return {
+            name: None if isinstance(v, float) and not math.isfinite(v) else v
+            for name, v in values.items()
+        } | {"e_max_alpha": self.e_max_alpha, "error": self.error}
 
 
 @dataclass
@@ -413,7 +419,6 @@ class StudyResult:
 
     rows: list[StudyRow]
     csv_path: Path
-    dat_path: Path
     summary_path: Path
 
 
@@ -425,7 +430,8 @@ _FOM_SOLVER_VERSION = 5
 
 
 class FomCache:
-    """Content-addressed store of full-order trajectories under a directory."""
+    """Content-addressed store of full-order trajectories under a directory,
+    one ``<key>.lrt`` file per entry in the :func:`save_tensor` layout."""
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
@@ -447,29 +453,26 @@ class FomCache:
         return hashlib.sha256(blob).hexdigest()
 
     def lookup(self, key: str) -> np.ndarray | None:
-        """The stored states, or None when the entry is missing or is not a
-        finite 2-D float64 array (the caller recomputes and overwrites it)."""
-        path = self.directory / f"{key}.npy"
-        if not path.exists():
-            return None
+        """The stored states, or None when the entry is missing or
+        :func:`load_tensor` cannot read it (the caller recomputes and
+        overwrites it)."""
         try:
-            states = np.load(path)
-        except Exception:
-            return None  # unreadable entry
-        if states.ndim != 2 or states.dtype != np.float64:
+            return load_tensor(self.directory / f"{key}.lrt")
+        except (OSError, FormatError):
             return None
-        if not np.isfinite(states).all():
-            return None
-        return states
 
     def store(self, key: str, states: np.ndarray) -> None:
-        """Write an entry atomically; concurrent writers of one key each use
-        their own temp file, and the last ``os.replace`` wins."""
+        """Write an entry atomically, replacing a directory in its place;
+        concurrent writers of one key each use their own temp file, and
+        the last ``os.replace`` wins."""
         fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=self.directory)
+        os.close(fd)
+        path = self.directory / f"{key}.lrt"
         try:
-            with os.fdopen(fd, "wb") as f:
-                np.save(f, states)
-            os.replace(tmp, self.directory / f"{key}.npy")
+            save_tensor(tmp, states)
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
@@ -531,8 +534,8 @@ def run_study(
     config: StudyConfig,
     out_dir: str | os.PathLike | None = None,
 ) -> StudyResult:
-    """Run every entry of ``config.runs``; write results.csv, results.dat
-    and summary.json.
+    """Run every entry of ``config.runs``; write results.csv and
+    summary.json.
 
     Two phases keep each snapshot tensor apart from the test trajectories.
     First every run, in order, gets its train: a run rebuilds the
@@ -657,29 +660,17 @@ def run_study(
         for row in rows:
             f.write(row.csv_line() + "\n")
 
-    dat_path = out / "results.dat"
-    with open(dat_path, "w", encoding="utf-8") as f:
-        f.write(" ".join(["#", *(name for name, _, _ in _DAT_COLUMNS)]) + "\n")
-        for row in rows:
-            f.write(" ".join(row.formatted(_DAT_COLUMNS)) + "\n")
-
     summary_path = out / "summary.json"
     summary = {
         "sweep_variable": config.sweep_variable,
         "n_test": test_points.shape[0],
         "mesh_nodes": mesh.n_nodes,
         "env": _environment(),
-        "rows": [
-            {name: getattr(row, attr) for name, attr, _ in _SUMMARY_COLUMNS}
-            | {"e_max_alpha": row.e_max_alpha, "error": row.error}
-            for row in rows
-        ],
+        "rows": [row.summary() for row in rows],
     }
     with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-    return StudyResult(
-        rows=rows, csv_path=csv_path, dat_path=dat_path, summary_path=summary_path
-    )
+        json.dump(summary, f, indent=2, allow_nan=False)
+    return StudyResult(rows=rows, csv_path=csv_path, summary_path=summary_path)
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,17 @@ def test_snapshot_compress_rom_slopes_pipeline(tmp_path, config_path, capsys):
     study = tmp_path / "full_rank.json"
     study.write_text(json.dumps(dict(CONFIG, rom={"ell": [10]})), encoding="utf-8")
     out = tmp_path / "study_out"
-    assert main(["study", "--config", str(study), "--out", str(out)]) == 0
-    csv = out / "results.csv"
-    assert csv.exists() and (out / "summary.json").exists()
-
     capsys.readouterr()
+    assert main(["study", "--config", str(study), "--out", str(out)]) == 0
+    csv, summary = out / "results.csv", out / "summary.json"
+    # A line per row that names the swept eps once, then the files written.
+    rows = json.loads(summary.read_text(encoding="utf-8"))["rows"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"eps={r['eps']:g} ell={r['ell']} E_max={r['E_max']:.6g} "
+        f"E_mean={r['E_mean']:.6g} R1={r['R1']}"
+        for r in rows
+    ] + [f"wrote {csv}", f"wrote {summary}"]
+
     assert main(["slopes", "--csv", str(csv), "--var", "eps"]) == 0
     printed = capsys.readouterr().out
     assert "slope=" in printed and "r2=" in printed and "points=3/3" in printed

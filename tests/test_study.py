@@ -44,24 +44,38 @@ from lrtdrom.study import (
     grid_counts_for_delta,
 )
 from lrtdrom.errors import check_budget
-from lrtdrom.tensors import uniform_grid
+from lrtdrom.tensors import load_tensor, save_tensor, uniform_grid
 from oracles import grid_spacings
 
 
-def poisoned_entries(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Readable cache entries that must not be used: wrong rank, non-finite
-    values, or a dtype other than float64."""
-    ones = np.ones(shape)
-    with_inf = ones.copy()
-    with_inf[0, -1] = np.inf
-    return [
-        np.ones(shape[:1]),
-        np.full(shape, np.nan),
-        with_inf,
-        ones.astype(np.complex128),
-        ones.astype(np.float32),
-        ones.astype(np.int64),
-    ]
+def poisoned_entries(path: Path, states: np.ndarray):
+    """Turn the cache entry at ``path`` into each entry a study must not
+    use, in turn, and yield ``(label, readable)``. The ``.lrt`` bytes of
+    ``states`` with a bad magic, cut short, or with a trailing byte; a
+    NaN or an infinite payload; and a directory are unreadable. An order-3
+    entry and one of the wrong shape are well-formed (``readable``), and
+    only the study's (M, N) shape check rejects them."""
+    save_tensor(path, states)
+    blob = path.read_bytes()
+    for label, data in [
+        ("bad magic", b"LRTT" + blob[4:]),
+        ("truncated", blob[:-1]),
+        ("trailing bytes", blob + b"\0"),
+    ]:
+        path.write_bytes(data)
+        yield label, False
+    for value in (np.nan, np.inf):
+        bad = states.copy()
+        bad[0, -1] = value
+        save_tensor(path, bad)
+        yield f"payload holds {value}", False
+    for label, tensor in [("order 3", states[:, :, None]), ("wrong shape", states[1:])]:
+        save_tensor(path, tensor)
+        yield label, True
+    path.unlink()
+    path.mkdir()
+    (path / "inside").write_bytes(blob)
+    yield "directory", False
 
 
 def base_config() -> dict:
@@ -533,18 +547,6 @@ class TestRunStudy:
             assert row.lambda_tail >= 0
             assert row.ell == min(4, row.r1, 10)
 
-    def test_dat_twin_matches_rows(self, smoke):
-        result, _ = smoke
-        lines = result.dat_path.read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("#")
-        for row, line in zip(result.rows, lines[1:]):
-            vals = line.split()
-            assert float(vals[0]) == row.value
-            assert float(vals[1]) == row.eps
-            assert int(vals[3]) == row.ell
-            assert float(vals[5]) == row.e_max
-            assert int(vals[7]) == row.r1
-
     def test_summary_json(self, smoke):
         result, _ = smoke
         summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
@@ -588,25 +590,46 @@ class TestRunStudy:
         csv_lines = result.csv_path.read_text(encoding="utf-8").splitlines()
         csv_header = csv_lines[0].split(",")
         csv_rows = [dict(zip(csv_header, ln.split(","))) for ln in csv_lines[1:]]
-        dat_lines = result.dat_path.read_text(encoding="utf-8").splitlines()
-        dat_header = dat_lines[0].lstrip("# ").split()
-        dat_rows = [dict(zip(dat_header, ln.split())) for ln in dat_lines[1:]]
         summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
-        assert set(attrs) <= set(csv_header) and set(attrs) == set(dat_header)
-        n = len(result.rows)
-        assert len(csv_rows) == len(dat_rows) == len(summary["rows"]) == n
-        for row, c, d, s in zip(result.rows, csv_rows, dat_rows, summary["rows"]):
-            assert c["sweep_var"] == row.sweep_var
+        assert set(attrs) <= set(csv_header)
+        assert len(csv_rows) == len(summary["rows"]) == len(result.rows)
+        for row, c, s in zip(result.rows, csv_rows, summary["rows"]):
+            assert list(s) == csv_header + ["e_max_alpha", "error"]
+            assert c["sweep_var"] == s["sweep_var"] == row.sweep_var
             assert s["error"] == row.error
             assert abs(float(c["wall_s"]) - row.wall_s) <= 5e-4
             assert s["wall_s"] == row.wall_s
             for name, attr in attrs.items():
                 want = getattr(row, attr)
-                assert float(c[name]) == float(d[name]) == s[name] == want, name
+                assert float(c[name]) == s[name] == want, name
 
-    def test_warm_rerun_is_numerically_identical(self, smoke):
+    def test_readme_lists_the_output_files(self, smoke):
+        # README's Outputs list names exactly what a study writes, a cache
+        # entry as fom_cache/<key>.lrt.
         result, out = smoke
+        section = (REPO / "README.md").read_text(encoding="utf-8").split("## Outputs", 1)[1]
+        items = section.split("\n\n")[2]
+        listed = re.findall(r"^- `([^`]+)`", items, re.M)
+        written = {
+            path.name if path.parent == out else str(path.relative_to(out).with_stem("<key>"))
+            for path in out.rglob("*")
+            if path.is_file()
+        }
+        assert sorted(listed) == sorted(written)
+
+    def test_warm_rerun_is_numerically_identical(self, smoke, monkeypatch):
+        result, out = smoke
+        found = []
+        lookup = FomCache.lookup
+
+        def recorded(self, key):
+            states = lookup(self, key)
+            found.append(states is not None)
+            return states
+
+        monkeypatch.setattr(FomCache, "lookup", recorded)
         again = run_study(parse_config(base_config()), out_dir=out)
+        assert found == [True]
         for a, b in zip(result.rows, again.rows):
             assert a.csv_line().rsplit(",", 1)[0] == b.csv_line().rsplit(",", 1)[0]
 
@@ -637,6 +660,14 @@ class TestRunStudy:
         assert row.error is not None and "DomainError" in row.error
         assert math.isnan(row.e_max)
         assert "nan" in result.csv_path.read_text(encoding="utf-8")
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        text = result.summary_path.read_text(encoding="utf-8")
+        [entry] = json.loads(text, parse_constant=reject)["rows"]
+        assert entry["E_max"] is entry["E_mean"] is entry["lambda_tail"] is None
+        assert entry["error"] == row.error and entry["R1"] == 0
 
     def test_error_row_carries_its_own_delta_max(self, tmp_path):
         # The second grid is too large to build: its row records the error
@@ -716,7 +747,7 @@ class TestRunStudy:
         mass = assemble_mass(mesh)
         for alpha in config.test_set.build(config.problem.box):
             key = FomCache.key(config.problem, mesh.cell, config.tg, alpha)
-            cached = np.load(tmp_path / "fom_cache" / f"{key}.npy")
+            cached = load_tensor(tmp_path / "fom_cache" / f"{key}.lrt")
             ref = solve_fom(config.problem, mesh, config.tg, alpha, mass).states
             assert np.abs(cached - ref).max() <= 1e-12 * np.abs(ref).max()
         return widths
@@ -908,7 +939,7 @@ class TestCompressionReuse:
         with pytest.raises(BudgetError, match="test trajectories"):
             run_study(parse_config(self.random_test_set(3000)), out_dir=tmp_path)
         assert built == []
-        assert not list((tmp_path / "fom_cache").glob("*.npy"))
+        assert not list((tmp_path / "fom_cache").glob("*.lrt"))
 
     def test_preflight_builds_no_test_points(self, tmp_path, monkeypatch):
         # A 100000^2 midpoint grid would take 149 GiB to enumerate; the
@@ -1018,13 +1049,13 @@ class TestFomCache:
         cache = FomCache(tmp_path)
         states = rng.normal(size=(6, 4))
         barrier = threading.Barrier(2, timeout=10)
-        save = np.save
+        save = study_module.save_tensor
 
         def save_then_wait(*args, **kwargs):
             save(*args, **kwargs)
             barrier.wait()
 
-        monkeypatch.setattr(np, "save", save_then_wait)
+        monkeypatch.setattr(study_module, "save_tensor", save_then_wait)
         errors = []
 
         def store():
@@ -1041,33 +1072,29 @@ class TestFomCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         np.testing.assert_array_equal(cache.lookup("k"), states)
-        assert [p.name for p in tmp_path.iterdir()] == ["k.npy"]
+        assert [p.name for p in tmp_path.iterdir()] == ["k.lrt"]
 
-    def test_corrupt_entry_is_ignored(self, tmp_path):
+    def test_corrupt_entry_is_ignored(self, tmp_path, rng):
         cache = FomCache(tmp_path)
         key = "deadbeef"
-        (tmp_path / f"{key}.npy").write_bytes(b"not a numpy file")
-        assert cache.lookup(key) is None
-        good = np.ones((6, 4))
-        for bad in poisoned_entries(good.shape):
-            np.save(tmp_path / f"{key}.npy", bad)
-            assert cache.lookup(key) is None, bad.dtype
-        np.save(tmp_path / f"{key}.npy", good)
+        good = rng.normal(size=(6, 4))
+        for label, readable in poisoned_entries(tmp_path / f"{key}.lrt", good):
+            hit = cache.lookup(key)
+            assert hit.shape != good.shape if readable else hit is None, label
+        cache.store(key, good)
         np.testing.assert_array_equal(cache.lookup(key), good)
 
     def test_study_over_poisoned_cache_matches_cold_run(self, smoke, tmp_path):
         result, out = smoke
         shutil.copytree(out / "fom_cache", tmp_path / "fom_cache")
-        entries = sorted((tmp_path / "fom_cache").glob("*.npy"))
-        assert len(entries) == 1
-        shape = np.load(entries[0]).shape
-        for bad in poisoned_entries(shape):
-            np.save(entries[0], bad)
+        [entry] = (tmp_path / "fom_cache").iterdir()
+        assert entry.suffix == ".lrt"
+        states = load_tensor(entry)
+        for label, _ in poisoned_entries(entry, states):
             again = run_study(parse_config(base_config()), out_dir=tmp_path)
             for a, b in zip(result.rows, again.rows):
-                assert a.csv_line().rsplit(",", 1)[0] == b.csv_line().rsplit(",", 1)[0]
-            healed = np.load(entries[0])
-            assert healed.dtype == np.float64 and np.isfinite(healed).all()
+                assert a.csv_line().rsplit(",", 1)[0] == b.csv_line().rsplit(",", 1)[0], label
+            assert load_tensor(entry).tobytes() == states.tobytes(), label
 
 
 class TestSlopeFit:
