@@ -75,10 +75,18 @@ def rom_solve(
     ``load`` is a fixed (M,) vector. The march starts from the
     mass-weighted projection of ``u0``: the first step's right-hand side
     is ``basis.T @ mass @ u0`` plus the reduced load.
-    The reduced time-step matrix is factored once (dense LU), and a factor
-    that fails the full-order march's :func:`check_pivots` raises
-    :class:`SolverError`.
+    The reduced time-step matrix S is factored once (dense LU), and a
+    factor that fails the full-order march's :func:`check_pivots` raises
+    :class:`SolverError`. One solve against [M_r | basis.T mass u0 |
+    dt basis.T load] gives P = S^-1 M_r, z and q, so that c^1 = z + q and
+    c^n = P c^(n-1) + q. The columns P^j (z + q) and P^j q, j < N, are
+    built by doubling: ceil(log2 N) products of P^m with the columns so
+    far, P^m squared between them. c^n is the first set plus the running
+    sum of the second; this rounds differently from a solve per step.
+    Coefficients that are not finite (a NaN or inf in ``load`` or ``u0``,
+    an overflowing propagator) raise :class:`SolverError`.
     """
+    ell, steps = basis.shape[1], tg.steps
     mass_r = basis.T @ (mass @ basis)
     system = mass_r + tg.dt * (basis.T @ (op @ basis))
     # LAPACK bound once: the lu_factor/lu_solve wrappers cost more than the
@@ -86,15 +94,29 @@ def rom_solve(
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (system,))
     lu, piv, _ = getrf(system, overwrite_a=1)
     check_pivots(np.abs(np.diag(lu)), "reduced time-step system")
-    rhs = basis.T @ (mass @ np.asarray(u0, dtype=float))
-    load_r = tg.dt * (basis.T @ np.asarray(load, dtype=float))
-    coeffs = np.empty((basis.shape[1], tg.steps), order="F")
-    for n in range(tg.steps):
-        c, info = getrs(lu, piv, rhs + load_r)
+    with np.errstate(all="ignore"):  # non-finite coefficients raise below
+        rhs = np.empty((ell, ell + 2), order="F")
+        rhs[:, :ell] = mass_r
+        rhs[:, ell] = basis.T @ (mass @ np.asarray(u0, dtype=float))
+        rhs[:, ell + 1] = tg.dt * (basis.T @ np.asarray(load, dtype=float))
+        sol, info = getrs(lu, piv, rhs, overwrite_b=1)
         if info != 0:
             raise SolverError(f"reduced time-step solve failed (getrs info {info})")
-        coeffs[:, n] = c
-        rhs = mass_r @ c
+        # Column 2j holds P^j (z + q) and column 2j + 1 holds P^j q.
+        cols = np.empty((ell, 2 * steps), order="F")
+        cols[:, 0] = sol[:, ell] + sol[:, ell + 1]
+        cols[:, 1] = sol[:, ell + 1]
+        power, m = sol[:, :ell], 1
+        while m < steps:
+            k = min(m, steps - m)
+            cols[:, 2 * m : 2 * (m + k)] = power @ cols[:, : 2 * k]
+            m += k
+            if m < steps:
+                power = power @ power
+        coeffs = np.array(cols[:, ::2], order="F")
+        coeffs[:, 1:] += np.cumsum(cols[:, 1 : 2 * steps - 2 : 2], axis=1)
+    if not np.isfinite(coeffs).all():
+        raise SolverError("reduced march produced non-finite coefficients")
     return RomTrajectory(coefficients=coeffs, basis=basis)
 
 

@@ -735,20 +735,58 @@ print(digest.hexdigest())
 """
 
 
-def test_full_order_march_does_not_depend_on_blas_threads():
-    # The FOM cache keys no thread setting, so a cached trajectory must be
-    # the same bytes whatever OPENBLAS_NUM_THREADS the solve ran under.
+def _digest_under_threads(script):
+    """The hex digest ``script`` prints under 1 and under 2 BLAS threads."""
     src = str(Path(fem.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         run = subprocess.run(
-            [sys.executable, "-c", _MARCH_DIGEST],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
             check=True,
         )
         digests.append(run.stdout.strip())
+    return digests
+
+
+def test_full_order_march_does_not_depend_on_blas_threads():
+    # The FOM cache keys no thread setting, so a cached trajectory must be
+    # the same bytes whatever OPENBLAS_NUM_THREADS the solve ran under.
+    digests = _digest_under_threads(_MARCH_DIGEST)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# Hashes rom_solve's coefficients for seeded random bases (ell 4, 10, 12),
+# operators and start states, on heat (h 0.2, N 100) and advdiff (h 0.1,
+# N 60). The bases come from the seed alone, so no step before rom_solve
+# enters the hash.
+_ROM_DIGEST = """
+import hashlib
+import numpy as np
+from lrtdrom import TimeGrid, assemble_mass, assemble_operator, build_mesh, rom_solve
+from lrtdrom import advdiff_problem, heat_problem
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(12)
+for problem, h, steps in ((heat_problem(), 0.2, 100), (advdiff_problem(), 0.1, 60)):
+    mesh = build_mesh(problem, h)
+    mass = assemble_mass(mesh)
+    tg = TimeGrid(problem.final_time, steps)
+    lo, hi = np.array(problem.box).T
+    op, load = assemble_operator(mesh, problem, rng.uniform(lo, hi))
+    u0 = rng.uniform(0.0, 1.0, size=mesh.n_nodes)
+    for ell in (4, 10, 12):
+        basis = rng.normal(size=(mesh.n_nodes, ell)) / np.sqrt(mesh.n_nodes)
+        rom = rom_solve(basis, mass, op, load, u0, tg)
+        digest.update(rom.coefficients.tobytes(order="F"))
+print(digest.hexdigest())
+"""
+
+
+def test_reduced_march_does_not_depend_on_blas_threads():
+    digests = _digest_under_threads(_ROM_DIGEST)
     assert len(digests[0]) == 64 and digests[0] == digests[1]

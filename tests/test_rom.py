@@ -12,6 +12,8 @@ import scipy.sparse as sp
 from lrtdrom import (
     InterpolationScheme,
     SolverError,
+    TimeGrid,
+    assemble_mass,
     assemble_operator,
     correlation_spectrum,
     frobenius_tolerance,
@@ -203,17 +205,85 @@ class TestRomSolve:
         diffs = np.diff(np.array(energy))
         assert np.all(diffs <= 1e-12 * energy[0])
 
-    def test_matches_lu_solve_loop_oracle(self, heat_desk, tt_exact, scheme, rng):
+    def test_matches_lu_solve_loop_oracle(
+        self, heat_desk, tt_exact, scheme, advdiff, unit_mesh, rng
+    ):
         alpha = np.array([0.35, 0.6])
         op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
         u0 = rng.uniform(0.0, 1.0, size=heat_desk.mesh.n_nodes)
-        for ell in (1, 5, 9):
-            lb = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=ell)
-            rom = rom_solve(lb, heat_desk.mass, op, load, u0, heat_desk.tg)
-            np.testing.assert_array_equal(
-                rom.coefficients,
-                lu_solve_march(lb, heat_desk.mass, op, load, u0, heat_desk.tg),
-            )
+        weights = weight_vectors(alpha, scheme)
+        cases = [
+            (local_basis(tt_exact, weights, ell=ell), heat_desk.mass, op, load, u0)
+            for ell in (1, 5, 9)
+        ]
+        # advdiff's operator is not symmetric, so its propagator is not normal.
+        op, load = assemble_operator(unit_mesh, advdiff, np.full(5, 0.08))
+        u0 = rng.uniform(0.5, 1.5, size=unit_mesh.n_nodes)
+        basis = np.linalg.qr(rng.normal(size=(unit_mesh.n_nodes, 6)))[0]
+        cases.append((basis, assemble_mass(unit_mesh), op, load, u0))
+        # The doubling march rounds differently from a solve per step; N = 1
+        # makes no product, and N = 3, 7, 100 end on a partial round.
+        for steps in (1, 2, 3, 7, 100):
+            tg = TimeGrid(heat_desk.problem.final_time, steps)
+            for s, mass, op, load, u0 in cases:
+                got = rom_solve(s, mass, op, load, u0, tg).coefficients
+                oracle = lu_solve_march(s, mass, op, load, u0, tg)
+                assert got.shape == oracle.shape == (s.shape[1], steps)
+                assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("steps", [1, 7, 100])
+    def test_one_factor_and_one_solve_per_march(
+        self, heat_desk, tt_exact, scheme, monkeypatch, steps
+    ):
+        calls = {"getrf": 0, "getrs": 0}
+        bind = sla.get_lapack_funcs
+
+        def counting(names, arrays=(), dtype=None):
+            def wrap(name, func):
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return func(*args, **kwargs)
+
+                return counted
+
+            return tuple(wrap(n, f) for n, f in zip(names, bind(names, arrays, dtype)))
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", counting)
+        alpha = np.array([0.35, 0.6])
+        lb = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=5)
+        op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
+        u0 = initial_state(heat_desk.problem, heat_desk.mesh)
+        tg = TimeGrid(heat_desk.problem.final_time, steps)
+        rom_solve(lb, heat_desk.mass, op, load, u0, tg)
+        assert calls == {"getrf": 1, "getrs": 1}
+
+    @pytest.mark.parametrize("defect", ["nan load", "nan u0", "inf load", "overflow"])
+    def test_non_finite_coefficients_raise_without_warning(
+        self, heat_desk, tt_exact, scheme, defect
+    ):
+        alpha = np.array([0.35, 0.6])
+        s = local_basis(tt_exact, weight_vectors(alpha, scheme), ell=4)
+        op, load = assemble_operator(heat_desk.mesh, heat_desk.problem, alpha)
+        u0 = initial_state(heat_desk.problem, heat_desk.mesh)
+        tg = heat_desk.tg
+        if defect == "nan load":
+            load = load.copy()
+            load[5] = np.nan
+        elif defect == "nan u0":
+            u0 = u0.copy()
+            u0[5] = np.nan
+        elif defect == "inf load":
+            load = load.copy()
+            load[5] = np.inf
+        else:
+            # A time-step matrix of 1e-3 M gives the propagator 1000 I, whose
+            # 199th power overflows.
+            tg = TimeGrid(heat_desk.problem.final_time, 200)
+            op = -(1.0 - 1e-3) / tg.dt * heat_desk.mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite coefficients"):
+                rom_solve(s, heat_desk.mass, op, load, u0, tg)
 
     @pytest.mark.parametrize("defect", ["nan", "repeated column"])
     def test_singular_basis_raises_without_warning(
