@@ -129,8 +129,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     directory = Path(args.dir)
     stored = _load_meta(directory)
-    m, *rest = stored.shape
-    check_compression_budget(m, math.prod(rest))
+    check_compression_budget(stored.shape)
     tensor = _load_snapshots(directory)
     stored.check_shape(directory / "snapshots.lrt", tensor.shape)
     mass = assemble_mass(stored.mesh)

@@ -553,14 +553,15 @@ def run_study(
 
     The numeric columns reproduce bit for bit at one BLAS thread setting,
     with or without the cache: a fresh directory gives the same rows.
-    Between thread settings the compression and the reduced solves may
-    move them at round-off; the full-order trajectories do not move.
+    Between thread settings the compression, local bases, correlation
+    spectra and errors may move them at round-off; the full-order and
+    reduced marches do not move.
 
     The memory budget is checked before anything it covers is allocated:
     the test trajectories from the test set's point count, before its
     points are built or any run compressed (a :class:`BudgetError` here
-    ends the study), and each grid's tensor and first-unfolding SVD
-    alone, from the run's node counts before the grid is built (a
+    ends the study), and each grid's tensor and its TT-SVD alone, from
+    the run's node counts before the grid is built (a
     :class:`BudgetError` row). The output directory and its FOM cache are
     made after the mesh is built and the test trajectories fit, so a study
     that fails either check leaves no directory behind, and before any
@@ -589,8 +590,7 @@ def run_study(
         try:
             if grid is None or grid.counts != run.counts:
                 grid = tensor = memo = tt = None
-                cols = tg.steps * math.prod(run.counts)
-                check_compression_budget(mesh.n_nodes, cols)
+                check_compression_budget((mesh.n_nodes, tg.steps, *run.counts))
                 new_grid = uniform_grid(problem.box, run.counts)
                 if config.test_set.mode != "explicit":
                     _check_disjoint(test_points, new_grid)

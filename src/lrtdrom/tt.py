@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .errors import DomainError, FormatError, check_budget
 from .tensors import (
@@ -37,14 +37,15 @@ TT_MAGIC = b"LRTT"
 
 # Trailing singular values at roundoff level relative to the largest one
 # carry no information; keeping them would inflate ranks of exactly
-# low-rank inputs.
+# low-rank inputs. A Gram matrix's eigenvectors blur W's tail energy to
+# about this fraction of |W|_F^2, so a smaller budget^2 takes gesdd.
 _ROUNDOFF_FLOOR = 64.0 * np.finfo(np.float64).eps
 
 # Randomized range finder for the first unfolding: block i holds this many
 # Gaussian columns drawn from the seed (_SKETCH_SEED, i), so every run
 # draws the same sketch and a memo can extend it block by block. It runs
 # only when the smaller side holds at least _SKETCH_MIN_BLOCKS blocks;
-# below that a dense SVD costs little.
+# below that splitting W itself costs little.
 _SKETCH_BLOCK = 32
 _SKETCH_MIN_BLOCKS = 4
 _SKETCH_SEED = 20110217
@@ -105,8 +106,7 @@ class TTTensor:
     def _checked_basis(self) -> np.ndarray:
         # Kept only when the check passes: a raise leaves nothing cached.
         u = self.cores[0][0]
-        gram = u.T @ u
-        defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        defect = _orthonormality_defect(u)
         if not defect <= _ORTHONORMAL_TOL:
             raise ValueError(f"first core is not left-orthogonal (defect {defect:.3e})")
         return u
@@ -116,12 +116,14 @@ class TTTensor:
 class CompressionReport:
     """What the decomposition kept and what it threw away.
 
-    ``discarded_energy[k]`` is the sum of squared singular values dropped
-    at the k-th unfolding; for the first unfolding it also holds the
-    energy |W - QB|_F^2 that the randomized range finder left out,
-    measured directly (at most 1/256 of that unfolding's budget squared,
-    or the roundoff floor; zero when it took the dense SVD). The total
-    reconstruction error is bounded by ``error_bound``.
+    ``discarded_energy[k]`` is the energy dropped at the k-th unfolding:
+    the squared norms of the dropped rows of X^T W or columns of W X,
+    formed from W (the Gram split), or the dropped squared singular values
+    (gesdd). For the first unfolding it also holds the energy |W - QB|_F^2
+    that the randomized range finder left out, measured directly (at most
+    1/256 of that unfolding's budget squared, or the roundoff floor; zero
+    when W itself was split). The total reconstruction error is bounded
+    by ``error_bound``.
     """
 
     eps_tilde: float
@@ -214,6 +216,101 @@ def _thin_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sla.svd(w, full_matrices=False, lapack_driver="gesdd", check_finite=False)
 
 
+def _orthonormality_defect(u: np.ndarray) -> float:
+    """Largest entry of |U^T U - I| (nan when U holds a nan)."""
+    gram = u.T @ u
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(gram, out=gram)))
+
+
+def _orthonormal_columns(x: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns spanning range(x), by CholeskyQR2 in x's own
+    Fortran-ordered storage; x must be nearly orthonormal already. None
+    when a Cholesky factor fails or the result misses _ORTHONORMAL_TOL.
+    """
+    for _ in range(2):
+        r, info = lapack.dpotrf(blas.dsyrk(1.0, x, trans=1), overwrite_a=True)
+        if info != 0:
+            return None
+        x = blas.dtrsm(1.0, r, x, side=1, overwrite_b=True)  # x R^-1
+    return x if _orthonormality_defect(x) <= _ORTHONORMAL_TOL else None
+
+
+@dataclass(frozen=True)
+class _Split:
+    """W as rank-one terms, largest first, whose sizes s are measured.
+
+    ``left`` has orthonormal columns (gesdd's U, or the eigenvectors X of
+    W W^T with s[i] = |X[:, i]^T W|), unless ``tall``: then it is W X for
+    the eigenvectors X of W^T W, and s holds its column norms. Keeping the
+    first r terms costs at most sum_{i>r} s_i^2.
+    """
+
+    left: np.ndarray
+    s: np.ndarray
+    tall: bool = False
+
+    def take(self, w: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(core, core^T W) at rank r, Fortran-ordered and owning their
+        memory; None when the scaled columns of a tall W X do not
+        orthonormalize."""
+        if not self.tall:
+            core = self.left[:, :r].copy(order="F")
+        elif np.all(self.s[:r] > 0.0):
+            core = _orthonormal_columns(self.left[:, :r] / self.s[:r])
+            if core is None:
+                return None
+        else:
+            return None
+        return core, blas.dgemm(1.0, core, w, trans_a=True)
+
+
+def _gram_split(w: np.ndarray) -> _Split | None:
+    """Split through the eigenvectors X of the Gram matrix of W's short
+    side, or None when X is not orthonormal to _ORTHONORMAL_TOL. No
+    eigenvalue is read: each s is the norm of a row of X^T W or a column
+    of W X. The ``evd`` driver, since ``evr``'s eigenvectors of flat
+    spectra missed orthonormality by up to 2.8e-13.
+    """
+    tall = w.shape[0] > w.shape[1]
+    gram = blas.dsyrk(1.0, w, trans=int(tall))  # upper triangle of W^T W or W W^T
+    x = sla.eigh(gram, lower=False, driver="evd", overwrite_a=True, check_finite=False)[1]
+    x = np.asfortranarray(x[:, ::-1])
+    if not _orthonormality_defect(x) <= _ORTHONORMAL_TOL:
+        return None
+    if tall:
+        left = blas.dgemm(1.0, w, x)
+        return _Split(left, np.sqrt(np.einsum("ij,ij->j", left, left)), tall=True)
+    product = blas.dgemm(1.0, x, w, trans_a=True)
+    return _Split(x, np.sqrt(np.einsum("ij,ij->i", product, product)))
+
+
+def _truncate(
+    w: np.ndarray, budget: float, memo: dict, residual: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Truncate one unfolding W within ``budget``: (core, carry, discarded).
+
+    core (orthonormal columns) and carry are Fortran-ordered and own their
+    memory, with |W - core carry|_F^2 <= discarded - ``residual``, energy
+    an earlier step left out that counts toward every tail. W takes the
+    Gram split unless budget^2 < 64 eps_mach |W|_F^2 or the split fails,
+    then gesdd (see :func:`tt_svd`). ``memo`` keeps |W|_F^2 and the
+    splits, which depend on W alone.
+    """
+    if budget > 0.0:
+        energy = _memoized(memo, "energy", lambda: float(np.einsum("ij,ij->", w, w)))
+        if budget**2 >= _ROUNDOFF_FLOOR * energy:
+            split = _memoized(memo, "gram", lambda: _gram_split(w))
+            if split is not None:
+                r, dropped = _select_rank(split.s, budget, residual)
+                parts = split.take(w, r)
+                if parts is not None:
+                    return (*parts, dropped)
+    split = _memoized(memo, "svd", lambda: _Split(*_thin_svd(w)[:2]))
+    r, dropped = _select_rank(split.s, budget, residual)
+    return (*split.take(w, r), dropped)
+
+
 def _orthonormal(y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of range(y), orthogonalized twice against ``q``."""
     for _ in range(1 if q is None else 2):
@@ -296,19 +393,18 @@ class _RangeFinder:
         self.residuals.append(float(np.sqrt(energy)))
 
 
-def _first_unfolding_svd(
+def _first_unfolding(
     w: np.ndarray, norm: float, budget: float, memo: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Thin SVD of the first unfolding up to a measured residual.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Truncation of the first unfolding, as :func:`_truncate` returns it.
 
-    Returns (U, s, V^T, r2) with W = U diag(s) V^T + E, E orthogonal to
-    U's columns and |E|_F^2 = r2; U is Fortran-ordered. A wide enough
-    unfolding goes through :class:`_RangeFinder` until sqrt(r2) <= target
-    = max(``budget`` / 16, roundoff floor of ``norm`` = |W|_F), then a
-    dense SVD of the small B. A short side or a finder that does not
-    converge takes the dense SVD of W with r2 = 0. The finder's blocks and
-    the dense factors are kept in ``memo``; the result depends on W and
-    the target alone.
+    A wide enough unfolding goes through :class:`_RangeFinder` until its
+    measured residual |W - QB|_F is at most max(``budget`` / 16, roundoff
+    floor of ``norm`` = |W|_F); then B is truncated with |W - QB|_F^2
+    counted toward every tail, and the core is Q times B's core. A short
+    side, or a finder that does not converge, truncates W itself. The
+    finder's blocks and W's splits are kept in ``memo``; the result
+    depends on W and the target alone.
     """
     target = max(_BUDGET_FRACTION * budget, _ROUNDOFF_FLOOR * norm)
     if min(w.shape) >= _SKETCH_MIN_BLOCKS * _SKETCH_BLOCK:
@@ -316,28 +412,55 @@ def _first_unfolding_svd(
         n = finder.blocks_for(w, target)
         if n is not None:
             k = n * _SKETCH_BLOCK
-            ub, s, vt = _thin_svd(finder.b[:k])
             r2 = finder.residuals[n - 1] ** 2
-            return blas.dgemm(1.0, finder.q[:, :k], ub), s, vt, r2
-    return _memoized(memo, "first_svd", lambda: (*_thin_svd(w), 0.0))
+            core, carry, dropped = _truncate(finder.b[:k], budget, {}, r2)
+            return blas.dgemm(1.0, finder.q[:, :k], core), carry, dropped
+    return _truncate(w, budget, memo.setdefault("first_unfolding", {}))
 
 
-def check_compression_budget(rows: int, cols: int) -> None:
-    """Raise BudgetError unless compressing a snapshot tensor whose first
-    unfolding is rows x cols fits the budget: the peak memory model.
-
-    It counts the tensor and the dense fallback's peak: gesdd's working
-    copy of the unfolding, U (rows x k), V^T (k x cols) and its
-    4k^2 + 7k workspace, with k = min(rows, cols). That also bounds the
-    range finder, which copies no part of the unfolding beyond one column
-    chunk: it holds Q (rows x k/2 at most), B (k/2 x cols), a block of 32
-    columns on each side and the chunk, and releases Q and B before any
-    fallback. A memo keeps the finder's blocks or the dense factors alive
-    as long as the tensor.
-    """
+def _split_doubles(rows: int, cols: int) -> int:
+    """Float64 values that truncating one rows x cols unfolding allocates
+    at most, beside its input: gesdd's working copy, U, V^T and its
+    4k^2 + 7k workspace plus 8k integers, with k = min(rows, cols), and
+    the length-k vectors of s and of the rank selection's tails (10k) and
+    1024 for interpreter objects. That also bounds the Gram split: the
+    Gram matrix, its eigenvectors and ``evd`` workspace (under 4k^2 + 11k
+    together), the product X^T W or W X (rows x cols), the core (rows x k
+    at most) and the carry."""
     k = min(rows, cols)
-    svd = rows * cols + rows * k + k * cols + 4 * k * k + 7 * k
-    check_budget(rows * cols + svd, "snapshot tensor and its first-unfolding SVD")
+    return rows * cols + rows * k + k * cols + 4 * k * k + 21 * k + 1024
+
+
+def check_compression_budget(dims: Sequence[int]) -> None:
+    """Raise BudgetError unless :func:`tt_svd` of a tensor of shape
+    ``dims`` fits the budget: the peak memory model.
+
+    It counts float64 arrays at the ranks that cost most, r_k = min of
+    the unfolding's sides, since truncation only shrinks every array
+    below. Beside the tensor (rows x cols as its first unfolding, k the
+    smaller side) it counts what a memo keeps of the first unfolding
+    (a split's left factor, rows x k at most, and, when the range finder
+    can run, its Q and B, rows x k/2 and k/2 x cols at most) and the
+    largest of the steps: the first unfolding's split, or a later
+    unfolding's, next to its input carry and the cores made before it
+    (:func:`_split_doubles` each). The range finder copies no part of the
+    unfolding beyond one column chunk and fits in the first step's count.
+    """
+    rows = dims[0]
+    cols = math.prod(dims[1:])
+    k = min(rows, cols)
+    held = rows * k
+    if k >= _SKETCH_MIN_BLOCKS * _SKETCH_BLOCK:
+        held += (rows * k + k * cols) // 2
+    peak = _split_doubles(rows, cols)
+    cores = rows * k
+    r = k
+    for n in range(1, len(dims) - 1):
+        a, b = r * dims[n], math.prod(dims[n + 1 :])
+        peak = max(peak, cores + a * b + _split_doubles(a, b))
+        r = min(a, b)
+        cores += a * r
+    check_budget(rows * cols + held + peak, "snapshot tensor and its TT-SVD")
 
 
 def tt_svd(
@@ -346,29 +469,40 @@ def tt_svd(
     """Tensor-train decomposition, with relative Frobenius tolerance, of a
     tensor of at least two modes (``ValueError`` otherwise).
 
-    Sequential truncated SVDs of the unfoldings, each allowed a discarded
+    Sequential truncations of the unfoldings, each allowed a discarded
     energy of (eps_tilde * |tensor|_F)^2 / (d - 1), which guarantees
     |tensor - result|_F <= eps_tilde * |tensor|_F. All cores except the
     last are left-orthogonal. eps_tilde = 0 reproduces the tensor to
     roundoff with minimal exact ranks.
 
-    The first unfolding W is factored by :func:`_first_unfolding_svd`: a
-    seeded randomized range finder that never copies W and stops once its
-    measured residual |W - QB|_F is at most 1/16 of this unfolding's
-    budget (or the roundoff floor, if larger, as at eps_tilde = 0), or a
-    dense SVD when W's smaller side is under 128 or its spectrum is flat.
-    The finder's residual |W - QB|_F^2 is part of ``discarded_energy[0]``,
-    so ``error_bound`` stays a certificate built from measured quantities
-    on both paths.
+    Every unfolding W is split through the Gram matrix of its short side
+    (:func:`_truncate`): the eigenvectors X of W W^T give the core X_r and
+    the carry X_r^T W, those of W^T W give W X, whose kept columns are
+    orthonormalized (CholeskyQR2) into the core, with carry core^T W. The
+    energy a rank drops is read off the rows of X^T W or the columns of
+    W X, never off an eigenvalue. LAPACK gesdd takes over when budget^2
+    is under 64 eps_mach |W|_F^2 (eps_tilde = 0 included), where squaring
+    W's condition number would blur the tail, or when the eigenvectors or
+    the core miss orthonormality by more than 1e-13.
+
+    The first unfolding W goes through a seeded randomized range finder
+    that never copies W and stops once its measured residual |W - QB|_F
+    is at most 1/16 of this unfolding's budget (or the roundoff floor, if
+    larger, as at eps_tilde = 0); then B is split. W itself is split when
+    its smaller side is under 128 or its spectrum is flat. The finder's
+    residual |W - QB|_F^2 is part of ``discarded_energy[0]``, so
+    ``error_bound`` stays a certificate built from measured quantities on
+    every path.
 
     A caller compressing one tensor at several tolerances passes the same
     ``memo`` dict each time (``memo=None`` is a fresh one): it keeps
-    |tensor|_F and the first unfolding's finder blocks or dense factors,
-    and a tighter budget adds blocks. Later SVDs run per call, since their
-    input depends on the kept rank. Results depend on the tensor and
-    eps_tilde alone, in any order of tolerances. A memo is bound to its
-    tensor by identity (another raises ``ValueError``) and holds it and
-    factors as large as it, so the caller drops both together.
+    |tensor|_F and the first unfolding's finder blocks or its splits (X,
+    W X or gesdd's U, with s), and a tighter budget adds blocks. Later
+    unfoldings are split per call, since their input depends on the kept
+    rank. Results depend on the tensor and eps_tilde alone, in any order
+    of tolerances. A memo is bound to its tensor by identity (another
+    raises ``ValueError``) and holds it and factors up to its size, so
+    the caller drops both together.
     """
     if eps_tilde < 0:
         raise ValueError("tolerance must be non-negative")
@@ -388,17 +522,15 @@ def tt_svd(
     for k in range(d - 1):
         w = w.reshape(r_prev * dims[k], -1, order="F")
         if k == 0:
-            u, s, vt, r2 = _first_unfolding_svd(w, norm, budget, memo)
+            core, w, dropped = _first_unfolding(w, norm, budget, memo)
         else:
-            (u, s, vt), r2 = _thin_svd(w), 0.0
-        r, dropped = _select_rank(s, budget, r2)
-        # A copy, so the train does not pin the whole factor (or a memo's).
-        cores.append(u[:, :r].copy(order="F").reshape(r_prev, dims[k], r, order="F"))
+            core, w, dropped = _truncate(w, budget, {})
+        r = core.shape[1]
+        cores.append(core.reshape(r_prev, dims[k], r, order="F"))
         discarded.append(dropped)
-        w = s[:r, None] * vt[:r]
         r_prev = r
     # Fortran order like the other cores, so a query reads it without a copy.
-    cores.append(np.asfortranarray(w).reshape(r_prev, dims[-1], 1, order="F"))
+    cores.append(w.reshape(r_prev, dims[-1], 1, order="F"))
     tt = TTTensor(cores=tuple(cores))
     report = CompressionReport(
         eps_tilde=eps_tilde,

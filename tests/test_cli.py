@@ -614,7 +614,7 @@ def test_bad_compress_tolerance_reports_error(compressed, capsys, eps):
 
 def test_compress_over_budget_reports_error(compressed, capsys, monkeypatch):
     # 0.3 MiB holds the 0.13 MiB tensor (M=186, 10 steps, 3x3 grid) but not
-    # the SVD workspace next to it (0.7 MiB in all). The check needs only
+    # the TT-SVD's factors next to it (0.84 MiB in all). The check needs only
     # the shape meta.json describes, so the tensor is never read.
     def load_tensor(path):
         raise AssertionError("snapshots read before the budget check")
@@ -624,7 +624,7 @@ def test_compress_over_budget_reports_error(compressed, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["compress", "--eps", "1e-2", "--dir", str(compressed)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "first-unfolding SVD" in err
+    assert err.startswith("error: ") and "snapshot tensor and its TT-SVD" in err
     assert not (compressed / "tt_eps0.01.lrtt").exists()
 
 

@@ -858,20 +858,27 @@ class TestCompressionReuse:
         return data
 
     def test_first_unfolding_factored_once_per_grid(self, tmp_path, monkeypatch):
-        # Work on a whole first unfolding W is its dense SVD or one range
-        # finder block; with the grid's memo each piece runs at most once.
+        # Work on a whole first unfolding W is its gesdd SVD, its Gram
+        # split or one range finder block; with the grid's memo each piece
+        # runs at most once.
         work = []
         thin_svd, add_block = tt_module._thin_svd, tt_module._RangeFinder._add_block
+        gram_split = tt_module._gram_split
 
         def counting_svd(w):
             work.append((np.shape(w), "dense"))
             return thin_svd(w)
+
+        def counting_gram(w):
+            work.append((np.shape(w), "gram"))
+            return gram_split(w)
 
         def counting_block(finder, w):
             work.append((np.shape(w), len(finder.residuals)))
             add_block(finder, w)
 
         monkeypatch.setattr(tt_module, "_thin_svd", counting_svd)
+        monkeypatch.setattr(tt_module, "_gram_split", counting_gram)
         monkeypatch.setattr(tt_module._RangeFinder, "_add_block", counting_block)
         m = build_mesh(heat_problem(), 0.5).n_nodes
 
@@ -882,14 +889,14 @@ class TestCompressionReuse:
 
         result = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "eps")
         assert all(row.error is None for row in result.rows)
-        assert work_on_unfolding(9) == ["dense"]  # 90 columns: under 128
+        assert work_on_unfolding(9) == ["gram"]  # 90 columns: under 128
 
         data = self.eps_sweep()
         data["grid"]["K"] = [5, 3]
         work.clear()
         result = run_study(parse_config(data), out_dir=tmp_path / "finder")
         assert all(row.error is None for row in result.rows)
-        assert "dense" not in work_on_unfolding(15)
+        assert not {"dense", "gram"} & set(work_on_unfolding(15))
 
         data = base_config()
         del data["grid"]
@@ -957,17 +964,17 @@ class TestCompressionReuse:
         self, tmp_path, monkeypatch
     ):
         # 50 test trajectories (0.71 MiB) and the 3x3 grid's compression
-        # (0.70 MiB) each fit 1 MiB but not together; they are never alive
+        # (0.84 MiB) each fit 1 MiB but not together; they are never alive
         # together, so every row runs.
         m = build_mesh(heat_problem(), 0.5).n_nodes
         held = m * 10 * 50
         budget_gb = 1.0 / 1024
         monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb - 8 * held / 2**30))
         with pytest.raises(BudgetError):
-            tt_module.check_compression_budget(m, 10 * 9)
+            tt_module.check_compression_budget((m, 10, 3, 3))
         monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget_gb))
         check_budget(held, "test trajectories")
-        tt_module.check_compression_budget(m, 10 * 9)
+        tt_module.check_compression_budget((m, 10, 3, 3))
         result = run_study(parse_config(self.random_test_set(50)), out_dir=tmp_path)
         assert [row.error for row in result.rows] == [None, None]
 

@@ -17,6 +17,7 @@ from lrtdrom import (
     InterpolationScheme,
     TimeGrid,
     TTTensor,
+    build_mesh,
     frobenius_tolerance,
     generate_snapshots,
     load_tt,
@@ -231,7 +232,8 @@ class TestCompressionMemo:
             # An in-place edit of one train must not reach the next.
             reused.cores[0][...] = 0.0
             assert_same_train(tt_svd(t, eps_tilde, memo=memo)[0], fresh)
-        assert "first_svd" in memo
+        # eps_tilde 0 takes gesdd, the others the Gram split: each once.
+        assert {"gram", "svd"} <= set(memo["first_unfolding"])
 
     def test_tt_svd_memo_on_heat_tensor(self, heat_desk):
         memo = {}
@@ -321,6 +323,25 @@ def certificate_tensor(rng, kind):
     return np.asfortranarray(t + 1e-17 * rng.normal(size=dims))
 
 
+def first_unfolding(t, budget):
+    """The first unfolding's truncation as tt_svd makes it, and the memo
+    it filled."""
+    memo = {}
+    w = unfold_first_mode(t)
+    return tt_module._first_unfolding(w, frobenius_norm(t), budget, memo), memo
+
+
+def finder_columns(memo):
+    """Columns of Q the range finder kept (0 when it released them)."""
+    return memo["finder"].q.shape[1]
+
+
+def finder_residual(memo):
+    """|W - QB|_F over the blocks the finder kept (0 when none)."""
+    n = finder_columns(memo) // tt_module._SKETCH_BLOCK
+    return memo["finder"].residuals[n - 1] if n else 0.0
+
+
 class TestCoreOwnership:
     """A train holds only its kept columns: no core is a view that pins a
     whole SVD factor, with or without a memo."""
@@ -353,13 +374,16 @@ class TestCoreOwnership:
                     root = root.base
                 assert root.nbytes <= core.nbytes
         if memo:
-            assert ("first_svd" if path == "dense" else "finder") in cache
+            if path == "dense":  # eps_tilde 0 takes gesdd, the others the Gram split
+                assert {"gram", "svd"} <= set(cache["first_unfolding"])
+            else:
+                assert "finder" in cache
 
 
 class TestCertificate:
     """The TT certificate holds on both first-unfolding paths: the
     randomized range finder (with its measured residual) and the dense
-    SVD it falls back to."""
+    split of W it falls back to."""
 
     FINDER = ("low_rank_noise3", "low_rank_noise4", "rank_one", "zero")
     FALLBACK = ("flat3", "flat4")
@@ -377,12 +401,15 @@ class TestCertificate:
     def test_kernel_path(self, rng, kind):
         t = certificate_tensor(rng, kind)
         w = unfold_first_mode(t)
-        u, s, vt, r2 = tt_module._first_unfolding_svd(w, frobenius_norm(t), 0.0, {})
-        assert (s.size < min(w.shape)) == (kind in self.FINDER)
-        assert u.flags.f_contiguous
+        (u, carry, dropped), memo = first_unfolding(t, 0.0)
+        assert (u.shape[1] < min(w.shape)) == (kind in self.FINDER)
+        assert (finder_columns(memo) > 0) == (kind in self.FINDER)
+        assert u.flags.f_contiguous and carry.flags.f_contiguous
+        r2 = finder_residual(memo) ** 2
+        assert r2 <= dropped
         assert r2 <= (tt_module._ROUNDOFF_FLOOR * frobenius_norm(t)) ** 2
         if kind in self.FALLBACK:
-            assert r2 == 0.0
+            assert dropped == 0.0 and set(memo["first_unfolding"]) == {"svd"}
 
     @pytest.mark.parametrize("eps_tilde", [0.0, 1e-6, 1e-3, 0.1])
     @pytest.mark.parametrize("kind", FINDER + FALLBACK)
@@ -392,7 +419,7 @@ class TestCertificate:
         tt, report = tt_svd(t, eps_tilde)
         err = frobenius_norm(t - tt_to_full(tt))
         assert err <= report.error_bound + 1e-12 * norm
-        r2 = tt_module._first_unfolding_svd(unfold_first_mode(t), norm, 0.0, {})[3]
+        r2 = finder_residual(first_unfolding(t, 0.0)[1]) ** 2
         assert report.discarded_energy[0] >= r2
         if eps_tilde > 0:
             assert report.error_bound <= eps_tilde * norm
@@ -428,31 +455,38 @@ class TestBudgetTarget:
     COLUMNS = {1e-1: 32, 1e-3: 64, 1e-6: 96, 1e-9: 200, 0.0: 200}
 
     def first_svd(self, t, eps_tilde):
-        """First-unfolding factors as tt_svd asks for them, and the target."""
+        """First-unfolding truncation as tt_svd asks for it, its memo, the
+        columns it factored (the finder's Q, or all of W) and the target."""
         norm = frobenius_norm(t)
         budget = eps_tilde * norm / np.sqrt(t.ndim - 1)
         target = max(budget / 16, tt_module._ROUNDOFF_FLOOR * norm)
-        w = unfold_first_mode(t)
-        return tt_module._first_unfolding_svd(w, norm, budget, {}), target
+        parts, memo = first_unfolding(t, budget)
+        columns = finder_columns(memo) or min(unfold_first_mode(t).shape)
+        return parts, memo, columns, target
 
     def test_block_count_follows_budget(self, rng):
         t = graded_tensor(rng)
         for eps_tilde, columns in self.COLUMNS.items():
-            (_, s, _, _), _ = self.first_svd(t, eps_tilde)
-            assert s.size == columns
+            assert self.first_svd(t, eps_tilde)[2] == columns
 
     def test_measured_residual_meets_target(self, rng):
         t = graded_tensor(rng)
         w = unfold_first_mode(t)
         norm = frobenius_norm(t)
         for eps_tilde in self.COLUMNS:
-            (u, s, vt, r2), target = self.first_svd(t, eps_tilde)
+            (u, carry, dropped), memo, columns, target = self.first_svd(t, eps_tilde)
+            r2 = finder_residual(memo) ** 2
             assert r2 <= target**2
-            # r2 is |W - QB|_F^2 for the finder, and U spans Q.
-            direct = np.linalg.norm(w - u @ (u.T @ w))
-            assert abs(np.sqrt(r2) - direct) <= 1e-13 * norm
-            if s.size == min(w.shape):
-                assert r2 == 0.0
+            if finder_columns(memo):
+                # r2 is |W - QB|_F^2 for the finder, measured against Q.
+                q = memo["finder"].q
+                direct = np.linalg.norm(w - q @ (q.T @ w))
+                assert abs(np.sqrt(r2) - direct) <= 1e-13 * norm
+            else:
+                assert columns == min(w.shape) and r2 == 0.0
+            # The truncation costs what it reports, residual included.
+            assert r2 <= dropped
+            assert np.linalg.norm(w - u @ carry) <= np.sqrt(dropped) + 1e-13 * norm
 
     def test_chunked_residual_matches_the_direct_norm(self, rng):
         # 300 rows put 436 columns in a chunk: four full chunks and a part.
@@ -493,9 +527,9 @@ class TestBudgetTarget:
         assert finder.q.shape == (200, 32) and finder.b.shape == (32, 300)
         tt_svd(t, 1e-6, memo=memo)
         assert finder.q.shape == (200, 96) and len(finder.residuals) == 3
-        assert "first_svd" not in memo
+        assert "first_unfolding" not in memo
         tt_svd(t, 0.0, memo=memo)  # the finder misses: its blocks are released
-        assert finder.q.shape == (200, 0) and "first_svd" in memo
+        assert finder.q.shape == (200, 0) and set(memo["first_unfolding"]) == {"svd"}
         # Another target it cannot meet goes to the dense factors at once.
         monkeypatch.setattr(tt_module._RangeFinder, "_add_block", None)
         tt_svd(t, 1e-9, memo=memo)
@@ -513,8 +547,7 @@ class TestBudgetTarget:
         w = unfold_first_mode(t)
         assert w.nbytes >= 8 * 2**20
         for eps_tilde in (1e-3, 0.0):
-            (_, s, _, _), _ = self.first_svd(t, eps_tilde)
-            assert s.size == 32  # one finder block, no dense fallback
+            assert self.first_svd(t, eps_tilde)[2] == 32  # one finder block, no fallback
             tracemalloc.start()
             try:
                 tt_svd(t, eps_tilde)
@@ -522,6 +555,131 @@ class TestBudgetTarget:
             finally:
                 tracemalloc.stop()
             assert peak < t.nbytes / 2
+
+
+class TestGramSplit:
+    """Unfoldings factored through the Gram matrix of their short side:
+    a wide first unfolding with a tall second one, and the reverse."""
+
+    DIMS = {"wide": (12, 30, 40), "tall": (300, 4, 25)}
+
+    @staticmethod
+    def no_gesdd(monkeypatch):
+        def fail(w):
+            raise AssertionError(f"gesdd on a {w.shape} unfolding")
+
+        monkeypatch.setattr(tt_module, "_thin_svd", fail)
+
+    @pytest.mark.parametrize("eps_tilde", [1e-6, 1e-3, 1e-1])
+    @pytest.mark.parametrize("kind", ["wide", "tall"])
+    def test_exact_low_rank_keeps_minimal_ranks(self, rng, monkeypatch, kind, eps_tilde):
+        t = np.asfortranarray(tt_to_full(random_tt(rng, self.DIMS[kind], (3, 2))))
+        self.no_gesdd(monkeypatch)
+        memo = {}
+        tt, report = tt_svd(t, eps_tilde, memo=memo)
+        assert tt.ranks == (3, 2)
+        assert set(memo["first_unfolding"]) == {"energy", "gram"}
+        assert report.error_bound <= eps_tilde * frobenius_norm(t)
+
+    @pytest.mark.parametrize("eps_tilde", [1e-6, 1e-3, 1e-1])
+    @pytest.mark.parametrize("kind", ["wide", "tall"])
+    def test_certificate(self, rng, monkeypatch, kind, eps_tilde):
+        t = structured_tensor(rng, self.DIMS[kind])
+        norm = frobenius_norm(t)
+        self.no_gesdd(monkeypatch)
+        tt, report = tt_svd(t, eps_tilde)
+        assert frobenius_norm(t - tt_to_full(tt)) <= report.error_bound + 1e-12 * norm
+        assert report.error_bound <= eps_tilde * norm
+        # The first unfolding's truncation costs the energy it reports.
+        w = unfold_first_mode(t)
+        u = universal_basis(tt)
+        error2 = np.linalg.norm(w - u @ (u.T @ w)) ** 2
+        assert error2 <= report.discarded_energy[0] + 1e-12 * norm**2
+        if kind == "wide":  # the dropped rows of X^T W, measured
+            assert report.discarded_energy[0] <= error2 + 1e-12 * norm**2
+
+    def test_zero_or_subfloor_budget_takes_gesdd(self, rng):
+        w = unfold_first_mode(structured_tensor(rng, (20, 6, 5)))
+        floor = np.sqrt(tt_module._ROUNDOFF_FLOOR * np.sum(w * w))
+        for budget, keys in [
+            (0.0, {"svd"}),
+            (floor * (1 - 1e-6), {"energy", "svd"}),
+            (floor * (1 + 1e-6), {"energy", "gram"}),
+        ]:
+            memo = {}
+            u, carry, _ = tt_module._truncate(w, budget, memo)
+            assert set(memo) == keys
+            np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-13)
+
+    def test_flat_first_core_is_orthonormal(self, rng):
+        # Flat 160 x 180 first unfoldings: the finder misses and W takes
+        # the Gram split, whose eigenvectors must pass universal_basis's
+        # 1e-13 check (the evd driver's do; evr's miss it on some).
+        for _ in range(4):
+            t = np.asfortranarray(rng.normal(size=(160, 12, 15)))
+            memo = {}
+            tt, _ = tt_svd(t, 1e-3, memo=memo)
+            assert finder_columns(memo) == 0
+            assert set(memo["first_unfolding"]) == {"energy", "gram"}
+            assert tt_module._orthonormality_defect(universal_basis(tt)) <= 1e-13
+
+
+class TestMemoryModel:
+    """check_compression_budget bounds tt_svd's traced peak, the tensor
+    included, on every path the kernel takes."""
+
+    @pytest.fixture(scope="class")
+    def advdiff_tensor(self, advdiff):
+        # The advdiff benchmark's mesh and grid, with 20 steps.
+        mesh = build_mesh(advdiff, 0.1)
+        tg = TimeGrid(advdiff.final_time, 20)
+        return generate_snapshots(advdiff, mesh, tg, uniform_grid(advdiff.box, (3,) * 5))
+
+    @staticmethod
+    def model_bytes(monkeypatch, dims) -> int:
+        counted = []
+        monkeypatch.setattr(tt_module, "check_budget", lambda n, what: counted.append(n))
+        tt_module.check_compression_budget(dims)
+        monkeypatch.undo()
+        return 8 * counted[0]
+
+    @staticmethod
+    def traced_peak(t, eps_tildes) -> int:
+        memo = {}
+        tracemalloc.start()
+        try:
+            for eps_tilde in eps_tildes:
+                tt_svd(t, eps_tilde, memo=memo)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("path", ["gram", "gesdd"])
+    def test_advdiff(self, advdiff_tensor, monkeypatch, path):
+        t = advdiff_tensor
+        model = self.model_bytes(monkeypatch, t.shape)
+        if path == "gesdd":
+            monkeypatch.setattr(tt_module, "_gram_split", lambda w: None)
+        peak = self.traced_peak(t, (6.4e-3, 6.4e-5, 6.4e-7))  # the sweep's eps_tilde
+        assert t.nbytes + peak <= model
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [("heat", "gram"), ("heat", "gesdd"), ("graded", "finder"), ("flat", "gesdd")],
+    )
+    def test_other_paths(self, rng, heat_desk, monkeypatch, kind, path):
+        t = {
+            "heat": heat_desk.tensor,
+            "graded": graded_tensor(rng),
+            "flat": np.asfortranarray(rng.normal(size=(40, 30, 9, 9))),
+        }[kind]
+        model = self.model_bytes(monkeypatch, t.shape)
+        if path == "gesdd":
+            monkeypatch.setattr(tt_module, "_gram_split", lambda w: None)
+        # eps_tilde 0 keeps every rank on the flat tensor: the worst case.
+        eps_tildes = (0.0,) if kind == "flat" else (1e-1, 1e-3, 1e-6)
+        peak = self.traced_peak(t, eps_tildes)
+        assert t.nbytes + peak <= model
 
 
 class TestUniversalBasis:
