@@ -459,10 +459,10 @@ def assemble_load(mesh: Mesh2D, fn: Callable[[np.ndarray], np.ndarray]) -> np.nd
     return g
 
 
-def _csr_entries(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every stored entry of a CSR matrix, in order."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return rows, matrix.indices.astype(np.int64)
+def _csr_entries(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every stored entry of a CSR pattern, in order."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return rows, indices.astype(np.int64)
 
 
 def _weighted_sum(
@@ -523,6 +523,21 @@ class AffineOperator:
             (data, self.indices.copy(), self.indptr.copy()), shape=(n, n)
         )
 
+    def block_diagonal(self, thetas: np.ndarray) -> sp.csr_matrix:
+        """The (g M, g M) block-diagonal matrix of the operators of the g
+        columns of ``thetas`` (Q, g), in column order: one term-by-term
+        sum over the shared pattern, each block bit for bit
+        :meth:`operator` of its column."""
+        n, nnz = self.mesh.n_nodes, self.indices.size
+        g = thetas.shape[1]
+        data = _weighted_sum(thetas[:, :, None], self.op_terms[:, None, :])  # (g, nnz)
+        shift = np.arange(g)[:, None]  # int64: g nnz may pass int32
+        indptr = np.append(self.indptr[:-1] + nnz * shift, g * nnz)
+        return sp.csr_matrix(
+            (data.ravel(), (self.indices + n * shift).ravel(), indptr),
+            shape=(g * n, g * n),
+        )
+
     def phi(self, alpha: Sequence[float]) -> np.ndarray:
         """Load coefficients at ``alpha``."""
         return self.load_coeffs @ self._affine(alpha)
@@ -558,7 +573,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
     n = mesh.n_nodes
     # The stiffness matrix keeps an entry (explicit zeros too) for every
     # pair of nodes that share a triangle, so every term fits its pattern.
-    rows, cols = _csr_entries(stiffness)
+    rows, cols = _csr_entries(stiffness.indptr, stiffness.indices)
     keys = rows * n + cols
 
     def on_pattern(rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
@@ -639,48 +654,63 @@ def backward_euler_solve(
 ) -> None:
     """March (M + dt A) u^n = M u^{n-1} + dt g for n = 1..N into ``out``.
 
-    ``u0`` is a block of k start states (M, k) that share the operator and
-    ``load`` a fixed (M, k) block, one load per column; the time-step
-    matrix is factored once and every step solves for the whole block.
-    u^n goes to ``out[:, n - 1]``, shape (M, N, k); a view into a larger
-    array works.
+    ``u0`` is a block of k start states (M, k) and ``load`` a fixed (M, k)
+    block, one load per column; u^n goes to ``out[:, n - 1]``, shape
+    (M, N, k), and a view into a larger array works. ``op`` is either one
+    (M, M) operator that the k columns share, or a stack: the (kM, kM)
+    block-diagonal matrix whose j-th diagonal block is column j's
+    operator (:meth:`AffineOperator.block_diagonal`).
+    Either way the time-step matrix is factored once, and every step is
+    one product with ``mass`` and one LAPACK solve for the whole block. A
+    stack is solved as one system on the columns laid end to end: a
+    block-diagonal matrix of banded blocks is banded with the blocks'
+    half-bandwidth, so a step costs one call however many blocks it holds.
 
     The march runs in node order on a banded LAPACK factor of half-bandwidth
     bw = max |i - j| over the stored entries. :func:`build_mesh` numbers
     the nodes column by column, so bw is the nodes per grid column plus
     one; a matrix in any other order is solved the same way, on a wider
     band. The factor is Cholesky (``dpbtrf``/``dpbtrs``, (bw + 1) M
-    doubles) when the assembled matrix is exactly symmetric, as for heat,
-    and LU with partial pivoting (``dgbtrf``/``dgbtrs``, (3 bw + 1) M
-    doubles) otherwise. Per step this is O(M bw) work: faster than a
-    sparse LU on every mesh the package's studies and tests use (heat
-    h = 0.05, bw = 82, included), and slower only for nonsymmetric systems
-    on finer meshes (advdiff h = 0.0125, bw = 82). A failed factorization
-    (a symmetric matrix that is not positive definite, an exactly zero
-    pivot) or pivots that fail :func:`check_pivots` raise
-    :class:`SolverError`.
+    doubles per block) when the assembled matrix is exactly symmetric, as
+    for heat, and LU with partial pivoting (``dgbtrf``/``dgbtrs``,
+    (3 bw + 1) M doubles per block) otherwise. Per step this is O(M bw)
+    work per block: faster than a sparse LU on every mesh the package's
+    studies and tests use (heat h = 0.05, bw = 82, included), and slower
+    only for nonsymmetric systems on finer meshes (advdiff h = 0.0125,
+    bw = 82). A failed factorization (a symmetric matrix that is not
+    positive definite, an exactly zero pivot) or the pivots of any one
+    block failing :func:`check_pivots` raise :class:`SolverError`; so does
+    a stack that is not block diagonal. Pivots are never compared across
+    blocks, which are different systems.
     """
     dt = tg.dt
     mass, op = mass.tocsr(), op.tocsr()
     m = mass.shape[0]
     k = out.shape[-1]
     want, shapes = ((m, k), (m, k), (m, tg.steps, k)), (u0.shape, load.shape, out.shape)
-    if shapes != want:
+    if shapes != want or op.shape not in ((m, m), (k * m, k * m)):
         raise SolverError(
-            f"march needs start, load, states of shapes {want}, got {shapes}"
+            f"march needs start, load, states of shapes {want} and an operator "
+            f"of shape {(m, m)} or {(k * m, k * m)}, got {shapes} and {op.shape}"
         )
-    mass_rows, mass_cols = _csr_entries(mass)
-    op_rows, op_cols = _csr_entries(op)
-    rows = np.concatenate([mass_rows, op_rows])
-    cols = np.concatenate([mass_cols, op_cols])
-    bw = int(np.abs(rows - cols).max()) if rows.size else 0
-    # Entry (i, j) sits in row 2 bw + i - j, column j of the (3 bw + 1, M)
+    blocks = 1 if op.shape == (m, m) else k
+    mass_rows, mass_cols = _csr_entries(mass.indptr, mass.indices)
+    op_rows, op_cols = _csr_entries(op.indptr, op.indices)
+    if blocks > 1 and not np.array_equal(op_rows // m, op_cols // m):
+        raise SolverError("a stack of operators must be block diagonal")
+    # Every block holds mass, entered before its operator as for one block.
+    shift = m * np.arange(blocks)
+    rows = np.concatenate([(mass_rows[:, None] + shift).ravel(order="F"), op_rows])
+    cols = np.concatenate([(mass_cols[:, None] + shift).ravel(order="F"), op_cols])
+    bw = int(np.abs(rows - cols).max(initial=0))
+    # Entry (i, j) sits in row 2 bw + i - j, column j of the (3 bw + 1, n)
     # Fortran array that dgbtrf factors (kl = ku = bw).
+    n = blocks * m
     ldab = 3 * bw + 1
     slots = (2 * bw + rows - cols) + ldab * cols
-    band = np.zeros(ldab * m)
-    np.add.at(band, slots, np.concatenate([mass.data, dt * op.data]))
-    full = band.reshape(ldab, m, order="F")
+    band = np.zeros(ldab * n)
+    np.add.at(band, slots, np.concatenate([np.tile(mass.data, blocks), dt * op.data]))
+    full = band.reshape(ldab, n, order="F")
     symmetric = np.array_equal(band[slots], band[(2 * bw + cols - rows) + ldab * rows])
     if symmetric:
         # Upper storage: rows bw..2 bw of the general layout hold i <= j.
@@ -691,23 +721,47 @@ def backward_euler_solve(
         pivots = np.abs(factor[2 * bw])
     if info != 0:
         raise SolverError(f"time-step system factorization failed (LAPACK info {info})")
-    check_pivots(pivots, "time-step system")
+    for block in pivots.reshape(blocks, m):
+        check_pivots(block, "time-step system")
     scaled = dt * load
     u = u0
-    for n in range(tg.steps):
+    for step in range(tg.steps):
         rhs = mass @ u
         rhs += scaled
+        # A stack's columns end to end; one shared operator's block as is.
+        rhs = rhs.reshape(n, -1, order="F")
         if symmetric:
-            u, _ = dpbtrs(factor, rhs, overwrite_b=1)
+            x, _ = dpbtrs(factor, rhs, overwrite_b=1)
         else:
-            u, _ = dgbtrs(factor, bw, bw, rhs, ipiv, overwrite_b=1)
-        out[:, n] = u
+            x, _ = dgbtrs(factor, bw, bw, rhs, ipiv, overwrite_b=1)
+        u = x.reshape(m, k, order="F")
+        out[:, step] = u
 
 
 def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
     """Nodal coefficients of the initial condition: every problem starts
     from rest, which :func:`solve_fom_batch` relies on."""
     return np.zeros(mesh.n_nodes)
+
+
+# Largest LAPACK band, (3 bw + 1) M doubles per block, that one march of
+# single points in :func:`solve_fom_batch` stacks. Measured on advdiff's
+# 243 grid nodes (M = 121, bw = 12, 60 steps; best of 7, BLAS threads 1):
+# stacks of 1, 8, 16, 29, 64 and 243 blocks took 0.201, 0.103, 0.093,
+# 0.088, 0.094 and 0.102 s; 1 MiB holds 29. A heat block (h = 0.2) takes
+# 916 KiB, so heat marches one block a stack: its steps are bound by the
+# arithmetic of the triangular solves, and its 64 test points took
+# 0.364 s one block a stack against 0.421 s as one stack.
+_STACK_BAND_BYTES = 1 << 20
+
+
+def _stacks(columns: list[int], size: int):
+    """Slices over the runs of consecutive ``columns`` (ascending), each
+    run cut into stacks of at most ``size``."""
+    runs = np.split(np.asarray(columns), np.flatnonzero(np.diff(columns) != 1) + 1)
+    for run in runs:
+        for lo in range(0, run.size, size):
+            yield slice(int(run[lo]), int(run[min(lo + size, run.size) - 1]) + 1)
 
 
 def solve_fom_batch(
@@ -720,8 +774,17 @@ def solve_fom_batch(
     """Full-order trajectories at every row of ``alphas``, into ``out[:, :, j]``.
 
     ``out`` has shape (M, N, len(alphas)). Points with equal operator
-    coefficients form a group that shares one factorization. A group of
-    one marches its own load straight into ``out``. A larger group
+    coefficients form a group that shares one factorization. The groups
+    of one are marched in stacks: consecutive such points, as many as fit
+    a 1 MiB LAPACK band (``_STACK_BAND_BYTES``), march as one
+    block-diagonal system from their :func:`initial_state`, each under
+    its own load, straight into ``out`` (:func:`backward_euler_solve`).
+    A stack's operators are formed only when it is marched, from the
+    affine terms on their shared pattern. Each trajectory of an LU stack
+    (a nonsymmetric system, as advdiff's) equals its own single-point
+    march bit for bit; a Cholesky stack of several blocks (heat on meshes
+    coarser than h = 0.2) may differ from it at round-off (6e-16 relative
+    measured at h = 0.25). A larger group
     marches the P load terms g_p of ``terms`` instead, as one (M, N, P)
     block from a zero start, and writes each point's trajectory as the
     combination sum_p phi_p(alpha) U_p, summed by :func:`_weighted_sum` as
@@ -739,23 +802,29 @@ def solve_fom_batch(
         raise ValueError(
             f"output has shape {out.shape}, expected {(m, tg.steps, len(alphas))}"
         )
-    thetas = [terms.theta(alpha) for alpha in alphas]
+    thetas = np.array([terms.theta(alpha) for alpha in alphas])
     groups: dict[bytes, list[int]] = {}
     for j, theta in enumerate(thetas):
         groups.setdefault(theta.tobytes(), []).append(j)
     u0 = initial_state(terms.problem, terms.mesh)
-    for cols in groups.values():
-        op = terms.operator(thetas[cols[0]])
-        if len(cols) == 1:
-            j = cols[0]
-            load = terms.load(alphas[j])[:, None]
-            backward_euler_solve(mass, op, load, u0[:, None], tg, out[:, :, j : j + 1])
+    rows, cols = _csr_entries(terms.indptr, terms.indices)
+    bw = int(np.abs(rows - cols).max(initial=0))
+    size = max(1, _STACK_BAND_BYTES // (8 * (3 * bw + 1) * m))
+    singles = sorted(js[0] for js in groups.values() if len(js) == 1)
+    for stack in _stacks(singles, size):
+        points = range(stack.start, stack.stop)
+        op = terms.block_diagonal(thetas[stack].T)
+        loads = np.column_stack([terms.load(alphas[j]) for j in points])
+        starts = np.repeat(u0[:, None], len(points), axis=1)
+        backward_euler_solve(mass, op, loads, starts, tg, out[:, :, stack])
+        for j in points:
             _check_finite(out[:, :, j], alphas[j])
-            continue
+    for js in (js for js in groups.values() if len(js) > 1):
+        op = terms.operator(thetas[js[0]])
         loads = terms.load_terms.T  # (M, P)
         modes = np.empty((m, tg.steps, loads.shape[1]), order="F")
         backward_euler_solve(mass, op, loads, np.zeros(loads.shape), tg, modes)
-        for j in cols:
+        for j in js:
             col = out[:, :, j]
             _weighted_sum(terms.phi(alphas[j]), modes.transpose(2, 0, 1), out=col)
             _check_finite(col, alphas[j])

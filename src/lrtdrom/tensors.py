@@ -93,7 +93,8 @@ def generate_snapshots(
     (:func:`solve_fom_batch`), which writes every trajectory straight
     into the tensor and checks it there: a non-finite value raises
     :class:`SolverError`. Beyond the tensor itself the peak memory is
-    a few trajectories, however large the grid. The tensor must fit the
+    a few trajectories and one stack's 1 MiB band (a single block's, if
+    larger), however large the grid. The tensor must fit the
     memory budget of :func:`resolve_memory_budget`.
     """
     if grid.n_params != problem.n_params:

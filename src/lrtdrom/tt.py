@@ -375,7 +375,7 @@ class _RangeFinder:
         z = _orthonormal(w.T @ y - self.b.T @ (self.q.T @ y))
         q_new = _orthonormal(self._apply(w, z), self.q if self.q.shape[1] else None)
         q = np.concatenate([self.q, q_new], axis=1)
-        b = np.empty((q.shape[1], w.shape[1]))
+        b = np.empty((q.shape[1], w.shape[1]), order="F")  # as BLAS takes it
         b[: self.b.shape[0]] = self.b
         step = max(1, _CHUNK_DOUBLES // w.shape[0])
         energy = 0.0

@@ -691,6 +691,128 @@ class TestBandedMarch:
         assert relative_error(got, ref) <= 1e-12
 
 
+class TestStackedMarch:
+    """Groups of one marched as stacks: one block-diagonal band per call."""
+
+    @staticmethod
+    def batch(problem, h, steps, points, monkeypatch):
+        """Trajectories of ``solve_fom_batch`` at ``points``, each
+        separate ``solve_fom``, and the (columns, operators) of every march."""
+        mesh = build_mesh(problem, h)
+        mass = assemble_mass(mesh)
+        tg = TimeGrid(problem.final_time, steps)
+        calls = []
+        march = fem.backward_euler_solve
+
+        def counted(mass, op, load, u0, tg, out):
+            calls.append((u0.shape[1], op.shape[0] // mass.shape[0]))
+            march(mass, op, load, u0, tg, out)
+
+        monkeypatch.setattr(fem, "backward_euler_solve", counted)
+        out = np.full((mesh.n_nodes, steps, len(points)), np.nan, order="F")
+        solve_fom_batch(affine_operator(mesh, problem), mass, tg, points, out)
+        monkeypatch.undo()
+        refs = [solve_fom(problem, mesh, tg, alpha, mass).states for alpha in points]
+        return out, refs, calls
+
+    def test_advdiff_stacks_match_single_solves_bit_for_bit(self, rng, monkeypatch):
+        # A 1 MiB band holds 29 advdiff blocks at h = 0.1: 63 points make
+        # two full stacks and a partial one.
+        problem = advdiff_problem()
+        lo, hi = np.array(problem.box).T
+        points = rng.uniform(lo, hi, size=(63, lo.size))
+        out, refs, calls = self.batch(problem, 0.1, 6, points, monkeypatch)
+        assert calls == [(29, 29), (29, 29), (5, 5)]
+        for j, ref in enumerate(refs):
+            np.testing.assert_array_equal(out[:, :, j], ref)
+
+    def test_heat_points_match_single_solves_bit_for_bit(self, rng, monkeypatch):
+        # A heat block at h = 0.2 fills most of the band: one per stack.
+        problem = heat_problem()
+        lo, hi = np.array(problem.box).T
+        points = rng.uniform(lo, hi, size=(3, lo.size))
+        out, refs, calls = self.batch(problem, 0.2, 5, points, monkeypatch)
+        assert calls == [(1, 1)] * 3
+        for j, ref in enumerate(refs):
+            np.testing.assert_array_equal(out[:, :, j], ref)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_batch_and_batch_of_one(self, n, monkeypatch):
+        points = np.full((n, 5), 0.05)
+        out, refs, calls = self.batch(advdiff_problem(), 0.25, 4, points, monkeypatch)
+        assert out.shape[2] == n and calls == [(1, 1)] * n
+        for j, ref in enumerate(refs):
+            np.testing.assert_array_equal(out[:, :, j], ref)
+
+    def test_stacked_operator_blocks_are_single_operators(self, advdiff, unit_mesh, rng):
+        terms = affine_operator(unit_mesh, advdiff)
+        thetas = np.column_stack([terms.theta(a) for a in rng.uniform(-0.1, 0.1, (3, 5))])
+        stack = terms.block_diagonal(thetas).toarray()
+        m = unit_mesh.n_nodes
+        for j in range(3):
+            one = terms.operator(thetas[:, j]).toarray()
+            np.testing.assert_array_equal(stack[j * m : (j + 1) * m, j * m : (j + 1) * m], one)
+        stack[np.kron(np.eye(3), np.ones((m, m))) == 1] = 0.0
+        assert not stack.any()
+
+    @staticmethod
+    def stack_march(mass, blocks, steps=2):
+        """March a zero start under a unit load, one column per block."""
+        op = sp.block_diag(blocks, format="csr")
+        ones = np.ones((mass.shape[0], len(blocks)))
+        out = np.empty((mass.shape[0], steps, len(blocks)), order="F")
+        backward_euler_solve(mass, op, ones, 0.0 * ones, TimeGrid(1.0 * steps, steps), out)
+        return out
+
+    def test_singular_block_in_a_stack_raises(self):
+        # dt = 1: [[2, 1], [0, 1 + 1e-16]] is sound; the middle block
+        # [[2, 1], [0, 1e-16]] has pivot ratio 5e-17.
+        mass = sp.diags([1.0, 1e-16], format="csr")
+        good = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        bad = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        self.stack_march(mass, [good, good, good])
+        with pytest.raises(SolverError, match="time-step system numerically singular"):
+            self.stack_march(mass, [good, bad, good])
+
+    def test_indefinite_block_in_a_stack_raises(self):
+        # dt = 1: the middle block's I + op = diag(1, -1, 1, -1) is
+        # symmetric but not positive definite.
+        mass = sp.identity(4, format="csr")
+        zero = sp.csr_matrix((4, 4))
+        bad = sp.diags([0.0, -2.0, 0.0, -2.0], format="csr")
+        with pytest.raises(SolverError, match="factorization failed"):
+            self.stack_march(mass, [zero, bad, zero])
+
+    def test_pivots_are_compared_within_blocks_only(self, heat, heat_mesh, heat_mass):
+        # Scaling one block by 1e16 puts its pivots 1e16 above the
+        # other's: a ratio taken over the whole stack would call it
+        # singular, while each block alone is sound.
+        op, _ = assemble_operator(heat_mesh, heat, (0.3, 0.5))
+        out = self.stack_march(heat_mass, [op, 1e16 * op])
+        for j, block in enumerate([op, 1e16 * op]):
+            ref = self.stack_march(heat_mass, [block])[:, :, 0]
+            assert relative_error(out[:, :, j], ref) <= 1e-12
+
+    def test_stack_must_be_block_diagonal(self):
+        mass = sp.identity(2, format="csr")
+        coupled = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 1.0]] + [[0.0] * 4] * 3))
+        with pytest.raises(SolverError, match="block diagonal"):
+            backward_euler_solve(
+                mass, coupled, np.zeros((2, 2)), np.zeros((2, 2)), TimeGrid(1.0, 1),
+                np.empty((2, 1, 2)),
+            )
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_operator_must_fit_one_column_or_all(self, n):
+        # Two columns of two nodes take a 2 x 2 or a 4 x 4 operator.
+        mass = sp.identity(2, format="csr")
+        with pytest.raises(SolverError, match="march needs"):
+            backward_euler_solve(
+                mass, sp.identity(n, format="csr"), np.zeros((2, 2)), np.zeros((2, 2)),
+                TimeGrid(1.0, 1), np.empty((2, 1, 2)),
+            )
+
+
 def test_problem_factories():
     heat = heat_problem()
     assert heat.kind == "heat"

@@ -728,14 +728,15 @@ class TestRunStudy:
         assert result.rows[0].e_max <= 1e-8
 
     @staticmethod
-    def solved_widths(data, tmp_path, monkeypatch) -> list[tuple[int, ...]]:
-        """Block widths of every march in a study of ``data``, after checking
-        each cached test trajectory against a solve of its own."""
+    def solved_widths(data, tmp_path, monkeypatch) -> list[tuple[int, int]]:
+        """(columns, operators) of every march in a study of ``data``: a
+        march of P load modes has one operator, a stack one per column.
+        Each cached test trajectory is checked against a solve of its own."""
         widths = []
         march = fem_module.backward_euler_solve
 
         def counted(mass, op, load, u0, tg, out):
-            widths.append(u0.shape[1:])
+            widths.append((u0.shape[1], op.shape[0] // mass.shape[0]))
             march(mass, op, load, u0, tg, out)
 
         monkeypatch.setattr(fem_module, "backward_euler_solve", counted)
@@ -758,11 +759,12 @@ class TestRunStudy:
         # the 3x3 training grid.
         data = base_config()
         data["test_set"] = {"mode": "grid", "n": 3}
-        assert self.solved_widths(data, tmp_path, monkeypatch) == [(2,)] * 6
+        assert self.solved_widths(data, tmp_path, monkeypatch) == [(2, 1)] * 6
 
     def test_advdiff_grid_points_march_one_column_each(self, tmp_path, monkeypatch):
         # Every advdiff point has an operator of its own, so each of the
-        # 2^5 test and 2^5 training points marches its own load.
+        # 2^5 test and 2^5 training points marches its own load, as one
+        # column of a stack: on this 25-node mesh one stack holds them all.
         data = {
             "problem": {"kind": "advdiff"},
             "mesh": {"h": 0.25},
@@ -773,7 +775,7 @@ class TestRunStudy:
             "test_set": {"mode": "grid", "n": 2},
             "sweep": {"variable": "eps", "values": [1e-1]},
         }
-        assert self.solved_widths(data, tmp_path, monkeypatch) == [(1,)] * 64
+        assert self.solved_widths(data, tmp_path, monkeypatch) == [(32, 32)] * 2
 
     def test_non_finite_snapshot_march_yields_error_row(self, tmp_path, monkeypatch):
         # The first march of the training grid returns a NaN: that sweep
@@ -785,7 +787,8 @@ class TestRunStudy:
 
         def poison_first_grid_march(mass, op, load, u0, tg, out):
             march(mass, op, load, u0, tg, out)
-            if u0.shape[1:] == (2,) and not poisoned:
+            # The first march of the two load modes: one shared operator.
+            if u0.shape[1:] == (2,) and op.shape == mass.shape and not poisoned:
                 out[0, -1, 1] = np.nan
                 poisoned.append(True)
 
