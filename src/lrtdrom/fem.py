@@ -459,10 +459,10 @@ def assemble_load(mesh: Mesh2D, fn: Callable[[np.ndarray], np.ndarray]) -> np.nd
     return g
 
 
-def _csr_entries(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every stored entry of a CSR pattern, in order."""
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    return rows, indices.astype(np.int64)
+def _csr_entries(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every stored entry of a CSR matrix, in order."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return rows, matrix.indices.astype(np.int64)
 
 
 def _weighted_sum(
@@ -516,23 +516,20 @@ class AffineOperator:
         return self.op_coeffs @ self._affine(alpha)
 
     def operator(self, theta: np.ndarray) -> sp.csr_matrix:
-        """The operator sum_q theta_q A_q."""
-        n = self.mesh.n_nodes
-        data = _weighted_sum(theta, self.op_terms)
-        return sp.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=(n, n)
-        )
+        """The operator sum_q theta_q A_q: a stack of one block."""
+        return self.block_diagonal(theta[:, None])
 
     def block_diagonal(self, thetas: np.ndarray) -> sp.csr_matrix:
         """The (g M, g M) block-diagonal matrix of the operators of the g
         columns of ``thetas`` (Q, g), in column order: one term-by-term
-        sum over the shared pattern, each block bit for bit
-        :meth:`operator` of its column."""
+        sum over the shared pattern."""
         n, nnz = self.mesh.n_nodes, self.indices.size
         g = thetas.shape[1]
         data = _weighted_sum(thetas[:, :, None], self.op_terms[:, None, :])  # (g, nnz)
-        shift = np.arange(g)[:, None]  # int64: g nnz may pass int32
-        indptr = np.append(self.indptr[:-1] + nnz * shift, g * nnz)
+        # The narrowest index type that holds g nnz, as scipy would pick.
+        shift = np.arange(g, dtype=np.int32 if g * nnz < 2**31 else np.int64)[:, None]
+        indptr = np.zeros(g * n + 1, shift.dtype)
+        np.add(self.indptr[1:], nnz * shift, out=indptr[1:].reshape(g, n))
         return sp.csr_matrix(
             (data.ravel(), (self.indices + n * shift).ravel(), indptr),
             shape=(g * n, g * n),
@@ -573,7 +570,7 @@ def affine_operator(mesh: Mesh2D, problem: ProblemSpec) -> AffineOperator:
     n = mesh.n_nodes
     # The stiffness matrix keeps an entry (explicit zeros too) for every
     # pair of nodes that share a triangle, so every term fits its pattern.
-    rows, cols = _csr_entries(stiffness.indptr, stiffness.indices)
+    rows, cols = _csr_entries(stiffness)
     keys = rows * n + cols
 
     def on_pattern(rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
@@ -644,6 +641,39 @@ def check_pivots(pivots: np.ndarray, what: str) -> None:
         raise SolverError(f"{what} numerically singular: pivot ratio {ratio:.3e}")
 
 
+def _band_layout(rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+    """Half-bandwidth bw = max |i - j| over the entries (rows, cols) and
+    the rows 3 bw + 1 of the Fortran array that dgbtrf factors them in
+    (kl = ku = bw): entry (i, j) sits in row 2 bw + i - j, column j."""
+    bw = int(np.abs(rows - cols).max(initial=0))
+    return bw, 3 * bw + 1
+
+
+# Largest LU band, 3 bw + 1 rows of M doubles per block, that one march
+# of single points in :func:`solve_fom_batch` stacks. Measured on
+# advdiff's 243 grid nodes (M = 121, bw = 12, 60 steps; best of 7, BLAS
+# threads 1): stacks of 1, 8, 16, 29, 64 and 243 blocks took 0.201,
+# 0.103, 0.093, 0.088, 0.094 and 0.102 s; 1 MiB holds 29.
+_STACK_BAND_BYTES = 1 << 20
+
+
+def _stack_size(mass: sp.spmatrix, terms: AffineOperator) -> int:
+    """Blocks in one stack of :func:`solve_fom_batch`'s single points: as
+    many as fit ``_STACK_BAND_BYTES`` of :func:`backward_euler_solve`'s LU
+    band, or one if every term is symmetric, as heat's are. Those systems
+    are factored by Cholesky, whose stacks of several blocks round
+    differently from one-block marches (by 6e-16 relative on heat at
+    h = 0.25) and gain little: heat's 64 test points at h = 0.2 took
+    0.421 s as one stack against 0.364 s one at a time."""
+    each = terms.block_diagonal(np.eye(len(terms.op_terms)))  # A_q, one a block
+    if (each != each.T).nnz == 0:
+        return 1
+    mass_rows, mass_cols = _csr_entries(mass.tocsr())
+    rows, cols = _csr_entries(each)
+    _, ldab = _band_layout(np.concatenate([mass_rows, rows]), np.concatenate([mass_cols, cols]))
+    return max(1, _STACK_BAND_BYTES // (8 * ldab * mass.shape[0]))
+
+
 def backward_euler_solve(
     mass: sp.spmatrix,
     op: sp.spmatrix,
@@ -694,19 +724,16 @@ def backward_euler_solve(
             f"of shape {(m, m)} or {(k * m, k * m)}, got {shapes} and {op.shape}"
         )
     blocks = 1 if op.shape == (m, m) else k
-    mass_rows, mass_cols = _csr_entries(mass.indptr, mass.indices)
-    op_rows, op_cols = _csr_entries(op.indptr, op.indices)
+    mass_rows, mass_cols = _csr_entries(mass)
+    op_rows, op_cols = _csr_entries(op)
     if blocks > 1 and not np.array_equal(op_rows // m, op_cols // m):
         raise SolverError("a stack of operators must be block diagonal")
     # Every block holds mass, entered before its operator as for one block.
     shift = m * np.arange(blocks)
     rows = np.concatenate([(mass_rows[:, None] + shift).ravel(order="F"), op_rows])
     cols = np.concatenate([(mass_cols[:, None] + shift).ravel(order="F"), op_cols])
-    bw = int(np.abs(rows - cols).max(initial=0))
-    # Entry (i, j) sits in row 2 bw + i - j, column j of the (3 bw + 1, n)
-    # Fortran array that dgbtrf factors (kl = ku = bw).
+    bw, ldab = _band_layout(rows, cols)
     n = blocks * m
-    ldab = 3 * bw + 1
     slots = (2 * bw + rows - cols) + ldab * cols
     band = np.zeros(ldab * n)
     np.add.at(band, slots, np.concatenate([np.tile(mass.data, blocks), dt * op.data]))
@@ -744,17 +771,6 @@ def initial_state(problem: ProblemSpec, mesh: Mesh2D) -> np.ndarray:
     return np.zeros(mesh.n_nodes)
 
 
-# Largest LAPACK band, (3 bw + 1) M doubles per block, that one march of
-# single points in :func:`solve_fom_batch` stacks. Measured on advdiff's
-# 243 grid nodes (M = 121, bw = 12, 60 steps; best of 7, BLAS threads 1):
-# stacks of 1, 8, 16, 29, 64 and 243 blocks took 0.201, 0.103, 0.093,
-# 0.088, 0.094 and 0.102 s; 1 MiB holds 29. A heat block (h = 0.2) takes
-# 916 KiB, so heat marches one block a stack: its steps are bound by the
-# arithmetic of the triangular solves, and its 64 test points took
-# 0.364 s one block a stack against 0.421 s as one stack.
-_STACK_BAND_BYTES = 1 << 20
-
-
 def _stacks(columns: list[int], size: int):
     """Slices over the runs of consecutive ``columns`` (ascending), each
     run cut into stacks of at most ``size``."""
@@ -776,15 +792,13 @@ def solve_fom_batch(
     ``out`` has shape (M, N, len(alphas)). Points with equal operator
     coefficients form a group that shares one factorization. The groups
     of one are marched in stacks: consecutive such points, as many as fit
-    a 1 MiB LAPACK band (``_STACK_BAND_BYTES``), march as one
-    block-diagonal system from their :func:`initial_state`, each under
-    its own load, straight into ``out`` (:func:`backward_euler_solve`).
-    A stack's operators are formed only when it is marched, from the
-    affine terms on their shared pattern. Each trajectory of an LU stack
-    (a nonsymmetric system, as advdiff's) equals its own single-point
-    march bit for bit; a Cholesky stack of several blocks (heat on meshes
-    coarser than h = 0.2) may differ from it at round-off (6e-16 relative
-    measured at h = 0.25). A larger group
+    a 1 MiB LU band, march as one block-diagonal system from their
+    :func:`initial_state`, each under its own load, straight into ``out``
+    (:func:`backward_euler_solve`). Symmetric problems, as heat, march one
+    point a stack (:func:`_stack_size`). A stack's operators are formed
+    only when it is marched, from the affine terms on their shared
+    pattern, and each of its trajectories equals its own single-point
+    march bit for bit. A larger group
     marches the P load terms g_p of ``terms`` instead, as one (M, N, P)
     block from a zero start, and writes each point's trajectory as the
     combination sum_p phi_p(alpha) U_p, summed by :func:`_weighted_sum` as
@@ -807,10 +821,9 @@ def solve_fom_batch(
     for j, theta in enumerate(thetas):
         groups.setdefault(theta.tobytes(), []).append(j)
     u0 = initial_state(terms.problem, terms.mesh)
-    rows, cols = _csr_entries(terms.indptr, terms.indices)
-    bw = int(np.abs(rows - cols).max(initial=0))
-    size = max(1, _STACK_BAND_BYTES // (8 * (3 * bw + 1) * m))
     singles = sorted(js[0] for js in groups.values() if len(js) == 1)
+    # A lone point, as from solve_fom, is a stack of one whatever the size.
+    size = _stack_size(mass, terms) if len(singles) > 1 else 1
     for stack in _stacks(singles, size):
         points = range(stack.start, stack.stop)
         op = terms.block_diagonal(thetas[stack].T)

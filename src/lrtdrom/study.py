@@ -426,7 +426,7 @@ class StudyResult:
 # solver or to a problem constant of ``fem`` (the source, the advdiff
 # diffusion coefficient), which the key does not carry, alters its
 # output, so entries it wrote earlier stop matching.
-_FOM_SOLVER_VERSION = 6
+_FOM_SOLVER_VERSION = 5
 
 
 class FomCache:

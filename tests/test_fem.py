@@ -726,13 +726,16 @@ class TestStackedMarch:
         for j, ref in enumerate(refs):
             np.testing.assert_array_equal(out[:, :, j], ref)
 
-    def test_heat_points_match_single_solves_bit_for_bit(self, rng, monkeypatch):
-        # A heat block at h = 0.2 fills most of the band: one per stack.
+    @pytest.mark.parametrize("h", [0.5, 0.25, 0.2])
+    def test_heat_points_march_one_a_stack(self, h, rng, monkeypatch):
+        # Heat's terms are symmetric, so it takes the Cholesky path, whose
+        # stacks of several blocks round differently: one point a stack,
+        # even on the coarse meshes whose band would hold 22 and 3 blocks.
         problem = heat_problem()
         lo, hi = np.array(problem.box).T
-        points = rng.uniform(lo, hi, size=(3, lo.size))
-        out, refs, calls = self.batch(problem, 0.2, 5, points, monkeypatch)
-        assert calls == [(1, 1)] * 3
+        points = rng.uniform(lo, hi, size=(4, lo.size))
+        out, refs, calls = self.batch(problem, h, 5, points, monkeypatch)
+        assert calls == [(1, 1)] * 4
         for j, ref in enumerate(refs):
             np.testing.assert_array_equal(out[:, :, j], ref)
 
@@ -744,14 +747,16 @@ class TestStackedMarch:
         for j, ref in enumerate(refs):
             np.testing.assert_array_equal(out[:, :, j], ref)
 
-    def test_stacked_operator_blocks_are_single_operators(self, advdiff, unit_mesh, rng):
+    def test_stacked_operator_blocks_are_the_affine_sums(self, advdiff, unit_mesh, rng):
         terms = affine_operator(unit_mesh, advdiff)
+        m = unit_mesh.n_nodes
+        parts = [sp.csr_matrix((t, terms.indices, terms.indptr), shape=(m, m)) for t in terms.op_terms]
         thetas = np.column_stack([terms.theta(a) for a in rng.uniform(-0.1, 0.1, (3, 5))])
         stack = terms.block_diagonal(thetas).toarray()
-        m = unit_mesh.n_nodes
         for j in range(3):
-            one = terms.operator(thetas[:, j]).toarray()
+            one = sum(theta * part for theta, part in zip(thetas[:, j], parts)).toarray()
             np.testing.assert_array_equal(stack[j * m : (j + 1) * m, j * m : (j + 1) * m], one)
+            np.testing.assert_array_equal(terms.operator(thetas[:, j]).toarray(), one)
         stack[np.kron(np.eye(3), np.ones((m, m))) == 1] = 0.0
         assert not stack.any()
 
