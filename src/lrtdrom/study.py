@@ -539,9 +539,10 @@ def run_study(
 
     Two phases keep each snapshot tensor apart from the test trajectories.
     First every run, in order, gets its train: a run rebuilds the
-    snapshots only when its grid counts change, and one memo per grid lets
-    :func:`frobenius_tolerance` and :func:`tt_svd` compute the norms and
-    the first-unfolding factorization once for every eps. A grid's tensor
+    snapshots only when its grid counts change. When a grid is built, one
+    :func:`frobenius_tolerance` call converts the eps of this run and of
+    every later run on the same counts, and one :func:`tt_svd` memo per
+    grid factors the first unfolding once for every eps. A grid's tensor
     and memo are released before the next grid is built (or after a
     failed compression), the last ones after the last compression. Then
     the full-order test trajectories are solved, cached under the output
@@ -585,7 +586,7 @@ def run_study(
 
     compressed = []  # per run: (grid, train, error, seconds)
     grid = tensor = memo = tt = tt_eps = None
-    for run in config.runs:
+    for i, run in enumerate(config.runs):
         start = time.perf_counter()
         try:
             if grid is None or grid.counts != run.counts:
@@ -596,9 +597,11 @@ def run_study(
                     _check_disjoint(test_points, new_grid)
                 tensor = generate_snapshots(problem, mesh, tg, new_grid)
                 grid, memo = new_grid, {}
+                eps = [r.eps for r in config.runs[i:] if r.counts == run.counts]
+                converted = frobenius_tolerance(eps, tensor, mass, tg.dt).tolist()
+                eps_tilde = dict(zip(eps, converted))
             if tt is None or tt_eps != run.eps:
-                eps_tilde = frobenius_tolerance(run.eps, tensor, mass, tg.dt, memo=memo)
-                tt, _ = tt_svd(tensor, eps_tilde, memo=memo)
+                tt, _ = tt_svd(tensor, eps_tilde[run.eps], memo=memo)
                 tt_eps = run.eps
             done = (grid, tt, None)
         except ConfigError:

@@ -143,22 +143,13 @@ def _memoized(memo: dict, key: str, compute):
     return memo[key]
 
 
-def _bind_memo(memo: dict | None, tensor) -> dict:
-    """``memo`` (a fresh one for None), tied to the first tensor it serves."""
-    memo = {} if memo is None else memo
-    if memo.setdefault("tensor", tensor) is not tensor:
-        raise ValueError("memo belongs to another tensor")
-    return memo
-
-
 def frobenius_tolerance(
-    eps: float,
+    eps: float | Sequence[float],
     tensor: np.ndarray,
     mass: sp.spmatrix,
     dt: float,
-    memo: dict | None = None,
-) -> float:
-    """Convert a trajectory-norm tolerance into a relative Frobenius one.
+) -> float | np.ndarray:
+    """Convert trajectory-norm tolerances into relative Frobenius ones.
 
     eps bounds the worst trajectory error in the discrete space-time norm;
     the returned value bounds the relative Frobenius error of the full
@@ -168,28 +159,28 @@ def frobenius_tolerance(
 
     with norm0 the largest trajectory norm and |mass| the spectral norm.
 
-    None of the three norms depends on eps. A caller converting several
-    tolerances for one tensor passes the same ``memo`` dict each time: the
-    first call stores the two tensor norms in it and later calls read them,
-    so every result is bit-identical to a fresh call (``memo=None``); |mass|
-    is cheap and recomputed. A memo is bound to its tensor and ``mass`` by
-    identity and to its ``dt`` by value (any other raises ``ValueError``),
-    and it keeps the tensor; :func:`tt_svd` may share it, and the caller drops both.
+    ``eps`` is a number (a ``float`` is returned) or a 1-D sequence (an
+    array is returned): the three norms do not depend on eps, so one call
+    measures them once for every tolerance of a sweep, and each entry is
+    the same IEEE expression as a scalar call, bit for bit. norm0 is not
+    measured when every eps is 0. A negative or non-finite eps, or a
+    ``dt`` that is not finite and positive, raises ``ValueError``.
     """
-    if eps < 0:
-        raise ValueError("tolerance must be non-negative")
-    memo = _bind_memo(memo, tensor)
-    fro = _memoized(memo, "fro", lambda: frobenius_norm(tensor))
+    eps = np.array(eps, dtype=np.float64)
+    if eps.ndim > 1:
+        raise ValueError("tolerances must be a number or a 1-D sequence")
+    if not np.all(np.isfinite(eps) & (eps >= 0)):
+        raise ValueError("tolerance must be finite and non-negative")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("time step must be finite and positive")
+    eps = np.abs(eps)  # -0.0 converts as 0.0 does
+    fro = frobenius_norm(tensor)
     if fro == 0.0:
         raise DomainError("tolerance conversion undefined for a zero tensor")
-    if eps == 0.0:
-        return 0.0
-    held_mass, held_dt, norm0 = _memoized(
-        memo, "norm0", lambda: (mass, dt, max_trajectory_norm(tensor, mass, dt))
-    )
-    if held_mass is not mass or held_dt != dt:
-        raise ValueError("memo belongs to another mass or dt")
-    return eps * norm0 / (np.sqrt(spectral_norm(mass) * dt) * fro)
+    if np.any(eps):
+        norm0 = max_trajectory_norm(tensor, mass, dt)
+        eps = eps * norm0 / (np.sqrt(spectral_norm(mass) * dt) * fro)
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def _select_rank(s: np.ndarray, budget: float, residual: float) -> tuple[int, float]:
@@ -467,7 +458,8 @@ def tt_svd(
     tensor: np.ndarray, eps_tilde: float, memo: dict | None = None
 ) -> tuple[TTTensor, CompressionReport]:
     """Tensor-train decomposition, with relative Frobenius tolerance, of a
-    tensor of at least two modes (``ValueError`` otherwise).
+    tensor of at least two modes (``ValueError`` otherwise, and for a
+    negative or non-finite eps_tilde).
 
     Sequential truncations of the unfoldings, each allowed a discarded
     energy of (eps_tilde * |tensor|_F)^2 / (d - 1), which guarantees
@@ -504,9 +496,11 @@ def tt_svd(
     raises ``ValueError``) and holds it and factors up to its size, so
     the caller drops both together.
     """
-    if eps_tilde < 0:
-        raise ValueError("tolerance must be non-negative")
-    memo = _bind_memo(memo, tensor)
+    if not (math.isfinite(eps_tilde) and eps_tilde >= 0):
+        raise ValueError("tolerance must be finite and non-negative")
+    memo = {} if memo is None else memo
+    if memo.setdefault("tensor", tensor) is not tensor:
+        raise ValueError("memo belongs to another tensor")
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim < 2:
         raise ValueError("a tensor train needs a tensor of at least two modes")

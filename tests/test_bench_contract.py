@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -76,6 +77,25 @@ def test_call_signatures_the_benchmark_uses():
     # The traced run and the sweep latency probe patch these on study.
     for name in ("tt_svd", "frobenius_tolerance", "trajectory_error_sq"):
         assert callable(getattr(study, name)), name
+
+
+def test_scalar_tolerance_is_a_python_float(heat_desk):
+    # The heat-online set-up hands it to tt_svd, and `lrtdrom compress`
+    # writes the report that carries it as JSON.
+    eps_tilde = lrtdrom.frobenius_tolerance(
+        1e-3, heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt
+    )
+    assert type(eps_tilde) is float
+    assert json.loads(json.dumps(eps_tilde)) == eps_tilde
+
+
+def test_tolerance_list_matches_scalar_calls(heat_desk):
+    args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+    eps = [1e-1, 1e-3, 1e-5]
+    listed = lrtdrom.frobenius_tolerance(eps, *args)
+    assert [value.hex() for value in listed.tolist()] == [
+        lrtdrom.frobenius_tolerance(e, *args).hex() for e in eps
+    ]
 
 
 @pytest.mark.parametrize("name", ["heat-eps-sweep", "advdiff-sweep"])

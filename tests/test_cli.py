@@ -251,6 +251,12 @@ def test_study_huge_grid_test_set_reports_error(tmp_path, capsys):
             id="sweep_var,value,eps,E_max\neps,0.1,0.1\n-malformed row",
         ),
         pytest.param(
+            "sweep_var,value,eps,E_mean\neps,0.1,0.1,0.3\n",
+            [],
+            "missing expected columns",
+            id="no-E_max",
+        ),
+        pytest.param(
             "eps,delta_max,E_max\n0.1,0.5,0.3\n0.01,0.5,0.03\n0.001,0.5,0.003\n",
             ["--var", "delta"],
             "cannot fit a slope",

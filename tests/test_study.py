@@ -325,6 +325,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite number|lists of numbers"):
             parse_config(non_finite)
 
+    def test_integer_beyond_the_float_range_rejected(self):
+        data = base_config()
+        data["mesh"]["h"] = 10**400
+        with pytest.raises(ConfigError, match="mesh.h must be a finite number"):
+            parse_config(data)
+
     def test_workers_key_rejected(self):
         data = base_config()
         data["workers"] = 1
@@ -912,6 +918,37 @@ class TestCompressionReuse:
             counts = grid_counts_for_delta(heat_problem().box, delta)
             work_on_unfolding(math.prod(counts))
 
+    def test_tolerances_converted_once_per_grid(self, tmp_path, monkeypatch):
+        conversions, norms = [], []
+        convert, norm0 = study_module.frobenius_tolerance, tt_module.max_trajectory_norm
+
+        def counting_convert(eps, *args):
+            conversions.append(list(eps))
+            return convert(eps, *args)
+
+        def counting_norm0(*args):
+            norms.append(args[0].shape)
+            return norm0(*args)
+
+        monkeypatch.setattr(study_module, "frobenius_tolerance", counting_convert)
+        monkeypatch.setattr(tt_module, "max_trajectory_norm", counting_norm0)
+        data = self.eps_sweep()
+        data["sweep"]["values"] = [1e-1, 1e-2, 1e-3, 1e-4]
+        result = run_study(parse_config(data), out_dir=tmp_path / "eps")
+        assert all(row.error is None for row in result.rows)
+        assert conversions == [[1e-1, 1e-2, 1e-3, 1e-4]] and len(norms) == 1
+
+        data = base_config()
+        del data["grid"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "delta", "values": [0.5, 0.25]}
+        conversions.clear()
+        norms.clear()
+        result = run_study(parse_config(data), out_dir=tmp_path / "delta")
+        assert all(row.error is None for row in result.rows)
+        assert conversions == [[1e-3], [1e-3]]
+        assert len(set(norms)) == len(norms) == 2
+
     def test_eps_sweep_matches_single_value_studies(self, tmp_path):
         sweep = run_study(parse_config(self.eps_sweep()), out_dir=tmp_path / "sweep")
         singles = []
@@ -1083,6 +1120,18 @@ class TestFomCache:
         assert errors == []
         np.testing.assert_array_equal(cache.lookup("k"), states)
         assert [p.name for p in tmp_path.iterdir()] == ["k.lrt"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_store_leaves_nothing_behind(self, tmp_path, rng, monkeypatch, error):
+        def partial_save(path, states):
+            Path(path).write_bytes(b"LRT")
+            raise error("write failed")
+
+        monkeypatch.setattr(study_module, "save_tensor", partial_save)
+        cache = FomCache(tmp_path)
+        with pytest.raises(error, match="write failed"):
+            cache.store("k", rng.normal(size=(6, 4)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_entry_is_ignored(self, tmp_path, rng):
         cache = FomCache(tmp_path)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +115,12 @@ class TestTTSvd:
             gram = mat.T @ mat
             assert np.abs(gram - np.eye(r)).max() <= 1e-12
 
+    @pytest.mark.parametrize("eps_tilde", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_tolerance(self, rng, eps_tilde):
+        t = np.asfortranarray(rng.normal(size=(4, 3, 2)))
+        with pytest.raises(ValueError, match="tolerance"):
+            tt_svd(t, eps_tilde)
+
     def test_order_one_tensor(self, rng):
         # Every snapshot tensor has a space and a time mode at least.
         with pytest.raises(ValueError, match="at least two modes"):
@@ -201,6 +209,50 @@ class TestToleranceConversion:
             frobenius_tolerance(-0.1, heat_desk.tensor, heat_desk.mass, 1.0)
         with pytest.raises(DomainError):
             frobenius_tolerance(0.1, np.zeros((3, 4, 2)), sp.identity(3), 1.0)
+        with pytest.raises(DomainError):
+            frobenius_tolerance([0.0, 0.1], np.zeros((3, 4, 2)), sp.identity(3), 1.0)
+
+    def test_list_matches_scalar_calls_bit_for_bit(self, heat_desk):
+        args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+        eps = [0.0, 1e-1, 1e-3, -0.0, 1e-5]
+        got = frobenius_tolerance(eps, *args)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        for value, e in zip(got.tolist(), eps):
+            scalar = frobenius_tolerance(e, *args)
+            assert type(scalar) is float
+            assert value.hex() == scalar.hex()
+        assert got[3].hex() == frobenius_tolerance(-0.0, *args).hex() == "0x0.0p+0"
+        assert frobenius_tolerance(np.array(eps), *args).tolist() == got.tolist()
+
+    def test_one_call_measures_each_norm_once(self, heat_desk, monkeypatch):
+        calls = []
+        for name in ("frobenius_norm", "max_trajectory_norm", "spectral_norm"):
+            norm = getattr(tt_module, name)
+            monkeypatch.setattr(
+                tt_module,
+                name,
+                lambda *a, _name=name, _norm=norm: calls.append(_name) or _norm(*a),
+            )
+        args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+        frobenius_tolerance([1e-1, 1e-3, 1e-5, 1e-7], *args)
+        assert sorted(calls) == ["frobenius_norm", "max_trajectory_norm", "spectral_norm"]
+        calls.clear()
+        # Every eps 0: the trajectory norm is not measured.
+        assert frobenius_tolerance([0.0, 0.0], *args).tolist() == [0.0, 0.0]
+        assert calls == ["frobenius_norm"]
+
+    @pytest.mark.parametrize(
+        "eps",
+        [math.nan, math.inf, -math.inf, -0.1, [1e-3, math.nan], [1e-3, -1e-3], [[1e-3]]],
+    )
+    def test_rejects_negative_or_non_finite_eps(self, heat_desk, eps):
+        with pytest.raises(ValueError, match="tolerance"):
+            frobenius_tolerance(eps, heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_time_step_that_is_not_finite_and_positive(self, heat_desk, dt):
+        with pytest.raises(ValueError, match="time step"):
+            frobenius_tolerance(1e-3, heat_desk.tensor, heat_desk.mass, dt)
 
 
 def structured_tensor(rng, dims):
@@ -243,59 +295,38 @@ class TestCompressionMemo:
             assert_same_train(fresh, reused)
             assert reused_report == fresh_report
 
-    def test_frobenius_tolerance_memo_is_bit_identical(self, heat_desk):
-        args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
-        memo = {}
-        for eps in (0.0, 1e-1, 1e-3, 0.0, 1e-5):
-            assert frobenius_tolerance(eps, *args, memo=memo) == frobenius_tolerance(eps, *args)
-        # The memo holds its tensor, and norm0 beside the mass and dt it used.
-        assert set(memo) == {"tensor", "fro", "norm0"}
-        assert memo["tensor"] is heat_desk.tensor
-        held_mass, held_dt, _ = memo["norm0"]
-        assert held_mass is heat_desk.mass and held_dt == heat_desk.tg.dt
-
     def test_shared_memo_matches_separate_calls(self, heat_desk):
-        # The study's pattern: one memo per tensor for both functions.
+        # The study's pattern: one conversion, then one memo per tensor.
         args = (heat_desk.tensor, heat_desk.mass, heat_desk.tg.dt)
         memo = {}
-        for eps in (1e-1, 1e-3, 1e-5):
-            eps_tilde = frobenius_tolerance(eps, *args, memo=memo)
-            assert eps_tilde == frobenius_tolerance(eps, *args)
+        for eps_tilde in frobenius_tolerance([1e-1, 1e-3, 1e-5], *args).tolist():
             fresh, fresh_report = tt_svd(heat_desk.tensor, eps_tilde)
             reused, reused_report = tt_svd(heat_desk.tensor, eps_tilde, memo=memo)
             assert_same_train(fresh, reused)
             assert reused_report == fresh_report
+        assert memo["tensor"] is heat_desk.tensor
+        assert memo["fro"] == frobenius_norm(heat_desk.tensor)
 
     def test_memo_serves_one_tensor(self, rng):
         memo = {}
         tt_svd(structured_tensor(rng, (4, 3, 2)), 0.1, memo=memo)
         with pytest.raises(ValueError, match="memo belongs"):
             tt_svd(structured_tensor(rng, (4, 3, 3)), 0.1, memo=memo)
-        with pytest.raises(ValueError, match="memo belongs"):
-            frobenius_tolerance(
-                0.1, np.ones((4, 3, 2), dtype=np.float32), sp.identity(4), 1.0, memo=memo
-            )
 
-    def test_memo_rejects_another_tensor_mass_or_dt(self, rng):
+    def test_memo_rejects_another_tensor(self, rng):
         # Same shape and dtype, other values: a memo must not serve them.
         a = rng.standard_normal((200, 10, 3, 3))
         b = 5.0 * rng.standard_normal((200, 10, 3, 3))
-        mass = sp.identity(200, format="csr")
         memo = {}
-        eps_tilde = frobenius_tolerance(0.1, a, mass, 1.0, memo=memo)
-        tt_svd(a, eps_tilde, memo=memo)
+        tt, report = tt_svd(a, 0.1, memo=memo)
         with pytest.raises(ValueError, match="memo belongs"):
-            tt_svd(b, eps_tilde, memo=memo)
-        with pytest.raises(ValueError, match="memo belongs"):
-            frobenius_tolerance(0.1, b, mass, 1.0, memo=memo)
-        with pytest.raises(ValueError, match="memo belongs"):
-            frobenius_tolerance(0.1, a, 2 * mass, 0.5, memo=memo)
-        with pytest.raises(ValueError, match="memo belongs"):
-            frobenius_tolerance(0.1, a, mass, 0.5, memo=memo)
+            tt_svd(b, 0.1, memo=memo)
         # An equal copy of the tensor is another tensor too.
         with pytest.raises(ValueError, match="memo belongs"):
-            tt_svd(a.copy(), eps_tilde, memo=memo)
-        assert frobenius_tolerance(0.1, a, mass, 1.0, memo=memo) == eps_tilde
+            tt_svd(a.copy(), 0.1, memo=memo)
+        again, again_report = tt_svd(a, 0.1, memo=memo)
+        assert_same_train(tt, again)
+        assert again_report == report
 
 
 def certificate_tensor(rng, kind):
@@ -622,6 +653,76 @@ class TestGramSplit:
             assert finder_columns(memo) == 0
             assert set(memo["first_unfolding"]) == {"energy", "gram"}
             assert tt_module._orthonormality_defect(universal_basis(tt)) <= 1e-13
+
+
+class TestGramSplitFallbacks:
+    """Where the Gram split gives up, gesdd answers, as when forced."""
+
+    @staticmethod
+    def forced_gesdd(monkeypatch, t, eps_tilde):
+        with monkeypatch.context() as m:
+            m.setattr(tt_module, "_gram_split", lambda w: None)
+            return tt_svd(t, eps_tilde)
+
+    @staticmethod
+    def assert_certified(t, tt, report, eps_tilde):
+        norm = frobenius_norm(t)
+        assert report.error_bound <= eps_tilde * norm
+        assert frobenius_norm(t - tt_to_full(tt)) <= report.error_bound + 1e-12 * norm
+
+    @pytest.mark.parametrize("eps_tilde", [1e-3, 1e-1])
+    @pytest.mark.parametrize("dims", [(12, 30, 40), (300, 4, 25)])
+    def test_non_orthonormal_eigenvectors(self, rng, monkeypatch, dims, eps_tilde):
+        t = structured_tensor(rng, dims)
+        expected, expected_report = self.forced_gesdd(monkeypatch, t, eps_tilde)
+        memo = {}
+        with monkeypatch.context() as m:
+            m.setattr(tt_module, "_orthonormality_defect", lambda u: 1.0)
+            tt, report = tt_svd(t, eps_tilde, memo=memo)
+        assert memo["first_unfolding"]["gram"] is None
+        assert_same_train(tt, expected)
+        assert report == expected_report
+        self.assert_certified(t, tt, report, eps_tilde)
+
+    @pytest.mark.parametrize("eps_tilde", [1e-3, 1e-1])
+    def test_cholesky_failure(self, rng, monkeypatch, eps_tilde):
+        # A tall 300 x 100 first unfolding: its kept columns of W X go
+        # through CholeskyQR2, whose first factorization fails here.
+        t = structured_tensor(rng, (300, 4, 25))
+        expected, expected_report = self.forced_gesdd(monkeypatch, t, eps_tilde)
+        failed = []
+
+        def failing_dpotrf(a, overwrite_a=False):
+            failed.append(a.shape)
+            return a, 1
+
+        memo = {}
+        with monkeypatch.context() as m:
+            m.setattr(tt_module, "lapack", SimpleNamespace(dpotrf=failing_dpotrf))
+            tt, report = tt_svd(t, eps_tilde, memo=memo)
+        assert failed and memo["first_unfolding"]["gram"].tall
+        assert {"gram", "svd"} <= set(memo["first_unfolding"])
+        assert tt.ranks == expected.ranks
+        assert report.ranks == expected_report.ranks
+        self.assert_certified(t, tt, report, eps_tilde)
+
+    def test_zero_kept_column_norm(self, monkeypatch):
+        # A tall zero W splits into columns of norm 0, which cannot be
+        # scaled to orthonormal ones: gesdd keeps one column.
+        w = np.zeros((6, 3), order="F")
+        memo = {}
+        core, carry, dropped = tt_module._truncate(w, 1.0, memo)
+        split = memo["gram"]
+        assert split.tall and split.s[0] == 0.0
+        assert split.take(w, 1) is None and "svd" in memo
+        with monkeypatch.context() as m:
+            m.setattr(tt_module, "_gram_split", lambda w: None)
+            expected = tt_module._truncate(w, 1.0, {})
+        assert core.tobytes() == expected[0].tobytes()
+        assert carry.tobytes() == expected[1].tobytes()
+        assert dropped == expected[2] == 0.0
+        assert core.shape == (6, 1) and np.linalg.norm(core) == pytest.approx(1.0)
+        assert np.linalg.norm(w - core @ carry) ** 2 <= dropped
 
 
 class TestMemoryModel:
