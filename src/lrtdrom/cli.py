@@ -23,13 +23,12 @@ from .fem import (
     Mesh2D,
     ProblemSpec,
     TimeGrid,
+    affine_operator,
     assemble_mass,
-    assemble_operator,
     build_mesh,
-    initial_state,
 )
-from .interp import InterpolationScheme, weight_vectors
-from .rom import local_basis, rom_solve
+from .interp import InterpolationScheme
+from .rom import query
 from .study import StudyConfig, exclude_plateau, load_config, run_study, slope_fit
 from .tensors import (
     generate_snapshots,
@@ -177,15 +176,11 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     stored.check_shape(path, tt.dims)
-    problem, mesh, tg = stored.problem, stored.mesh, stored.tg
-    weights = weight_vectors(alpha, stored.scheme)
+    mass, terms = assemble_mass(stored.mesh), affine_operator(stored.mesh, stored.problem)
     try:
-        basis = local_basis(tt, weights, args.ell)
+        traj = query(tt, stored.scheme, terms, mass, stored.tg, alpha, args.ell)
     except ValueError as exc:
         raise ConfigError(f"cannot build the reduced basis: {exc}") from exc
-    mass = assemble_mass(mesh)
-    op, load = assemble_operator(mesh, problem, alpha)
-    traj = rom_solve(basis, mass, op, load, initial_state(problem, mesh), tg)
     name = "_".join([f"rom_eps{tag}", f"ell{args.ell}", *(_tag(v) for v in alpha)])
     out_path = directory / f"{name}.npz"
     np.savez(
@@ -194,7 +189,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
         eps=eps,
         ell=args.ell,
         coefficients=traj.coefficients,
-        basis=basis,
+        basis=traj.basis,
     )
     final = traj.lift()[:, -1]
     print(f"wrote {out_path}")

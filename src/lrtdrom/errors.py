@@ -18,7 +18,9 @@ class AssemblyError(LrtdRomError):
 
 
 class DomainError(LrtdRomError):
-    """A parameter vector lies outside the configured parameter box."""
+    """An alpha of the wrong shape or with a non-finite entry (one outside
+    the parameter box is accepted), a query outside a grid axis's range, a
+    grid/problem axis mismatch, or a zero tensor's tolerance conversion."""
 
 
 class SolverError(LrtdRomError):

@@ -18,8 +18,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import SolverError
-from .fem import TimeGrid, check_pivots
-from .tt import TTTensor, interpolate_coefficients, universal_basis
+from .fem import AffineOperator, TimeGrid, check_pivots, initial_state
+from .interp import InterpolationScheme, weight_vectors
+from .tt import TTTensor, interpolate_coefficients
 
 _RANK_CUTOFF = 1e-14
 
@@ -46,10 +47,10 @@ def local_basis(
     """(M, ell) orthonormal reduced basis at the parameter value behind ``weights``.
 
     Left singular vectors of the interpolated coefficient matrix, lifted
-    through the (orthonormal) first core, which :func:`universal_basis`
-    checks on the train's first query only. ``ell`` may not exceed the
+    through the orthonormal first core (:attr:`TTTensor.universal_basis`,
+    checked on the train's first query only). ``ell`` may not exceed the
     first rank or the number of time steps. ``alpha`` is accepted and not
-    read.
+    read. :func:`query` calls this for every query.
     """
     coeff = interpolate_coefficients(tt, weights)
     r1, n = coeff.shape
@@ -59,7 +60,7 @@ def local_basis(
             f"(first rank {r1}, {n} time steps)"
         )
     u, _, _ = sla.svd(coeff, full_matrices=False, check_finite=False)
-    return universal_basis(tt) @ u[:, :ell]
+    return tt.universal_basis @ u[:, :ell]
 
 
 def rom_solve(
@@ -118,6 +119,24 @@ def rom_solve(
     if not np.isfinite(coeffs).all():
         raise SolverError("reduced march produced non-finite coefficients")
     return RomTrajectory(coefficients=coeffs, basis=basis)
+
+
+def query(
+    tt: TTTensor,
+    scheme: InterpolationScheme,
+    terms: AffineOperator,
+    mass: sp.spmatrix,
+    tg: TimeGrid,
+    alpha: Sequence[float],
+    ell: int,
+) -> RomTrajectory:
+    """The reduced trajectory at ``alpha`` of the train ``tt`` compressed on
+    ``scheme``'s grid: the local basis of ``ell`` vectors from the
+    Lagrange weights of ``alpha``, then the Galerkin march of ``terms`` at
+    ``alpha`` in it from the problem's initial state."""
+    basis = local_basis(tt, weight_vectors(alpha, scheme), ell)
+    op, load = terms(alpha)
+    return rom_solve(basis, mass, op, load, initial_state(terms.problem, terms.mesh), tg)
 
 
 def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:

@@ -60,7 +60,7 @@ _BUDGET_FRACTION = 1.0 / 16.0
 _CHUNK_DOUBLES = 1 << 17
 
 # Largest entry of |U^T U - I| for which the first core counts as
-# orthonormal in :func:`universal_basis`.
+# orthonormal in :attr:`TTTensor.universal_basis`.
 _ORTHONORMAL_TOL = 1e-13
 
 
@@ -69,7 +69,7 @@ class TTTensor:
     """Tensor train: cores[k] has shape (ranks[k-1], dims[k], ranks[k]).
 
     The cores must not be edited after the train's first query:
-    :func:`universal_basis` checks the first core once and keeps the result.
+    :attr:`universal_basis` checks the first core once and keeps the result.
     """
 
     cores: tuple[np.ndarray, ...]
@@ -103,8 +103,16 @@ class TTTensor:
         return tuple(core.shape[2] for core in self.cores[:-1])
 
     @cached_property
-    def _checked_basis(self) -> np.ndarray:
-        # Kept only when the check passes: a raise leaves nothing cached.
+    def universal_basis(self) -> np.ndarray:
+        """First core as an orthonormal basis of the joint snapshot space.
+
+        Shape (dim_0, r_1), a view of the first core. Raises ValueError
+        when the core's columns are not orthonormal to within
+        _ORTHONORMAL_TOL (the train was not built left-orthogonal, or
+        holds a NaN). The O(dim_0 r_1^2) check runs once per train: the
+        first read that passes keeps the view and later reads return it
+        unchecked. A train that fails raises on every read.
+        """
         u = self.cores[0][0]
         defect = _orthonormality_defect(u)
         if not defect <= _ORTHONORMAL_TOL:
@@ -533,20 +541,6 @@ def tt_svd(
         discarded_energy=tuple(discarded),
     )
     return tt, report
-
-
-def universal_basis(tt: TTTensor) -> np.ndarray:
-    """First core as an orthonormal basis of the joint snapshot space.
-
-    Shape (dim_0, r_1), a view of the first core. Raises ValueError when
-    the core's columns are not orthonormal to within _ORTHONORMAL_TOL (the
-    train was not built left-orthogonal, or holds a NaN). The O(dim_0 r_1^2)
-    check runs once per train: the first call that passes keeps the view
-    on ``tt`` and later calls return it unchecked, so the train's cores
-    must not be edited after its first query. A train that fails raises
-    on every call.
-    """
-    return tt._checked_basis
 
 
 def interpolate_coefficients(

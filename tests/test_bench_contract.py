@@ -102,3 +102,29 @@ def test_tolerance_list_matches_scalar_calls(heat_desk):
 def test_small_sweep_configs_parse(workloads, name):
     config = study.parse_config(workloads.sweep_config(name, 1, "small"))
     assert config.sweep_variable == "eps"
+
+
+def test_traced_small_sweep_span_counts(tracing, workloads, tmp_path):
+    # The per-layer numbers and the certificate gate of a traced sweep read
+    # these spans; a refactor that hides a query stage from the tracer, or
+    # a compression from the tt_svd reports, changes a count here.
+    config = study.parse_config(workloads.sweep_config("heat-eps-sweep", 1, "small"))
+    tracer = tracing.Tracer()
+    with tracer.active():
+        rows = study.run_study(config, tmp_path).rows
+    assert len(rows) == 2 and all(row.error is None for row in rows)
+    calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
+    per_query = (
+        "interp.weight_vectors",
+        "rom.local_basis",
+        "tt.interpolate_coefficients",
+        "rom.rom_solve",
+        "rom.lift",
+        "rom.trajectory_error_sq",
+    )
+    for name in per_query:
+        assert calls.get(name) == 16, name  # 2 rows x 8 test points
+    assert calls.get("tt.tt_svd") == 2
+    assert len(tracer.reports) == 2
+    assert calls.get("tt.frobenius_tolerance") == 1
+    assert calls.get("study.run_study") == 1

@@ -157,9 +157,12 @@ def test_bad_config_reports_error(tmp_path, capsys):
         },
         {"test_set": {"mode": "explicit", "points": [[0.2, 0.3], [0.1]]}},
         {"test_set": {"mode": "random", "count": 2, "seed": -1}},
+        # Integers beyond the float range, written as JSON integer literals.
+        {"rom": None, "sweep": {"variable": "ell", "values": [10**400]}},
+        {"grid": {"K": [3, 10**400]}},
     ],
     ids=["non-object-block", "null-output-dir", "over-fine-delta", "ragged-explicit-points",
-         "negative-seed"],
+         "negative-seed", "huge-ell-value", "huge-grid-count"],
 )
 def test_malformed_study_config_reports_error(tmp_path, capsys, changes):
     path = tmp_path / "study.json"
@@ -334,6 +337,8 @@ def test_compress_report_bytes(compressed):
         ("0.2,x", "4", "--alpha must be comma-separated numbers"),
         ("0.2,0.3", "999", "basis size 999"),
         ("0.2,0.3,0.4", "4", "expected 2 parameters"),
+        ("0.9,0.3", "4", "outside grid range"),
+        ("0.2,0.3", "0", "basis size 0"),
     ],
 )
 def test_bad_rom_arguments_report_error(compressed, capsys, alpha, ell, message):

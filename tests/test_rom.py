@@ -26,7 +26,7 @@ from lrtdrom import (
     weight_vectors,
 )
 from lrtdrom.rom import tail_energy
-from lrtdrom.tt import interpolate_coefficients, universal_basis
+from lrtdrom.tt import interpolate_coefficients
 from oracles import grid_point, grid_spacings, interpolate_snapshots, pod_basis
 
 
@@ -99,7 +99,7 @@ class TestLocalBasis:
         r1 = tt.ranks[0]
         assert r1 == 4
         lb = local_basis(tt, [np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0, 0.0])], r1)
-        uni = universal_basis(tt)
+        uni = tt.universal_basis
         cosines = np.linalg.svd(lb.T @ uni, compute_uv=False)
         assert np.abs(cosines - 1.0).max() <= 1e-10
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lrtdrom.fem as fem_module
+import lrtdrom.rom as rom_module
 import lrtdrom.study as study_module
 import lrtdrom.tt as tt_module
 from lrtdrom import (
@@ -831,7 +832,7 @@ class TestRunStudy:
         assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
 
     def test_reduced_solve_failure_yields_error_row(self, smoke, tmp_path, monkeypatch):
-        solve = study_module.rom_solve
+        solve = rom_module.rom_solve
         calls = []
 
         def fail_first_row(*args, **kwargs):
@@ -840,7 +841,7 @@ class TestRunStudy:
                 raise SolverError("reduced time-step system numerically singular")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(study_module, "rom_solve", fail_first_row)
+        monkeypatch.setattr(rom_module, "rom_solve", fail_first_row)
         result = run_study(parse_config(base_config()), out_dir=tmp_path)
         first, second = result.rows
         assert first.error.startswith("SolverError: reduced time-step system")

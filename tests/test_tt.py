@@ -30,7 +30,7 @@ from lrtdrom import (
     weight_vectors,
 )
 from lrtdrom.tensors import frobenius_norm, max_trajectory_norm, unfold_first_mode
-from lrtdrom.tt import interpolate_coefficients, universal_basis
+from lrtdrom.tt import interpolate_coefficients
 from oracles import (
     grid_box,
     grid_indices,
@@ -458,7 +458,7 @@ class TestCertificate:
         assert_same_train(tt, again)
         assert again_report == report
         assert all(core.flags.f_contiguous for core in tt.cores)
-        universal_basis(tt)
+        tt.universal_basis
 
         monkeypatch.setattr(tt_module, "_SKETCH_MIN_BLOCKS", 10**9)  # dense only
         dense, _ = tt_svd(t, eps_tilde)
@@ -623,7 +623,7 @@ class TestGramSplit:
         assert report.error_bound <= eps_tilde * norm
         # The first unfolding's truncation costs the energy it reports.
         w = unfold_first_mode(t)
-        u = universal_basis(tt)
+        u = tt.universal_basis
         error2 = np.linalg.norm(w - u @ (u.T @ w)) ** 2
         assert error2 <= report.discarded_energy[0] + 1e-12 * norm**2
         if kind == "wide":  # the dropped rows of X^T W, measured
@@ -652,7 +652,7 @@ class TestGramSplit:
             tt, _ = tt_svd(t, 1e-3, memo=memo)
             assert finder_columns(memo) == 0
             assert set(memo["first_unfolding"]) == {"energy", "gram"}
-            assert tt_module._orthonormality_defect(universal_basis(tt)) <= 1e-13
+            assert tt_module._orthonormality_defect(tt.universal_basis) <= 1e-13
 
 
 class TestGramSplitFallbacks:
@@ -786,7 +786,7 @@ class TestMemoryModel:
 class TestUniversalBasis:
     def test_orthonormal_columns(self, heat_desk):
         tt, _ = tt_svd(heat_desk.tensor, 1e-6)
-        basis = universal_basis(tt)
+        basis = tt.universal_basis
         assert basis.shape == (heat_desk.tensor.shape[0], tt.ranks[0])
         gram = basis.T @ basis
         assert np.abs(gram - np.eye(basis.shape[1])).max() <= 1e-13
@@ -795,7 +795,7 @@ class TestUniversalBasis:
         tt = random_tt(rng, (6, 5, 4), (3, 2))
         for _ in range(2):  # a failed check is not kept
             with pytest.raises(ValueError):
-                universal_basis(tt)
+                tt.universal_basis
 
     def test_rejects_nan(self, rng):
         tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
@@ -804,7 +804,7 @@ class TestUniversalBasis:
         bad = TTTensor(cores=tuple(cores))
         for _ in range(2):
             with pytest.raises(ValueError, match="left-orthogonal"):
-                universal_basis(bad)
+                bad.universal_basis
 
     def test_checked_once_per_train(self, rng, monkeypatch, tmp_path):
         tt, _ = tt_svd(np.asfortranarray(rng.normal(size=(6, 4, 3))), 0.0)
@@ -821,7 +821,7 @@ class TestUniversalBasis:
     def test_range_matches_unfolding(self, rng):
         t = np.asfortranarray(rng.normal(size=(6, 4, 3, 2)))
         tt, _ = tt_svd(t, 0.0)
-        basis = universal_basis(tt)
+        basis = tt.universal_basis
         q, _ = np.linalg.qr(unfold_first_mode(tt_to_full(tt)))
         q = q[:, : basis.shape[1]]
         # Principal angles between equal subspaces: all cosines are 1.
@@ -880,7 +880,7 @@ class TestExtraction:
 
     def test_coefficient_matrix_identities(self, heat_desk, rng):
         tt, _ = tt_svd(heat_desk.tensor, 1e-8)
-        basis = universal_basis(tt)
+        basis = tt.universal_basis
         scheme = InterpolationScheme(heat_desk.grid, p=2)
         box = grid_box(heat_desk.grid)
         for _ in range(4):
@@ -899,7 +899,7 @@ class TestExtraction:
 
     def test_coefficients_at_node_project_snapshot(self, heat_desk):
         tt, _ = tt_svd(heat_desk.tensor, 0.0)
-        basis = universal_basis(tt)
+        basis = tt.universal_basis
         scheme = InterpolationScheme(heat_desk.grid, p=2)
         idx = (1, 2)
         weights = weight_vectors(grid_point(heat_desk.grid, idx), scheme)
