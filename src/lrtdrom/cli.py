@@ -28,7 +28,7 @@ from .fem import (
     build_mesh,
 )
 from .interp import InterpolationScheme
-from .rom import query
+from .rom import ReducedTrain
 from .study import StudyConfig, exclude_plateau, load_config, run_study, slope_fit
 from .tensors import (
     generate_snapshots,
@@ -178,7 +178,7 @@ def _cmd_rom(args: argparse.Namespace) -> int:
     stored.check_shape(path, tt.dims)
     mass, terms = assemble_mass(stored.mesh), affine_operator(stored.mesh, stored.problem)
     try:
-        traj = query(tt, stored.scheme, terms, mass, stored.tg, alpha, args.ell)
+        traj = ReducedTrain(tt, stored.scheme, terms, mass, stored.tg).query(alpha, args.ell)
     except ValueError as exc:
         raise ConfigError(f"cannot build the reduced basis: {exc}") from exc
     name = "_".join([f"rom_eps{tag}", f"ell{args.ell}", *(_tag(v) for v in alpha)])

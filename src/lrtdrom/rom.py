@@ -4,8 +4,10 @@ The reduced space at a parameter value is built from the compressed
 snapshot tensor alone: the interpolated coefficient matrix is small
 (first tensor-train rank by time steps), its left singular vectors pick
 the dominant directions, and lifting them through the first core gives
-an orthonormal spatial basis. The reduced systems are dense and tiny, so
-every factorization here is a dense one.
+an orthonormal spatial basis. A train's operators are projected on its
+first core once (:class:`ReducedTrain`), so a query works on matrices of
+the first rank's size. The reduced systems are dense and tiny, so every
+factorization here is a dense one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ _RANK_CUTOFF = 1e-14
 @dataclass(frozen=True)
 class RomTrajectory:
     """Reduced coefficients c^1 .. c^N, one column per time step, in the
-    (M, ell) orthonormal ``basis`` they were marched in."""
+    (n, ell) orthonormal ``basis`` they were marched in. n is the size of
+    the operators: M for full-order ones, r1 for a train's projected ones
+    (whose :meth:`ReducedTrain.query` returns the basis lifted to M)."""
 
     coefficients: np.ndarray
     basis: np.ndarray
@@ -50,7 +54,8 @@ def local_basis(
     through the orthonormal first core (:attr:`TTTensor.universal_basis`,
     checked on the train's first query only). ``ell`` may not exceed the
     first rank or the number of time steps. ``alpha`` is accepted and not
-    read. :func:`query` calls this for every query.
+    read. :meth:`ReducedTrain.query` calls this for every query, on the
+    train in universal-basis coordinates.
     """
     coeff = interpolate_coefficients(tt, weights)
     r1, n = coeff.shape
@@ -65,17 +70,20 @@ def local_basis(
 
 def rom_solve(
     basis: np.ndarray,
-    mass: sp.spmatrix,
-    op: sp.spmatrix,
+    mass: sp.spmatrix | np.ndarray,
+    op: sp.spmatrix | np.ndarray,
     load: np.ndarray,
     u0: np.ndarray,
     tg: TimeGrid,
 ) -> RomTrajectory:
-    """Galerkin projection of the implicit Euler march onto the (M, ell) basis.
+    """Galerkin projection of the implicit Euler march onto the (n, ell) basis.
 
-    ``load`` is a fixed (M,) vector. The march starts from the
-    mass-weighted projection of ``u0``: the first step's right-hand side
-    is ``basis.T @ mass @ u0`` plus the reduced load.
+    ``mass`` and ``op`` are (n, n): sparse full-order matrices (n = M), or
+    dense ones projected on a train's universal basis (n = r1), as
+    :class:`ReducedTrain` passes them. ``load`` is a fixed (n,) vector and
+    ``u0`` an (n,) state. The march starts from the mass-weighted
+    projection of ``u0``: the first step's right-hand side is
+    ``basis.T @ mass @ u0`` plus the reduced load.
     The reduced time-step matrix S is factored once (dense LU), and a
     factor that fails the full-order march's :func:`check_pivots` raises
     :class:`SolverError`. One solve against [M_r | basis.T mass u0 |
@@ -121,22 +129,48 @@ def rom_solve(
     return RomTrajectory(coefficients=coeffs, basis=basis)
 
 
-def query(
-    tt: TTTensor,
-    scheme: InterpolationScheme,
-    terms: AffineOperator,
-    mass: sp.spmatrix,
-    tg: TimeGrid,
-    alpha: Sequence[float],
-    ell: int,
-) -> RomTrajectory:
-    """The reduced trajectory at ``alpha`` of the train ``tt`` compressed on
-    ``scheme``'s grid: the local basis of ``ell`` vectors from the
-    Lagrange weights of ``alpha``, then the Galerkin march of ``terms`` at
-    ``alpha`` in it from the problem's initial state."""
-    basis = local_basis(tt, weight_vectors(alpha, scheme), ell)
-    op, load = terms(alpha)
-    return rom_solve(basis, mass, op, load, initial_state(terms.problem, terms.mesh), tg)
+class ReducedTrain:
+    """The online stage of one train ``tt`` compressed on ``scheme``'s grid.
+
+    Built once per train: the problem ``terms`` and ``mass`` are projected
+    on the universal basis U0 (:attr:`TTTensor.universal_basis`, whose
+    check raises ValueError here): M0 = U0' mass U0, U0' A_q U0 for each
+    operator term, U0' g_p for each load term, and the start z0 with
+    M0 z0 = U0' mass u0. That is Q + 1 sparse products with U0. A
+    :meth:`query` then does no M-sized work but the basis lift.
+    """
+
+    def __init__(
+        self,
+        tt: TTTensor,
+        scheme: InterpolationScheme,
+        terms: AffineOperator,
+        mass: sp.spmatrix,
+        tg: TimeGrid,
+    ) -> None:
+        basis = tt.universal_basis
+        self.basis, self.scheme, self.terms, self.tg = basis, scheme, terms, tg
+        # The train in U0 coordinates: local_basis on it returns u itself.
+        self.local = TTTensor((np.eye(basis.shape[1])[None], *tt.cores[1:]))
+        self.mass = basis.T @ (mass @ basis)
+        self.ops = np.stack([
+            basis.T @ (terms.operator(unit) @ basis) for unit in np.eye(len(terms.op_terms))
+        ])
+        self.loads = terms.load_terms @ basis
+        u0 = initial_state(terms.problem, terms.mesh)
+        self.start = sla.solve(self.mass, basis.T @ (mass @ u0), assume_a="pos")
+
+    def query(self, alpha: Sequence[float], ell: int) -> RomTrajectory:
+        """The reduced trajectory at ``alpha`` in a local basis of ``ell``
+        vectors: the Lagrange weights of ``alpha`` give the local
+        coordinates u (r1, ell) by :func:`local_basis`, and the Galerkin
+        march of the projected operator and load at ``alpha`` in u is
+        returned in the lifted basis U0 u."""
+        u = local_basis(self.local, weight_vectors(alpha, self.scheme), ell)
+        op = np.tensordot(self.terms.theta(alpha), self.ops, axes=1)
+        load = self.terms.phi(alpha) @ self.loads
+        traj = rom_solve(u, self.mass, op, load, self.start, self.tg)
+        return RomTrajectory(coefficients=traj.coefficients, basis=self.basis @ u)
 
 
 def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:
@@ -188,4 +222,4 @@ def trajectory_error_sq(
     by all the accuracy studies.
     """
     diff = np.asarray(fom_states) - np.asarray(rom_states)
-    return float(dt * np.sum(diff * (gram @ diff)))
+    return float(dt * np.einsum("ij,ij->", diff, gram @ diff))

@@ -49,7 +49,7 @@ from .fem import (
     solve_fom_batch,
 )
 from .interp import InterpolationScheme
-from .rom import correlation_spectrum, query, tail_energy, trajectory_error_sq
+from .rom import ReducedTrain, correlation_spectrum, tail_energy, trajectory_error_sq
 from .tensors import (
     ParameterGrid,
     generate_snapshots,
@@ -542,16 +542,17 @@ def run_study(
     failed compression), the last ones after the last compression. Then
     the full-order test trajectories are solved, cached under the output
     directory so that a rerun there skips those solves, and each run's
-    reduced model is solved at every test point, rows outer. A row's
+    reduced model is solved at every test point, rows outer; consecutive
+    rows of one train share its :class:`ReducedTrain`. A row's
     ``wall_s`` is its compression time plus its evaluation time. A failed
     run records its error in a row with its own eps, requested ell and
     ``delta_max``.
 
     The numeric columns reproduce bit for bit at one BLAS thread setting,
     with or without the cache: a fresh directory gives the same rows.
-    Between thread settings the compression, local bases, correlation
-    spectra and errors may move them at round-off; the full-order and
-    reduced marches do not move.
+    Between thread settings the compression, the per-train projections,
+    local bases, correlation spectra and errors may move them at
+    round-off; the full-order and reduced marches do not move.
 
     The memory budget is checked before anything it covers is allocated:
     the test trajectories from the test set's point count, before its
@@ -610,6 +611,7 @@ def run_study(
     spectra = [correlation_spectrum(states, mass) for states in test_states]
 
     rows: list[StudyRow] = []
+    reduced = reduced_tt = None  # the ReducedTrain of the last row's train
     for run, (grid, tt, error, compress_s) in zip(config.runs, compressed):
         start = time.perf_counter()
         measured = {"ell": run.ell, "error": error}
@@ -617,10 +619,12 @@ def run_study(
             try:
                 r1 = tt.ranks[0]
                 ell = min(run.ell, r1, tg.steps)
-                scheme = InterpolationScheme(grid=grid, p=config.p)
+                if reduced_tt is not tt:
+                    scheme = InterpolationScheme(grid=grid, p=config.p)
+                    reduced, reduced_tt = ReducedTrain(tt, scheme, terms, mass, tg), tt
                 errors = []
                 for alpha, fom_states in zip(test_points, test_states):
-                    lifted = query(tt, scheme, terms, mass, tg, alpha, ell).lift()
+                    lifted = reduced.query(alpha, ell).lift()
                     errors.append(trajectory_error_sq(fom_states, lifted, gram, tg.dt))
                 worst = max(range(len(errors)), key=errors.__getitem__)
                 measured = {

@@ -10,6 +10,7 @@ import pytest
 
 import lrtdrom.study as study_module
 from lrtdrom import (
+    TTTensor,
     assemble_h1_gram,
     assemble_mass,
     cli,
@@ -19,6 +20,7 @@ from lrtdrom import (
     load_tensor,
     load_tt,
     run_study,
+    save_tt,
     solve_fom,
     trajectory_error_sq,
     tt_svd,
@@ -388,6 +390,18 @@ def test_nearly_equal_tolerances_keep_their_own_trains(
     for eps in tolerances:
         assert main([*rom, "--eps", eps]) == 0
     assert loaded == [f"tt_eps{eps}.lrtt" for eps in tolerances]
+
+
+def test_rom_rejects_a_train_that_is_not_left_orthogonal(compressed, tmp_path, capsys):
+    for name in ("meta.json", "snapshots.lrt"):
+        shutil.copy(compressed / name, tmp_path)
+    tt = load_tt(compressed / "tt_eps0.001.lrtt")
+    save_tt(tmp_path / "tt_eps0.001.lrtt", TTTensor((2.0 * tt.cores[0], *tt.cores[1:])))
+    capsys.readouterr()
+    assert main(["rom", "--alpha", "0.2,0.3", "--ell", "4", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build the reduced basis: first core is not left-orthogonal")
+    assert not list(tmp_path.glob("rom_*"))
 
 
 def test_rom_names_its_output_by_train_and_ell(compressed, tmp_path):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import lrtdrom.rom as rom_module
 from lrtdrom import (
     InterpolationScheme,
     SolverError,
@@ -17,15 +19,18 @@ from lrtdrom import (
     assemble_operator,
     correlation_spectrum,
     frobenius_tolerance,
+    generate_snapshots,
     initial_state,
     local_basis,
     rom_solve,
     solve_fom,
     trajectory_error_sq,
     tt_svd,
+    uniform_grid,
     weight_vectors,
 )
-from lrtdrom.rom import tail_energy
+from lrtdrom.fem import affine_operator
+from lrtdrom.rom import ReducedTrain, tail_energy
 from lrtdrom.tt import interpolate_coefficients
 from oracles import grid_point, grid_spacings, interpolate_snapshots, pod_basis
 
@@ -313,6 +318,73 @@ class TestRomSolve:
         rom = rom_solve(lb, heat_desk.mass, op, load, u0, heat_desk.tg)
         assert rom.coefficients.shape == (3, heat_desk.tg.steps)
         assert rom.lift().shape == (heat_desk.mesh.nodes.shape[0], heat_desk.tg.steps)
+
+
+@pytest.fixture(scope="module")
+def online_desks(heat_desk, tt_exact, scheme, advdiff, unit_mesh):
+    """Per problem: an exact train, its scheme, terms, mass, time grid and
+    an off-grid query point. advdiff's N exceeds its first rank."""
+    heat = SimpleNamespace(
+        tt=tt_exact,
+        scheme=scheme,
+        terms=affine_operator(heat_desk.mesh, heat_desk.problem),
+        mass=heat_desk.mass,
+        tg=heat_desk.tg,
+        alpha=np.array([0.35, 0.6]),
+    )
+    tg = TimeGrid(advdiff.final_time, 30)
+    grid = uniform_grid(advdiff.box, (2,) * 5)
+    train, _ = tt_svd(generate_snapshots(advdiff, unit_mesh, tg, grid), 0.0)
+    adv = SimpleNamespace(
+        tt=train,
+        scheme=InterpolationScheme(grid, p=2),
+        terms=affine_operator(unit_mesh, advdiff),
+        mass=assemble_mass(unit_mesh),
+        tg=tg,
+        alpha=np.full(5, 0.08),
+    )
+    return {"heat": heat, "advdiff": adv}
+
+
+def relative(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+class TestReducedTrain:
+    @pytest.mark.parametrize("start", ["rest", "random"])
+    @pytest.mark.parametrize("kind", ["heat", "advdiff"])
+    def test_matches_full_space_query(self, online_desks, kind, start, rng, monkeypatch):
+        # The projected march equals the full-order one in the lifted basis.
+        # "random" replaces the problem's state at rest with one that is not.
+        d = online_desks[kind]
+        u0 = initial_state(d.terms.problem, d.terms.mesh)
+        if start == "random":
+            u0 = rng.uniform(0.5, 1.5, size=u0.size)
+            monkeypatch.setattr(rom_module, "initial_state", lambda problem, mesh: u0)
+        reduced = ReducedTrain(d.tt, d.scheme, d.terms, d.mass, d.tg)
+        weights = weight_vectors(d.alpha, d.scheme)
+        top = min(d.tt.ranks[0], d.tg.steps)
+        for ell in (1, top // 2, top):
+            got = reduced.query(d.alpha, ell)
+            basis = local_basis(d.tt, weights, ell)
+            ref = rom_solve(basis, d.mass, *d.terms(d.alpha), u0, d.tg)
+            assert got.basis.shape == basis.shape
+            assert relative(got.coefficients, ref.coefficients) <= 1e-12
+            assert relative(got.lift(), ref.lift()) <= 1e-12
+
+    def test_query_makes_no_full_order_sparse_product(self, online_desks, monkeypatch):
+        d = online_desks["heat"]
+        reduced = ReducedTrain(d.tt, d.scheme, d.terms, d.mass, d.tg)
+
+        def refuse(*args):
+            raise AssertionError("product with a full-order sparse matrix")
+
+        for name in ("__matmul__", "__rmatmul__", "__mul__", "dot"):
+            monkeypatch.setattr(sp.csr_matrix, name, refuse)
+        with pytest.raises(AssertionError):
+            d.mass @ np.ones(d.mass.shape[0])
+        traj = reduced.query(d.alpha, 5)
+        assert traj.lift().shape == (d.mass.shape[0], d.tg.steps)
 
 
 class TestPodBasis:

@@ -24,6 +24,7 @@ from lrtdrom import (
     ConfigError,
     ProblemSpec,
     SolverError,
+    TTTensor,
     TimeGrid,
     advdiff_problem,
     assemble_mass,
@@ -830,6 +831,41 @@ class TestRunStudy:
         assert first.eps == 1e-1 and first.ell == 4
         assert second.error is None
         assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
+
+    def test_train_not_left_orthogonal_yields_error_row(self, smoke, tmp_path, monkeypatch):
+        svd = study_module.tt_svd
+        calls = []
+
+        def skew_first_eps(tensor, eps_tilde, memo=None):
+            calls.append(eps_tilde)
+            tt, report = svd(tensor, eps_tilde, memo=memo)
+            if len(calls) == 1:
+                tt = TTTensor((2.0 * tt.cores[0], *tt.cores[1:]))
+            return tt, report
+
+        monkeypatch.setattr(study_module, "tt_svd", skew_first_eps)
+        result = run_study(parse_config(base_config()), out_dir=tmp_path)
+        first, second = result.rows
+        assert first.error.startswith("ValueError: first core is not left-orthogonal")
+        assert math.isnan(first.e_max) and first.r1 == 0
+        assert second.error is None
+        assert numeric_columns(result)[1] == numeric_columns(smoke[0])[1]
+
+    def test_rows_of_one_train_share_its_reduced_train(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(tt, *args):
+            built.append(tt)
+            return rom_module.ReducedTrain(tt, *args)
+
+        monkeypatch.setattr(study_module, "ReducedTrain", counted)
+        data = base_config()
+        del data["rom"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "ell", "values": [2, 3, 4]}
+        rows = run_study(parse_config(data), out_dir=tmp_path).rows
+        assert [row.error for row in rows] == [None] * 3
+        assert len(built) == 1
 
     def test_reduced_solve_failure_yields_error_row(self, smoke, tmp_path, monkeypatch):
         solve = rom_module.rom_solve
