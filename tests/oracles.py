@@ -6,12 +6,13 @@ full tensor of a train, a mode product, the coefficient contraction of a
 train by ``tensordot``, a scalar interpolant, a POD basis
 from the snapshot Gram matrix, an assembled edge mass matrix, the
 advection velocity as a field, the multi-indices, nodes and box of a
-parameter grid, the time levels of a time grid, and a backward-Euler
-march on a sparse LU factor.
+parameter grid, the time levels of a time grid, a backward-Euler
+march on a sparse LU factor, and a study row scored in the full space.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from lrtdrom import (
 )
 from lrtdrom.errors import check_budget
 from lrtdrom.fem import _advection_modes, _edge_mass_entries
-from lrtdrom.rom import _RANK_CUTOFF
+from lrtdrom.rom import _RANK_CUTOFF, ReducedTrain, trajectory_error_sq
 from lrtdrom.tt import interpolate_coefficients
 
 
@@ -180,3 +181,26 @@ def superlu_march(
         u = lu.solve(mass @ u + tg.dt * load)
         states[:, n] = u
     return states
+
+
+def full_space_row(
+    reduced: ReducedTrain,
+    ell: int,
+    points: np.ndarray,
+    states: Sequence[np.ndarray],
+    gram: sp.spmatrix,
+    dt: float,
+) -> tuple[float, float, tuple[float, ...]]:
+    """(E_max, E_mean, point of E_max) of one study row scored in the full
+    space: each query lifted to (M, N), then ``trajectory_error_sq`` with
+    the H1 Gram against the full-order ``states`` of its point."""
+    errors = [
+        trajectory_error_sq(u, reduced.query(alpha, ell).lift(), gram, dt)
+        for alpha, u in zip(points, states)
+    ]
+    worst = int(np.argmax(errors))
+    return (
+        math.sqrt(errors[worst]),
+        math.sqrt(float(np.mean(errors))),
+        tuple(points[worst].tolist()),
+    )

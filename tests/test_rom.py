@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from types import SimpleNamespace
 
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 import lrtdrom.rom as rom_module
 from lrtdrom import (
     InterpolationScheme,
     SolverError,
     TimeGrid,
+    advdiff_problem,
+    assemble_h1_gram,
     assemble_mass,
     assemble_operator,
+    build_mesh,
     correlation_spectrum,
     frobenius_tolerance,
     generate_snapshots,
@@ -30,7 +35,7 @@ from lrtdrom import (
     weight_vectors,
 )
 from lrtdrom.fem import affine_operator
-from lrtdrom.rom import ReducedTrain, tail_energy
+from lrtdrom.rom import ErrorProjection, ReducedTrain, tail_energy
 from lrtdrom.tt import interpolate_coefficients
 from oracles import grid_point, grid_spacings, interpolate_snapshots, pod_basis
 
@@ -385,6 +390,57 @@ class TestReducedTrain:
             d.mass @ np.ones(d.mass.shape[0])
         traj = reduced.query(d.alpha, 5)
         assert traj.lift().shape == (d.mass.shape[0], d.tg.steps)
+
+
+@functools.cache
+def unit_gram() -> sp.csr_matrix:
+    """The H1 Gram of the 25-node advection-diffusion mesh."""
+    return assemble_h1_gram(build_mesh(advdiff_problem(), 0.25))
+
+
+class TestErrorProjection:
+    # Hypothesis imports mypy_extensions to report a failing example; its
+    # DeprecationWarning, an error under the suite's filter, would end the
+    # whole run instead of failing this test.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 25), min_size=1, max_size=4),
+        nearly=st.booleans(),
+        close=st.booleans(),
+        steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(ranks=[25, 25], nearly=True, close=True, steps=3, seed=0)
+    @example(ranks=[9, 25, 1], nearly=False, close=False, steps=1, seed=1)
+    def test_projected_error_equals_the_full_space_one(self, ranks, nearly, close, steps, seed):
+        # Bases of up to the node count M = 25 columns, up to four of them,
+        # so the ranks may add up past M; with ``nearly`` every basis after
+        # the first lies within 1e-9 of the first one's leading columns.
+        # With ``close`` the trajectory lies within 1e-4 of the basis' span
+        # and the coefficients within 1e-4 of its coordinates there: the
+        # error is 1e-8 of |u|^2, where an unsplit |u|^2 - 2<u, U0 y> + ...
+        # would cancel to about 1e-8 relative.
+        gram = unit_gram()
+        m, dt = gram.shape[0], 0.05
+        rng = np.random.default_rng(seed)
+        first = rng.normal(size=(m, m))
+        u = rng.normal(size=(m, steps))
+        for k, r in enumerate(ranks):
+            raw = rng.normal(size=(m, r))
+            if nearly and k:
+                raw = first[:, :r] + 1e-9 * raw
+            basis = np.linalg.qr(raw)[0]
+            y = rng.normal(size=(r, steps))
+            if close:
+                u = basis @ y + 1e-4 * rng.normal(size=(m, steps))
+                y = y + 1e-4 * rng.normal(size=(r, steps))
+            projection = ErrorProjection(basis, gram)
+            scores = projection.project(u)
+            assert scores.shape == (r + 1, steps)
+            got = trajectory_error_sq(scores, projection.frame @ y, sp.identity(r + 1), dt)
+            want = trajectory_error_sq(u, basis @ y, gram, dt)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestPodBasis:

@@ -27,6 +27,7 @@ from lrtdrom import (
     TTTensor,
     TimeGrid,
     advdiff_problem,
+    assemble_h1_gram,
     assemble_mass,
     build_mesh,
     exclude_plateau,
@@ -47,7 +48,7 @@ from lrtdrom.study import (
 )
 from lrtdrom.errors import check_budget
 from lrtdrom.tensors import load_tensor, save_tensor, uniform_grid
-from oracles import grid_spacings
+from oracles import full_space_row, grid_spacings
 
 
 def poisoned_entries(path: Path, states: np.ndarray):
@@ -1082,6 +1083,169 @@ class TestCompressionReuse:
         result = run_study(parse_config(data), out_dir=tmp_path)
         assert all(row.error is None for row in result.rows)
         assert solved == [1 if variable == "eps" else 2]
+
+
+def small_sweep(kind: str) -> dict:
+    """The benchmark's small eps sweep of ``kind`` ("heat" or "advdiff")
+    over a random test set of 8 points."""
+    heat = kind == "heat"
+    return {
+        "problem": {"kind": kind},
+        "mesh": {"h": 0.5 if heat else 0.25},
+        "time": {"N": 20 if heat else 10},
+        "grid": {"K": [3, 3] if heat else [3] * 5},
+        "rom": {"ell": [12]},
+        "interpolation": {"p": 2 if heat else 3},
+        "test_set": {"mode": "random", "count": 8, "seed": 1},
+        "sweep": {"variable": "eps", "values": [1e-1, 1e-3]},
+    }
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON that holds no NaN or infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestProjectedScores:
+    """A row's errors, scored in its train's H1-orthonormal projection,
+    against the full-space computation: lift each query to (M, N), then
+    trajectory_error_sq with the H1 Gram."""
+
+    @staticmethod
+    def scored(data, tmp_path, monkeypatch):
+        """run_study's rows and the summary, and for each row without an
+        error the full-space (E_max, E_mean, point) of the train and basis
+        size its queries used."""
+        answered = []
+        query = rom_module.ReducedTrain.query
+
+        def recorded(self, alpha, ell, lift=True):
+            answered.append((self, ell))
+            return query(self, alpha, ell, lift)
+
+        monkeypatch.setattr(rom_module.ReducedTrain, "query", recorded)
+        config = parse_config(data)
+        result = run_study(config, out_dir=tmp_path)
+        monkeypatch.setattr(rom_module.ReducedTrain, "query", query)
+        points = config.test_set.build(config.problem.box)
+        cache = FomCache(tmp_path / "fom_cache")
+        good = [row for row in result.rows if row.error is None]
+        assert len(answered) == len(good) * len(points)
+        oracle = []
+        for reduced, ell in answered[:: len(points)]:
+            mesh, tg = reduced.terms.mesh, reduced.tg
+            states = [cache.lookup(FomCache.key(config.problem, mesh.cell, tg, a)) for a in points]
+            gram = assemble_h1_gram(mesh)
+            oracle.append(full_space_row(reduced, ell, points, states, gram, tg.dt))
+        summary = strict_json(result.summary_path.read_text(encoding="utf-8"))
+        return result.rows, list(zip(good, oracle)), summary, answered
+
+    @staticmethod
+    def check(pairs) -> None:
+        assert pairs
+        for row, (e_max, e_mean, alpha) in pairs:
+            assert row.e_max == e_max  # the worst point is scored in the full space
+            assert row.e_mean == pytest.approx(e_mean, rel=1e-9, abs=0.0)
+            assert row.e_max_alpha == alpha
+
+    @pytest.mark.parametrize("kind", ["heat", "advdiff"])
+    def test_small_sweeps(self, kind, tmp_path, monkeypatch):
+        rows, pairs, _, _ = self.scored(small_sweep(kind), tmp_path, monkeypatch)
+        assert len(pairs) == len(rows) == 2
+        self.check(pairs)
+
+    def test_ell_sweep_rows_share_one_train(self, tmp_path, monkeypatch):
+        data = small_sweep("heat")
+        del data["rom"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "ell", "values": [2, 4, 8]}
+        rows, pairs, summary, answered = self.scored(data, tmp_path, monkeypatch)
+        assert len(pairs) == 3 and len({id(reduced) for reduced, _ in answered}) == 1
+        assert summary["shared"]["projection_dim"] == rows[0].r1
+        self.check(pairs)
+
+    def test_sweep_with_a_failed_row(self, tmp_path, monkeypatch):
+        svd, calls = study_module.tt_svd, []
+
+        def fail_first_eps(tensor, eps_tilde, memo=None):
+            calls.append(eps_tilde)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(tensor, eps_tilde, memo=memo)
+
+        monkeypatch.setattr(study_module, "tt_svd", fail_first_eps)
+        rows, pairs, summary, _ = self.scored(small_sweep("heat"), tmp_path, monkeypatch)
+        assert rows[0].error == "LinAlgError: SVD did not converge"
+        assert len(pairs) == 1 and summary["shared"]["projection_dim"] == rows[1].r1
+        self.check(pairs)
+
+    def test_first_ranks_that_fill_the_mesh(self, tmp_path, monkeypatch):
+        # A 9-node mesh: the tightest train's first rank is the node count,
+        # and the ranks of the sweep add up to more than it.
+        data = {
+            "problem": {"kind": "advdiff"},
+            "mesh": {"h": 0.5},
+            "time": {"N": 10},
+            "grid": {"K": [2] * 5},
+            "rom": {"ell": [4]},
+            "interpolation": {"p": 1},
+            "test_set": {"mode": "random", "count": 4, "seed": 3},
+            "sweep": {"variable": "eps", "values": [1e-1, 1e-3, 1e-12]},
+        }
+        rows, pairs, summary, _ = self.scored(data, tmp_path, monkeypatch)
+        m = summary["mesh_nodes"]
+        assert m == 9 and rows[-1].r1 == m
+        assert summary["shared"]["projection_dim"] == sum(row.r1 for row in rows) >= m
+        self.check(pairs)
+
+    def test_explicit_test_set(self, tmp_path, monkeypatch):
+        data = base_config()
+        data["test_set"]["points"] = [[0.2, 0.3], [0.45, 0.15], [0.05, 0.9]]
+        _, pairs, _, _ = self.scored(data, tmp_path, monkeypatch)
+        self.check(pairs)
+
+    def test_summary_reports_the_shared_work(self, smoke):
+        result, _ = smoke
+        shared = strict_json(result.summary_path.read_text(encoding="utf-8"))["shared"]
+        assert set(shared) == {"projection_dim", "test_solve_s", "spectra_s", "projection_s"}
+        assert shared["projection_dim"] == sum(row.r1 for row in result.rows)
+        for name, value in shared.items():
+            assert isinstance(value, (int, float)) and math.isfinite(value) and value >= 0, name
+
+    def test_projection_over_budget_yields_error_rows(self, tmp_path, monkeypatch):
+        # The budget holds the 200 test trajectories and one row more per
+        # step and point, not a train's r1 + 1 >= 2 rows of scores.
+        m, steps, count = build_mesh(heat_problem(), 0.5).n_nodes, 10, 200
+        budget = 8 * (m + 1) * steps * count / 2**30
+        monkeypatch.setenv("LRTDROM_MEM_BUDGET_GB", repr(budget))
+        data = base_config()
+        data["test_set"] = {"mode": "random", "count": count, "seed": 2}
+        rows = run_study(parse_config(data), out_dir=tmp_path).rows
+        for row in rows:
+            assert row.error.startswith(
+                "BudgetError: test trajectories and their projection needs"
+            )
+            assert math.isnan(row.e_max) and row.r1 == 0
+
+    def test_no_test_solves_when_no_row_compressed(self, tmp_path, monkeypatch):
+        # Every grid is over budget: no row has a train, so the test set is
+        # neither solved nor cached, and no spectrum or projection is made.
+        spectra = []
+        monkeypatch.setattr(study_module, "correlation_spectrum", spectra.append)
+        data = base_config()
+        del data["grid"]
+        data["compression"] = {"eps": [1e-3]}
+        data["sweep"] = {"variable": "delta", "values": [1e-300, 2e-300]}
+        result = run_study(parse_config(data), out_dir=tmp_path)
+        assert all(row.error.startswith("BudgetError") for row in result.rows)
+        assert list((tmp_path / "fom_cache").iterdir()) == [] and spectra == []
+        shared = strict_json(result.summary_path.read_text(encoding="utf-8"))["shared"]
+        assert shared["projection_dim"] == 0
+        assert shared["test_solve_s"] == shared["spectra_s"] == 0.0
 
 
 class TestFomCache:
