@@ -6,10 +6,8 @@ snapshot tensor alone: the interpolated coefficient matrix is small
 the dominant directions, and lifting them through the first core gives
 an orthonormal spatial basis. A train's operators are projected on its
 first core once (:class:`ReducedTrain`), so a query works on matrices of
-the first rank's size, and so does the H1 error of a query against a
-full-order trajectory that was projected once (:class:`ErrorProjection`).
-The reduced systems are dense and tiny, so every factorization here is a
-dense one.
+the first rank's size. The reduced systems are dense and tiny, so every
+factorization here is a dense one.
 """
 
 from __future__ import annotations
@@ -31,18 +29,18 @@ _RANK_CUTOFF = 1e-14
 
 @dataclass(frozen=True)
 class RomTrajectory:
-    """Reduced coefficients c^1 .. c^N, one column per time step, and the
-    (k, ell) ``basis`` whose columns they weigh: the orthonormal basis
-    :func:`rom_solve` marched in (k the operators' size, M or r1), that
-    basis lifted to M by :meth:`ReducedTrain.query`, or mapped to the
-    r1 + 1 coordinates of an :class:`ErrorProjection`."""
+    """Reduced coefficients c^1 .. c^N, one column per time step, in the
+    (n, ell) orthonormal ``basis`` they were marched in. n is the size of
+    the operators: M for full-order ones, r1 for a train's projected ones
+    (whose :meth:`ReducedTrain.query` returns the basis lifted to M)."""
 
     coefficients: np.ndarray
     basis: np.ndarray
 
-    def lift(self) -> np.ndarray:
-        """States in the basis' coordinates, shape (k, N)."""
-        return self.basis @ self.coefficients
+    def lift(self, out: np.ndarray | None = None) -> np.ndarray:
+        """States in the full space, shape (M, N), written into ``out``
+        when it is given."""
+        return np.matmul(self.basis, self.coefficients, out=out)
 
 
 def local_basis(
@@ -163,59 +161,17 @@ class ReducedTrain:
         u0 = initial_state(terms.problem, terms.mesh)
         self.start = sla.solve(self.mass, basis.T @ (mass @ u0), assume_a="pos")
 
-    def query(self, alpha: Sequence[float], ell: int, lift: bool = True) -> RomTrajectory:
+    def query(self, alpha: Sequence[float], ell: int) -> RomTrajectory:
         """The reduced trajectory at ``alpha`` in a local basis of ``ell``
         vectors: the Lagrange weights of ``alpha`` give the local
         coordinates u (r1, ell) by :func:`local_basis`, and the Galerkin
         march of the projected operator and load at ``alpha`` in u is
-        returned in the lifted basis U0 u (an M r1 ell product), or with
-        ``lift=False`` in U0 coordinates, the basis u itself."""
+        returned in the lifted basis U0 u."""
         u = local_basis(self.local, weight_vectors(alpha, self.scheme), ell)
         op = np.tensordot(self.terms.theta(alpha), self.ops, axes=1)
         load = self.terms.phi(alpha) @ self.loads
         traj = rom_solve(u, self.mass, op, load, self.start, self.tg)
-        return RomTrajectory(coefficients=traj.coefficients, basis=self.basis @ u if lift else u)
-
-
-class ErrorProjection:
-    """A train's universal basis U0 (M, r1) made orthonormal in the H1
-    ``gram`` G, so that full-order trajectories are projected on it once
-    and a query's H1 error then costs (r1 + 1) N.
-
-    Q is CholeskyQR2 of U0 in the G inner product (two passes of
-    Q <- Q R^-1 with R'R = Q'GQ), and GQ is kept. A trajectory u (M, N)
-    becomes F = [w; rho] (r1 + 1, N) by :meth:`project`: w = (GQ)'u and
-    rho_n = |r_n|_G for the residual r = u - Q w. ``frame`` is the
-    (r1 + 1, r1) map [T; 0] with T = (GQ)'U0, so U0 = Q T. As r is
-    G-orthogonal to span(Q) = span(U0), Pythagoras gives, for any
-    coefficients y (r1, N),
-
-        trajectory_error_sq(u, U0 y, G, dt)
-            = trajectory_error_sq(F, frame y, identity(r1 + 1), dt).
-
-    Every quantity depends on this train, G and u alone, so a study's row
-    does not move with the other trains it sweeps.
-    """
-
-    def __init__(self, basis: np.ndarray, gram: sp.spmatrix) -> None:
-        q = np.asarray(basis)
-        for _ in range(2):
-            chol = sla.cholesky(q.T @ (gram @ q), check_finite=False)
-            q = sla.solve_triangular(chol, q.T, trans="T", check_finite=False).T
-        self.gram, self.q, self.gq = gram, q, np.asarray(gram @ q)
-        r1 = q.shape[1]
-        self.frame = np.zeros((r1 + 1, r1))
-        self.frame[:r1] = self.gq.T @ basis
-
-    def project(self, states: np.ndarray) -> np.ndarray:
-        """F = [w; rho] (r1 + 1, N) of the trajectory ``states`` (M, N):
-        one product with G, on the residual. The residual overwrites Q w,
-        which saves one (M, N) temporary."""
-        w = self.gq.T @ states
-        resid = self.q @ w
-        np.subtract(states, resid, out=resid)
-        rho_sq = np.einsum("ij,ij->j", resid, self.gram @ resid)
-        return np.vstack([w, np.sqrt(np.maximum(rho_sq, 0.0))])
+        return RomTrajectory(coefficients=traj.coefficients, basis=self.basis @ u)
 
 
 def correlation_spectrum(states: np.ndarray, mass: sp.spmatrix) -> np.ndarray:
@@ -259,12 +215,16 @@ def trajectory_error_sq(
     rom_states: np.ndarray,
     gram: sp.spmatrix,
     dt: float,
+    overwrite_rom: bool = False,
 ) -> float:
     """Squared discrete space-time error between two trajectories.
 
     dt times the sum over time steps of the gram-weighted squared error.
     With the H1 Gram matrix this is the squared space-time H1 norm used
-    by all the accuracy studies.
+    by all the accuracy studies. With ``overwrite_rom`` the difference is
+    formed in ``rom_states``, a float64 array of the trajectories' shape,
+    instead of a new one.
     """
-    diff = np.asarray(fom_states) - np.asarray(rom_states)
+    rom = np.asarray(rom_states)
+    diff = np.subtract(np.asarray(fom_states), rom, out=rom if overwrite_rom else None)
     return float(dt * np.einsum("ij,ij->", diff, gram @ diff))

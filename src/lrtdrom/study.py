@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import ConfigError, FormatError, check_budget
 from .fem import (
@@ -50,14 +49,7 @@ from .fem import (
     solve_fom_batch,
 )
 from .interp import InterpolationScheme
-from .rom import (
-    ErrorProjection,
-    ReducedTrain,
-    RomTrajectory,
-    correlation_spectrum,
-    tail_energy,
-    trajectory_error_sq,
-)
+from .rom import ReducedTrain, correlation_spectrum, tail_energy, trajectory_error_sq
 from .tensors import (
     ParameterGrid,
     generate_snapshots,
@@ -66,11 +58,6 @@ from .tensors import (
     uniform_grid,
 )
 from .tt import check_compression_budget, frobenius_tolerance, tt_svd
-
-# The full-space error of a row's worst test point, bound under its own
-# name: ``trajectory_error_sq`` is called once per (row, test point), the
-# count that the benchmark's per-query completion stamps rely on.
-_full_space_error_sq = trajectory_error_sq
 
 # (file column name, StudyRow attribute, text format) of every results
 # column, in file order: the header of results.csv and the keys of a
@@ -494,16 +481,19 @@ def _solve_test_foms(
     points: np.ndarray,
     cache: FomCache,
 ) -> list[np.ndarray]:
-    """Full-order trajectories at the test points: cache hits as stored,
+    """Full-order trajectories at the test points, each a C-contiguous
+    (M, N) array as a lifted query is: cache hits copied to that layout,
     every miss from one :func:`solve_fom_batch` call, then stored."""
     m = terms.mesh.n_nodes
     keys = [FomCache.key(terms.problem, terms.mesh.cell, tg, a) for a in points]
-    states = [cache.lookup(key) for key in keys]
+    hits = (cache.lookup(key) for key in keys)  # one stored copy at a time
+    states = [None if hit is None else np.ascontiguousarray(hit) for hit in hits]
     misses = [
         j for j, hit in enumerate(states) if hit is None or hit.shape != (m, tg.steps)
     ]
     if misses:
-        block = np.empty((m, tg.steps, len(misses)), order="F")
+        # (M, N, P) over P C-contiguous (M, N) trajectories.
+        block = np.empty((len(misses), m, tg.steps)).transpose(1, 2, 0)
         solve_fom_batch(terms, mass, tg, points[misses], block)
         for c, j in enumerate(misses):
             states[j] = block[:, :, c]
@@ -554,41 +544,31 @@ def run_study(
     and memo are released before the next grid is built (or after a
     failed compression), the last ones after the last compression. When
     no run has a train, every row records its error and no test point is
-    solved. Otherwise the full-order test trajectories are solved, cached under
-    the output directory so that a rerun there skips those solves, and
-    their correlation spectra taken. Then each run's reduced model is
-    solved at every test point, rows outer, in universal-basis
-    coordinates; consecutive rows of one train share its
-    :class:`ReducedTrain`. Before a train's first row, each test
-    trajectory is projected once on its :class:`ErrorProjection` (a train
-    that fails this is an error row), and a query's error is scored in
-    those r1 + 1 coordinates: no array of M rows per (row, test point).
-    Only the worst point's error is computed again in the full space, so
-    ``E_max`` is bit for bit what ``lrtdrom rom`` and a full-order solve
-    give and ``E_mean`` differs from the full-space mean at round-off. A
-    row reads nothing but its own train and the test set, so its numbers
-    do not move with the other runs of the sweep. A row's ``wall_s`` is
-    its compression time plus its evaluation time; the test solves,
-    spectra and projections, which rows share, are timed in
-    summary.json's ``shared`` block, with ``projection_dim``, the sum of
-    the projected trains' first ranks. A failed run records its error in
-    a row with its own eps, requested ell and ``delta_max``.
+    solved. Otherwise the full-order test trajectories are solved, cached
+    under the output directory so that a rerun there skips those solves,
+    and their correlation spectra taken. Then each run's reduced model is
+    solved at every test point, rows outer; consecutive rows of one train
+    share its :class:`ReducedTrain`. Each query is lifted to the full
+    space and scored against its point's trajectory, which is held
+    C-contiguous as the lift is, so that their difference reads both in
+    memory order; the lift and the difference reuse one (M, N) array. A
+    row's ``wall_s`` is its compression time plus its evaluation time;
+    the test solves and spectra, which rows share, are timed in
+    summary.json's ``shared`` block. A failed run records its error in a
+    row with its own eps, requested ell and ``delta_max``.
 
     The numeric columns reproduce bit for bit at one BLAS thread setting,
     with or without the cache: a fresh directory gives the same rows.
-    Between thread settings the compression, the per-train operator and
-    error projections, local bases, correlation spectra and errors may
-    move them at round-off; the full-order and reduced marches do not
-    move.
+    Between thread settings the compression, the per-train projections,
+    local bases, correlation spectra and errors may move them at
+    round-off; the full-order and reduced marches do not move.
 
     The memory budget is checked before anything it covers is allocated:
     the test trajectories from the test set's point count, before its
     points are built or any run compressed (a :class:`BudgetError` here
     ends the study), and each grid's tensor and its TT-SVD alone, from
     the run's node counts before the grid is built (a
-    :class:`BudgetError` row), and a train's projection beside the test
-    trajectories, from its first rank (a :class:`BudgetError` row). The
-    output directory and its FOM cache are
+    :class:`BudgetError` row). The output directory and its FOM cache are
     made after the mesh is built and the test trajectories fit, so a study
     that fails either check leaves no directory behind, and before any
     compression, so a cache that cannot be made fails first.
@@ -636,20 +616,21 @@ def run_study(
         compressed.append((*done, time.perf_counter() - start))
     tensor = memo = None
 
-    shared = {"projection_dim": 0, "test_solve_s": 0.0, "spectra_s": 0.0, "projection_s": 0.0}
-    test_states, spectra = [], []
+    shared = {"test_solve_s": 0.0, "spectra_s": 0.0}
+    test_states, spectra, work = [], [], None
     if any(tt is not None for _, tt, _, _ in compressed):  # else no row needs them
         start = time.perf_counter()
         test_states = _solve_test_foms(terms, mass, tg, test_points, cache)
         middle = time.perf_counter()
         spectra = [correlation_spectrum(states, mass) for states in test_states]
+        work = np.empty((mesh.n_nodes, tg.steps))  # each query's lift, then its error
         shared["test_solve_s"] = middle - start
         shared["spectra_s"] = time.perf_counter() - middle
 
     rows: list[StudyRow] = []
     reduced = reduced_tt = None  # the ReducedTrain of the last row's train
     for run, (grid, tt, error, compress_s) in zip(config.runs, compressed):
-        start, projection_s = time.perf_counter(), 0.0
+        start = time.perf_counter()
         measured = {"ell": run.ell, "error": error}
         if error is None:
             try:
@@ -657,32 +638,14 @@ def run_study(
                 ell = min(run.ell, r1, tg.steps)
                 if reduced_tt is not tt:
                     scheme = InterpolationScheme(grid=grid, p=config.p)
-                    reduced = ReducedTrain(tt, scheme, terms, mass, tg)
-                    began, scores = time.perf_counter(), None  # one train's at a time
-                    projection = ErrorProjection(tt.universal_basis, gram)
-                    check_budget(
-                        (mesh.n_nodes + r1 + 1) * tg.steps * len(test_states),
-                        "test trajectories and their projection",
+                    reduced, reduced_tt = ReducedTrain(tt, scheme, terms, mass, tg), tt
+                errors = []
+                for alpha, fom_states in zip(test_points, test_states):
+                    lifted = reduced.query(alpha, ell).lift(out=work)
+                    errors.append(
+                        trajectory_error_sq(fom_states, lifted, gram, tg.dt, overwrite_rom=True)
                     )
-                    scores = np.empty((len(test_states), r1 + 1, tg.steps))
-                    for j, states in enumerate(test_states):
-                        scores[j] = projection.project(states)
-                    projection_s = time.perf_counter() - began
-                    shared["projection_dim"] += r1
-                    shared["projection_s"] += projection_s
-                    reduced_tt = tt
-                identity = sp.identity(r1 + 1, format="csr")
-                errors, worst = [], 0
-                for j, (alpha, projected) in enumerate(zip(test_points, scores)):
-                    traj = reduced.query(alpha, ell, lift=False)
-                    scored = RomTrajectory(traj.coefficients, projection.frame @ traj.basis)
-                    errors.append(trajectory_error_sq(projected, scored.lift(), identity, tg.dt))
-                    if j == 0 or errors[j] > errors[worst]:
-                        worst, worst_traj = j, traj
-                # E_max in the full space, as `lrtdrom rom` and a full-order
-                # solve give it: the projection ranks the points.
-                lifted = (reduced.basis @ worst_traj.basis) @ worst_traj.coefficients
-                errors[worst] = _full_space_error_sq(test_states[worst], lifted, gram, tg.dt)
+                worst = max(range(len(errors)), key=errors.__getitem__)
                 measured = {
                     "ell": ell,
                     "r1": int(r1),
@@ -701,7 +664,7 @@ def run_study(
                 delta_max=max(
                     (hi - lo) / (k - 1) for (lo, hi), k in zip(problem.box, run.counts)
                 ),
-                wall_s=compress_s + time.perf_counter() - start - projection_s,
+                wall_s=compress_s + time.perf_counter() - start,
                 **measured,
             )
         )

@@ -128,36 +128,3 @@ def test_traced_small_sweep_span_counts(tracing, workloads, tmp_path):
     assert len(tracer.reports) == 2
     assert calls.get("tt.frobenius_tolerance") == 1
     assert calls.get("study.run_study") == 1
-
-
-def test_small_sweep_scores_queries_in_the_projected_space(workloads, tmp_path, monkeypatch):
-    # Every lift and error of a (row, test point) pair sees at most R + 1
-    # rows, R the sum of the trains' first ranks, which is below the mesh's
-    # node count M: no array of M rows is touched per pair. Each row scores
-    # its worst point once more in the full space, under its own name.
-    config = study.parse_config(workloads.sweep_config("heat-eps-sweep", 1, "small"))
-    lifted, scored, full = [], [], []
-    lift, error = lrtdrom.RomTrajectory.lift, study.trajectory_error_sq
-
-    def recorded_lift(self):
-        states = lift(self)
-        lifted.append(states.shape[0])
-        return states
-
-    def recorded(log):
-        def recorded_error(fom_states, rom_states, gram, dt):
-            log.append(max(fom_states.shape[0], rom_states.shape[0], gram.shape[0]))
-            return error(fom_states, rom_states, gram, dt)
-
-        return recorded_error
-
-    monkeypatch.setattr(lrtdrom.RomTrajectory, "lift", recorded_lift)
-    monkeypatch.setattr(study, "trajectory_error_sq", recorded(scored))
-    monkeypatch.setattr(study, "_full_space_error_sq", recorded(full))
-    result = study.run_study(config, tmp_path)
-    summary = json.loads(result.summary_path.read_text(encoding="utf-8"))
-    bound, m = summary["shared"]["projection_dim"] + 1, summary["mesh_nodes"]
-    assert bound < m
-    assert len(lifted) == len(scored) == 16  # 2 rows x 8 test points
-    assert max(lifted) <= bound and max(scored) <= bound
-    assert full == [m, m]  # one per row

@@ -35,7 +35,7 @@ from lrtdrom import (
     weight_vectors,
 )
 from lrtdrom.fem import affine_operator
-from lrtdrom.rom import ErrorProjection, ReducedTrain, tail_energy
+from lrtdrom.rom import ReducedTrain, RomTrajectory, tail_energy
 from lrtdrom.tt import interpolate_coefficients
 from oracles import grid_point, grid_spacings, interpolate_snapshots, pod_basis
 
@@ -398,49 +398,49 @@ def unit_gram() -> sp.csr_matrix:
     return assemble_h1_gram(build_mesh(advdiff_problem(), 0.25))
 
 
-class TestErrorProjection:
+class TestTrajectoryError:
     # Hypothesis imports mypy_extensions to report a failing example; its
     # DeprecationWarning, an error under the suite's filter, would end the
     # whole run instead of failing this test.
     @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
-        ranks=st.lists(st.integers(1, 25), min_size=1, max_size=4),
-        nearly=st.booleans(),
-        close=st.booleans(),
+        rank=st.integers(1, 25),
+        ell=st.integers(1, 25),
         steps=st.integers(1, 6),
+        close=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(ranks=[25, 25], nearly=True, close=True, steps=3, seed=0)
-    @example(ranks=[9, 25, 1], nearly=False, close=False, steps=1, seed=1)
-    def test_projected_error_equals_the_full_space_one(self, ranks, nearly, close, steps, seed):
-        # Bases of up to the node count M = 25 columns, up to four of them,
-        # so the ranks may add up past M; with ``nearly`` every basis after
-        # the first lies within 1e-9 of the first one's leading columns.
-        # With ``close`` the trajectory lies within 1e-4 of the basis' span
-        # and the coefficients within 1e-4 of its coordinates there: the
-        # error is 1e-8 of |u|^2, where an unsplit |u|^2 - 2<u, U0 y> + ...
-        # would cancel to about 1e-8 relative.
+    @example(rank=25, ell=25, steps=6, close=True, seed=0)
+    def test_layout_and_reuse_leave_the_error_bit_for_bit(self, rank, ell, steps, close, seed):
+        # A lifted query U0 u c against full-order states u_fom on the
+        # 25-node H1 Gram G: the error is the dense dt sum of
+        # (u_fom - U0 u c)' G (u_fom - U0 u c) over the steps, and the same
+        # bits whether u_fom is C- or Fortran-ordered and whether the lift
+        # and the difference go into a fresh array or a reused one. With
+        # ``close`` u_fom lies within 1e-6 of the lift.
         gram = unit_gram()
         m, dt = gram.shape[0], 0.05
         rng = np.random.default_rng(seed)
-        first = rng.normal(size=(m, m))
-        u = rng.normal(size=(m, steps))
-        for k, r in enumerate(ranks):
-            raw = rng.normal(size=(m, r))
-            if nearly and k:
-                raw = first[:, :r] + 1e-9 * raw
-            basis = np.linalg.qr(raw)[0]
-            y = rng.normal(size=(r, steps))
-            if close:
-                u = basis @ y + 1e-4 * rng.normal(size=(m, steps))
-                y = y + 1e-4 * rng.normal(size=(r, steps))
-            projection = ErrorProjection(basis, gram)
-            scores = projection.project(u)
-            assert scores.shape == (r + 1, steps)
-            got = trajectory_error_sq(scores, projection.frame @ y, sp.identity(r + 1), dt)
-            want = trajectory_error_sq(u, basis @ y, gram, dt)
-            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        basis = np.linalg.qr(rng.normal(size=(m, rank)))[0]
+        ell = min(ell, rank)
+        traj = RomTrajectory(
+            coefficients=rng.normal(size=(ell, steps)),
+            basis=basis @ np.linalg.qr(rng.normal(size=(rank, ell)))[0],
+        )
+        fom = rng.normal(size=(m, steps))
+        if close:
+            fom = traj.lift() + 1e-6 * fom
+        diff = fom - traj.lift()
+        want = dt * sum(d @ (gram.toarray() @ d) for d in diff.T)
+        got = trajectory_error_sq(np.asfortranarray(fom), traj.lift(), gram, dt)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        work = np.full((m, steps), np.nan)
+        for states in (np.ascontiguousarray(fom), np.asfortranarray(fom)):
+            assert trajectory_error_sq(states, traj.lift(), gram, dt) == got
+            lifted = traj.lift(out=work)
+            assert lifted is work
+            assert trajectory_error_sq(states, lifted, gram, dt, overwrite_rom=True) == got
 
 
 class TestPodBasis:
